@@ -21,16 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .market_data import _readonly
 from .riskmodel import CovarianceMatrix, Linkage
 
 WEIGHT_SUM_TOL = 1e-12
 NODE_VALUE_FLOOR = 1e-12
-
-
-def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -85,13 +80,13 @@ def _default_tickers(n: int) -> tuple[str, ...]:
     return tuple(f"A{i:03d}" for i in range(n))
 
 
-def node_inverse_variances(cov: CovarianceMatrix, link: Linkage) -> np.ndarray:
+def node_mean_cross_covariances(cov: CovarianceMatrix, link: Linkage) -> np.ndarray:
     """Per-merge node value: mean covariance between the two merged clusters.
 
     For the node merging clusters k and j this is
-    sum_{p in k} sum_{q in j} cov[p, q] / (|k| * |j|). Despite the name it is
-    a mean cross-covariance and can be zero or negative for uncorrelated or
-    hedging clusters; the allocator floors such values.
+    sum_{p in k} sum_{q in j} cov[p, q] / (|k| * |j|). It can be zero or
+    negative for uncorrelated or hedging clusters; the allocator floors such
+    values.
     """
     if cov.tickers != link.tickers:
         raise ValueError("covariance and linkage tickers differ")
@@ -114,7 +109,7 @@ def hrp_dendrogram_walk(cov: CovarianceMatrix, link: Linkage) -> Weights:
     to keep the weights nonnegative.
     """
     n = cov.n
-    node_values = node_inverse_variances(cov, link)
+    node_values = node_mean_cross_covariances(cov, link)
     weights = np.zeros(n)
     assigned = np.zeros(n, dtype=bool)
     for rec, value in zip(link.merges, node_values):

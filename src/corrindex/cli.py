@@ -29,19 +29,21 @@ from .market_data import PriceSeries, ReturnSeries
 WEIGHT_LOAD_TOL = 1e-3
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def atomic_write(target: Path, writer) -> None:
+    """Call `writer(tmp)` on a new temp path beside `target`, then rename it into place.
 
-
-def atomic_write_with(writer, target: Path) -> None:
-    """Run a file-writing callable against a temp path, then rename into place."""
+    Each call picks its own temp name, so commands writing to one directory
+    never share a temp file. If anything fails, the temp file is removed and
+    the previous `target` is left untouched.
+    """
     target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(target.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, target)
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        writer(tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _require(condition: bool, message: str) -> None:
@@ -118,7 +120,8 @@ def cmd_select(cfg: PipelineConfig) -> int:
     ranked = selection.rank_universe(scored, cfg.k)
     by_ticker = dict(scored)
     lines = [f"{ticker},{by_ticker[ticker]!r}" for ticker in ranked]
-    atomic_write_text(cfg.artifact("constituents.csv"), "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    atomic_write(cfg.artifact("constituents.csv"), lambda p: p.write_text(text, encoding="utf-8"))
     print(f"wrote {cfg.artifact('constituents.csv')} ({len(ranked)} constituents)")
     return 0
 
@@ -172,17 +175,18 @@ def cmd_allocate(cfg: PipelineConfig) -> int:
     weights = _allocate_weights(cfg, cov, link)
 
     lines = [f"{t},{w:.4f}" for t, w in zip(weights.tickers, weights.values)]
-    atomic_write_text(cfg.artifact("weights.csv"), "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    atomic_write(cfg.artifact("weights.csv"), lambda p: p.write_text(text, encoding="utf-8"))
 
-    atomic_write_with(
-        lambda p: riskmodel.matrix_to_csv(cov.tickers, cov.values, p),
+    atomic_write(
         cfg.artifact("covariance.csv"),
+        lambda p: riskmodel.matrix_to_csv(cov.tickers, cov.values, p),
     )
-    atomic_write_with(
-        lambda p: riskmodel.matrix_to_csv(corr.tickers, corr.values, p),
+    atomic_write(
         cfg.artifact("correlation.csv"),
+        lambda p: riskmodel.matrix_to_csv(corr.tickers, corr.values, p),
     )
-    atomic_write_with(lambda p: riskmodel.linkage_to_csv(link, p), cfg.artifact("linkage.csv"))
+    atomic_write(cfg.artifact("linkage.csv"), lambda p: riskmodel.linkage_to_csv(link, p))
 
     print(f"strategy {cfg.strategy}")
     for ticker, weight in zip(weights.tickers, weights.values):
@@ -226,7 +230,7 @@ def cmd_build_index(cfg: PipelineConfig) -> int:
     index = index_builder.build_index(weights, panel)
 
     target = cfg.artifact("index_returns.csv")
-    atomic_write_with(lambda p: index_builder.index_to_csv(index, p), target)
+    atomic_write(target, lambda p: index_builder.index_to_csv(index, p))
     print(f"wrote {target} ({len(index)} days)")
     return 0
 
@@ -278,7 +282,7 @@ def cmd_make_dataset(cfg: PipelineConfig) -> int:
     for name, (train_ds, test_ds) in splits.items():
         for split_name, split in (("train", train_ds), ("test", test_ds)):
             target = cfg.artifact(f"{name}_{split_name}.csv")
-            atomic_write_with(lambda p, s=split: dataset.save_windows_csv(s, p), target)
+            atomic_write(target, lambda p, s=split: dataset.save_windows_csv(s, p))
             print(f"wrote {target} ({split.sample_count} samples, {split.feature_count} features)")
     return 0
 
@@ -317,8 +321,9 @@ def cmd_run_experiment(cfg: PipelineConfig) -> int:
             cells.append(stats)
 
     report = evaluation.comparison_report(cells, evaluation.config_fingerprint(cfg.train))
-    atomic_write_text(cfg.artifact("runs.csv"), evaluation.runs_csv(report))
-    atomic_write_text(cfg.artifact("report.txt"), evaluation.render_report(report))
+    runs_text, report_text = evaluation.runs_csv(report), evaluation.render_report(report)
+    atomic_write(cfg.artifact("runs.csv"), lambda p: p.write_text(runs_text, encoding="utf-8"))
+    atomic_write(cfg.artifact("report.txt"), lambda p: p.write_text(report_text, encoding="utf-8"))
     print(f"wrote {cfg.artifact('runs.csv')}")
     print(f"wrote {cfg.artifact('report.txt')}")
     return 0
@@ -329,7 +334,7 @@ def cmd_report(cfg: PipelineConfig) -> int:
     cells, fingerprint = evaluation.parse_runs_csv(runs_path.read_text(encoding="utf-8"))
     report = evaluation.comparison_report(cells, fingerprint)
     text = evaluation.render_report(report)
-    atomic_write_text(cfg.artifact("report.txt"), text)
+    atomic_write(cfg.artifact("report.txt"), lambda p: p.write_text(text, encoding="utf-8"))
     print(text, end="")
     return 0
 

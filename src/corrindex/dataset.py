@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .market_data import PriceSeries, ReturnSeries, align_calendars
+from .market_data import PriceSeries, ReturnSeries, _readonly, align_calendars
 
 
 class Scaler:
@@ -31,41 +31,26 @@ class Scaler:
     def is_fit(self) -> bool:
         return self.feature_min is not None
 
-    def _span(self) -> np.ndarray:
-        return self.feature_max - self.feature_min
-
-    def transform(self, matrix: np.ndarray) -> np.ndarray:
+    def _bounds(self, feature: int | None):
+        """(min, max - min) for every feature, or for one feature index."""
         if not self.is_fit:
             raise ValueError("scaler used before fitting")
-        x = np.asarray(matrix, dtype=float)
-        span = self._span()
-        safe = np.where(span == 0, 1.0, span)
-        out = (x - self.feature_min) / safe
+        low, high = self.feature_min, self.feature_max
+        if feature is not None:
+            low, high = low[feature], high[feature]
+        return low, high - low
+
+    def transform(self, values: np.ndarray, feature: int | None = None) -> np.ndarray:
+        """Scale a samples-by-features matrix, or values of one feature if given."""
+        low, span = self._bounds(feature)
+        out = (np.asarray(values, dtype=float) - low) / np.where(span == 0, 1.0, span)
         return np.where(span == 0, 0.5, out)
 
-    def inverse(self, matrix: np.ndarray) -> np.ndarray:
-        if not self.is_fit:
-            raise ValueError("scaler used before fitting")
-        x = np.asarray(matrix, dtype=float)
-        span = self._span()
-        out = x * span + self.feature_min
-        return np.where(span == 0, self.feature_min, out)
-
-    def transform_feature(self, values: np.ndarray, feature: int) -> np.ndarray:
-        if not self.is_fit:
-            raise ValueError("scaler used before fitting")
-        span = float(self.feature_max[feature] - self.feature_min[feature])
-        if span == 0:
-            return np.full_like(np.asarray(values, dtype=float), 0.5)
-        return (np.asarray(values, dtype=float) - self.feature_min[feature]) / span
-
-    def inverse_feature(self, values: np.ndarray, feature: int) -> np.ndarray:
-        if not self.is_fit:
-            raise ValueError("scaler used before fitting")
-        span = float(self.feature_max[feature] - self.feature_min[feature])
-        if span == 0:
-            return np.full_like(np.asarray(values, dtype=float), self.feature_min[feature])
-        return np.asarray(values, dtype=float) * span + self.feature_min[feature]
+    def inverse(self, values: np.ndarray, feature: int | None = None) -> np.ndarray:
+        """Undo `transform` for a matrix, or for values of one feature if given."""
+        low, span = self._bounds(feature)
+        out = np.asarray(values, dtype=float) * span + low
+        return np.where(span == 0, low, out)
 
 
 def fit_scaler(train_matrix: np.ndarray) -> Scaler:
@@ -81,14 +66,6 @@ def fit_scaler(train_matrix: np.ndarray) -> Scaler:
     return scaler
 
 
-def transform(scaler: Scaler, matrix: np.ndarray) -> np.ndarray:
-    return scaler.transform(matrix)
-
-
-def inverse_transform(scaler: Scaler, matrix: np.ndarray) -> np.ndarray:
-    return scaler.inverse(matrix)
-
-
 @dataclass(frozen=True)
 class WindowedDataset:
     """Supervised samples: X is samples x lookback x features, y the next-step target."""
@@ -100,12 +77,8 @@ class WindowedDataset:
     target_feature: int = 0
 
     def __post_init__(self):
-        x = np.array(self.X, dtype=float)
-        x.setflags(write=False)
-        object.__setattr__(self, "X", x)
-        yv = np.array(self.y, dtype=float)
-        yv.setflags(write=False)
-        object.__setattr__(self, "y", yv)
+        object.__setattr__(self, "X", _readonly(self.X))
+        object.__setattr__(self, "y", _readonly(self.y))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         if self.X.ndim != 3:
             raise ValueError(f"X must be 3-D, got shape {self.X.shape}")
@@ -181,7 +154,7 @@ def chronological_split(
         x_flat = scaler.transform(x_part.reshape(-1, ds.feature_count))
         return WindowedDataset(
             X=x_flat.reshape(x_part.shape),
-            y=scaler.transform_feature(y_part, ds.target_feature),
+            y=scaler.transform(y_part, ds.target_feature),
             feature_names=ds.feature_names,
             scaler=scaler,
             target_feature=ds.target_feature,

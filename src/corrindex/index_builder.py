@@ -10,13 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import Weights
-from .market_data import AlignedPanel, ReturnSeries
-
-
-def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
+from .market_data import AlignedPanel, ReturnSeries, _readonly
 
 
 @dataclass(frozen=True)

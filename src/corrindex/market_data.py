@@ -23,61 +23,83 @@ ALIGN_POLICIES = ("intersect", "forward_fill")
 PRICE_FIELDS = ("adjusted_close", "close")
 
 
+# One row per trading day; `PriceSeries.bars` is a read-only record array of these.
+BAR_DTYPE = np.dtype(
+    [("date", "datetime64[D]"), ("close", float), ("adjusted_close", float), ("dividend", float)]
+)
+
+
 def _readonly(values, dtype=float) -> np.ndarray:
+    """Copy `values` into a new array that cannot be written to."""
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True, slots=True)
-class PriceBar:
-    """One daily observation: close, adjusted close, and cash dividend per share."""
+class _BarError(ValueError):
+    """Row `row` (0-based) of a bars array breaks a `PriceSeries` invariant."""
 
-    date: date
-    close: float
-    adjusted_close: float
-    dividend: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.close) and self.close > 0):
-            raise ValueError(f"close must be finite and positive, got {self.close!r}")
-        if not (np.isfinite(self.adjusted_close) and self.adjusted_close > 0):
-            raise ValueError(
-                f"adjusted_close must be finite and positive, got {self.adjusted_close!r}"
-            )
-        if not (np.isfinite(self.dividend) and self.dividend >= 0):
-            raise ValueError(f"dividend must be finite and nonnegative, got {self.dividend!r}")
+    def __init__(self, ticker: str, row: int, problem: str):
+        super().__init__(f"{ticker}: row {row + 1}: {problem}")
+        self.row, self.problem = row, problem
 
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Date-ordered daily bars for one ticker (at least two, strictly increasing dates)."""
+    """Daily bars for one ticker: at least two, strictly increasing dates.
+
+    `bars` is a read-only record array of `BAR_DTYPE` (date, close,
+    adjusted_close, dividend), one row per day. The constructor also accepts
+    a sequence of `(date, close, adjusted_close, dividend)` tuples. Closes and
+    adjusted closes must be finite and positive, dividends finite and
+    nonnegative.
+    """
 
     ticker: str
-    bars: tuple[PriceBar, ...]
+    bars: np.recarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bars", tuple(self.bars))
-        if len(self.bars) < 2:
-            raise ValueError(f"{self.ticker}: need at least 2 bars, got {len(self.bars)}")
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date <= prev.date:
-                raise ValueError(
-                    f"{self.ticker}: dates must be strictly increasing "
-                    f"({prev.date} then {cur.date})"
-                )
+        raw = self.bars if isinstance(self.bars, np.ndarray) else list(self.bars)
+        bars = _readonly(raw, BAR_DTYPE).view(np.recarray)
+        object.__setattr__(self, "bars", bars)
+        if len(bars) < 2:
+            raise ValueError(f"{self.ticker}: need at least 2 bars, got {len(bars)}")
+        days = bars["date"]
+        # Written as not-greater so a NaT date, which compares false, is caught too.
+        (late,) = np.nonzero(~(days[1:] > days[:-1]))
+        if late.size:
+            row = int(late[0]) + 1
+            prev, cur = days[row - 1], days[row]
+            problem = (
+                f"duplicate date {cur}"
+                if prev == cur
+                else f"dates must be strictly increasing ({prev} then {cur})"
+            )
+            raise _BarError(self.ticker, row, problem)
+        for field, above_floor, below_floor in (
+            ("close", np.greater, "non-positive"),
+            ("adjusted_close", np.greater, "non-positive"),
+            ("dividend", np.greater_equal, "negative"),
+        ):
+            values = bars[field]
+            ok = np.isfinite(values) & above_floor(values, 0)
+            if not ok.all():
+                row = int(np.argmin(ok))
+                kind = below_floor if np.isfinite(values[row]) else "non-finite"
+                problem = f"{kind} {field.replace('_', ' ')} {values[row]}"
+                raise _BarError(self.ticker, row, problem)
 
     @property
     def dates(self) -> tuple[date, ...]:
-        return tuple(bar.date for bar in self.bars)
+        return tuple(self.bars["date"].tolist())
 
     def prices(self, field: str = "adjusted_close") -> np.ndarray:
         if field not in PRICE_FIELDS:
             raise ValueError(f"unknown price field {field!r}, expected one of {PRICE_FIELDS}")
-        return np.array([getattr(bar, field) for bar in self.bars])
+        return np.array(self.bars[field])
 
     def dividends(self) -> np.ndarray:
-        return np.array([bar.dividend for bar in self.bars])
+        return np.array(self.bars["dividend"])
 
 
 @dataclass(frozen=True)
@@ -144,9 +166,10 @@ def load_price_csv(
     """Load one ticker's daily bars from a CSV file.
 
     The default schema expects Yahoo-style headers (Date, Close, Adj Close,
-    Dividends); pass `schema` to remap. A missing dividend column means
-    dividend 0; a missing adjusted-close column falls back to close.
-    Malformed rows raise with the 1-based line number.
+    Dividends); pass `schema` to remap. A missing dividend column or empty
+    dividend cell means dividend 0; a missing adjusted-close column or empty
+    cell falls back to close. Rows may come in any date order and are sorted.
+    Malformed rows and invalid values raise with the 1-based line number.
     """
     path = Path(path)
     colmap = dict(DEFAULT_SCHEMA)
@@ -154,42 +177,47 @@ def load_price_csv(
         colmap.update(schema)
     name = ticker if ticker is not None else path.stem
 
-    bars: list[PriceBar] = []
-    seen: set[date] = set()
+    rows: list[tuple[date, float, float, float]] = []
+    lines: list[int] = []
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: missing header row")
+        # A repeated header name maps to its last column, as csv.DictReader does.
+        column = {field: i for i, field in enumerate(header)}
         for key in ("date", "close"):
-            if colmap[key] not in reader.fieldnames:
+            if colmap[key] not in column:
                 raise ValueError(f"{path}: required column {colmap[key]!r} not in header")
-        has_adj = colmap["adjusted_close"] in reader.fieldnames
-        has_div = colmap["dividend"] in reader.fieldnames
+        date_col, close_col = column[colmap["date"]], column[colmap["close"]]
+        adj_col = column.get(colmap["adjusted_close"])
+        div_col = column.get(colmap["dividend"])
+        width = 1 + max(c for c in (date_col, close_col, adj_col, div_col) if c is not None)
         for row in reader:
+            if not row:
+                continue
             line = reader.line_num
+            if len(row) < width:
+                raise ValueError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
+            raw = row[date_col]
             try:
-                day = date.fromisoformat(row[colmap["date"]].strip())
+                day = date.fromisoformat(raw.strip())
             except ValueError:
-                raise ValueError(
-                    f"{path}: line {line}: unparseable date {row[colmap['date']]!r}"
-                ) from None
-            if day in seen:
-                raise ValueError(f"{path}: line {line}: duplicate date {day}")
-            seen.add(day)
-            close = _parse_float(row[colmap["close"]], path, line, "close")
-            if close <= 0:
-                raise ValueError(f"{path}: line {line}: non-positive close {close}")
-            adj = close
-            if has_adj and row[colmap["adjusted_close"]].strip() != "":
-                adj = _parse_float(row[colmap["adjusted_close"]], path, line, "adjusted close")
-                if adj <= 0:
-                    raise ValueError(f"{path}: line {line}: non-positive adjusted close {adj}")
-            div = 0.0
-            if has_div and row[colmap["dividend"]].strip() != "":
-                div = _parse_float(row[colmap["dividend"]], path, line, "dividend")
-            bars.append(PriceBar(date=day, close=close, adjusted_close=adj, dividend=div))
-    bars.sort(key=lambda bar: bar.date)
-    return PriceSeries(ticker=name, bars=tuple(bars))
+                raise ValueError(f"{path}: line {line}: unparseable date {raw!r}") from None
+            close = _parse_float(row[close_col], path, line, "close")
+            adj = row[adj_col].strip() if adj_col is not None else ""
+            div = row[div_col].strip() if div_col is not None else ""
+            adj_close = _parse_float(adj, path, line, "adjusted close") if adj else close
+            dividend = _parse_float(div, path, line, "dividend") if div else 0.0
+            rows.append((day, close, adj_close, dividend))
+            lines.append(line)
+
+    bars = np.array(rows, dtype=BAR_DTYPE)
+    order = np.argsort(bars["date"], kind="stable")
+    try:
+        return PriceSeries(ticker=name, bars=bars[order])
+    except _BarError as err:
+        raise ValueError(f"{path}: line {lines[order[err.row]]}: {err.problem}") from None
 
 
 def _parse_float(raw: str, path: Path, line: int, what: str) -> float:
@@ -211,8 +239,6 @@ def compute_returns(
     """
     if mode not in RETURN_MODES:
         raise ValueError(f"unknown return mode {mode!r}, expected one of {RETURN_MODES}")
-    if len(series.bars) < 2:
-        raise ValueError(f"{series.ticker}: need at least 2 bars to compute returns")
     prices = series.prices(price_field)
     rets = (prices[1:] - prices[:-1]) / prices[:-1]
     if mode == "simple_with_dividends":

@@ -15,18 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .market_data import AlignedPanel
+from .market_data import AlignedPanel, _readonly
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
 LINKAGE_METHODS = ("single", "complete", "ward")
 DISTANCE_CONVENTIONS = ("correlation", "euclidean")
-
-
-def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 def _check_square(values: np.ndarray, tickers: tuple[str, ...], what: str) -> None:

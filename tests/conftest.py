@@ -5,7 +5,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from corrindex.market_data import AlignedPanel, PriceBar, PriceSeries
+from corrindex.market_data import AlignedPanel, PriceSeries
 from corrindex.riskmodel import (
     CovarianceMatrix,
     correlation_distance,
@@ -28,10 +28,7 @@ def price_series(ticker: str, closes, dividends=None) -> PriceSeries:
     closes = list(closes)
     if dividends is None:
         dividends = [0.0] * len(closes)
-    bars = [
-        PriceBar(date=d, close=c, adjusted_close=c, dividend=v)
-        for d, c, v in zip(weekdays(len(closes)), closes, dividends)
-    ]
+    bars = [(d, c, c, v) for d, c, v in zip(weekdays(len(closes)), closes, dividends)]
     return PriceSeries(ticker=ticker, bars=tuple(bars))
 
 

@@ -10,7 +10,7 @@ from corrindex.allocation import (
     hrp_dendrogram_walk,
     hrp_recursive_bisection,
     min_variance_long_only,
-    node_inverse_variances,
+    node_mean_cross_covariances,
     portfolio_moments,
     portfolio_moments_scaled_variant,
     project_to_simplex,
@@ -72,7 +72,7 @@ def test_hrp_dendrogram_walk_two_assets_is_half_half():
 def test_hrp_dendrogram_walk_node_values_two_assets():
     cov = cov_of([[1.0, 0.3], [0.3, 4.0]])
     link = linked(cov)
-    values = node_inverse_variances(cov, link)
+    values = node_mean_cross_covariances(cov, link)
     assert values.shape == (1,)
     assert values[0] == pytest.approx(0.3, abs=1e-15)
 

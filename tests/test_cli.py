@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from corrindex.cli import main
+from corrindex.cli import atomic_write, main
 from corrindex.market_data import generate_synthetic_panel
 
 UNIVERSE = tuple(f"C{i:02d}" for i in range(10))
@@ -337,3 +337,26 @@ def test_seed_env_override(tmp_path, monkeypatch):
     config = write_config(tmp_path)
     monkeypatch.setenv("CORRINDEX_SEED", "not-an-int")
     assert run(config, "select") == 1
+
+
+def test_atomic_write_failure_keeps_old_target(tmp_path):
+    target = tmp_path / "weights.csv"
+    target.write_text("old\n")
+    temp_paths = []
+
+    def writer(path, fail):
+        temp_paths.append(path)
+        path.write_text("new\n")
+        if fail:
+            raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write(target, lambda p: writer(p, fail=True))
+    assert target.read_text() == "old\n"
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    atomic_write(target, lambda p: writer(p, fail=False))
+    assert target.read_text() == "new\n"
+    # each write gets its own temp file beside the target
+    assert temp_paths[0] != temp_paths[1]
+    assert {p.parent for p in temp_paths} == {tmp_path}

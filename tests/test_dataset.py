@@ -11,11 +11,9 @@ from corrindex.dataset import (
     chronological_split,
     feature_matrix,
     fit_scaler,
-    inverse_transform,
     load_windows_csv,
     make_windows,
     save_windows_csv,
-    transform,
 )
 from corrindex.market_data import ReturnSeries
 from conftest import weekdays
@@ -28,7 +26,7 @@ from conftest import weekdays
 
 def test_scaler_minmax_endpoints():
     scaler = fit_scaler(np.array([[2.0], [4.0], [6.0]]))
-    out = transform(scaler, np.array([[2.0], [4.0], [6.0]]))
+    out = scaler.transform(np.array([[2.0], [4.0], [6.0]]))
     np.testing.assert_array_equal(out.ravel(), [0.0, 0.5, 1.0])
 
 
@@ -36,7 +34,7 @@ def test_scaler_round_trip(rng):
     train = rng.normal(0, 1.0, size=(40, 3))
     scaler = fit_scaler(train)
     x = rng.normal(0, 2.0, size=(10, 3))
-    back = inverse_transform(scaler, transform(scaler, x))
+    back = scaler.inverse(scaler.transform(x))
     np.testing.assert_allclose(back, x, atol=1e-12)
 
 
@@ -50,21 +48,21 @@ def test_scaler_round_trip(rng):
 @settings(max_examples=50, deadline=None)
 def test_scaler_round_trip_property(matrix):
     scaler = fit_scaler(matrix)
-    back = inverse_transform(scaler, transform(scaler, matrix))
+    back = scaler.inverse(scaler.transform(matrix))
     np.testing.assert_allclose(back, matrix, atol=1e-6, rtol=1e-12)
 
 
 def test_scaler_out_of_range_not_clipped():
     scaler = fit_scaler(np.array([[2.0], [6.0]]))
-    assert transform(scaler, np.array([[8.0]]))[0, 0] == pytest.approx(1.5)
+    assert scaler.transform(np.array([[8.0]]))[0, 0] == pytest.approx(1.5)
 
 
 def test_scaler_constant_feature_maps_to_half():
     scaler = fit_scaler(np.array([[3.0, 1.0], [3.0, 2.0]]))
-    out = transform(scaler, np.array([[3.0, 1.5], [99.0, 2.0]]))
+    out = scaler.transform(np.array([[3.0, 1.5], [99.0, 2.0]]))
     assert out[0, 0] == 0.5 and out[1, 0] == 0.5
     # inverse of a constant feature recovers the constant
-    back = inverse_transform(scaler, out)
+    back = scaler.inverse(out)
     assert back[0, 0] == 3.0 and back[1, 0] == 3.0
 
 
@@ -133,9 +131,7 @@ def test_split_preserves_order(rng):
     ds = make_windows(matrix, lookback=5)
     train, test = chronological_split(ds, 0.6)
     scaler = train.scaler
-    rebuilt = np.concatenate(
-        [scaler.inverse_feature(train.y, 0), scaler.inverse_feature(test.y, 0)]
-    )
+    rebuilt = np.concatenate([scaler.inverse(train.y, 0), scaler.inverse(test.y, 0)])
     np.testing.assert_allclose(rebuilt, matrix[5:], atol=1e-12)
 
 

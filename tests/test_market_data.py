@@ -1,13 +1,14 @@
 from __future__ import annotations
 
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrindex.market_data import (
     AlignedPanel,
-    PriceBar,
     PriceSeries,
     align_calendars,
     compute_returns,
@@ -83,6 +84,54 @@ def test_load_custom_schema(tmp_path):
     assert [b.close for b in series.bars] == [10.0, 11.0]
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("2020-01-03,101,101,-0.5", "negative dividend"),
+        ("2020-01-03,101,nan,0", "non-finite adjusted close"),
+    ],
+)
+def test_load_invalid_value_names_line(tmp_path, row, message):
+    path = tmp_path / "BAD.csv"
+    path.write_text(
+        f"Date,Close,Adj Close,Dividends\n2020-01-02,100,100,0\n{row}\n2020-01-06,99,99,0\n"
+    )
+    with pytest.raises(ValueError, match=f"line 3: {message}"):
+        load_price_csv(path)
+
+
+_positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
+_bar_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=20_000),
+        _positive,
+        _positive,
+        st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=2,
+    max_size=30,
+    unique_by=lambda row: row[0],
+)
+
+
+@given(rows=_bar_rows, seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_load_shuffled_repr_csv_round_trips_bit_exact(tmp_path_factory, rows, seed):
+    rows = [(date(2000, 1, 1) + timedelta(days=d), c, a, v) for d, c, a, v in rows]
+    shuffled = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+    path = tmp_path_factory.mktemp("roundtrip") / "RT.csv"
+    lines = [f"{d.isoformat()},{c!r},{a!r},{v!r}" for d, c, a, v in shuffled]
+    path.write_text("Date,Close,Adj Close,Dividends\n" + "\n".join(lines) + "\n")
+
+    series = load_price_csv(path)
+    rows.sort()
+    assert series.dates == tuple(row[0] for row in rows)
+    got = np.column_stack(
+        [series.prices("close"), series.prices("adjusted_close"), series.dividends()]
+    )
+    assert got.tobytes() == np.array([row[1:] for row in rows]).tobytes()
+
+
 # =============================================================================
 # compute_returns
 # =============================================================================
@@ -126,7 +175,7 @@ def test_returns_length_is_input_minus_one(rng):
 
 def test_single_bar_series_rejected():
     with pytest.raises(ValueError, match="at least 2 bars"):
-        PriceSeries(ticker="X", bars=(PriceBar(date(2020, 1, 2), 1.0, 1.0),))
+        PriceSeries(ticker="X", bars=((date(2020, 1, 2), 1.0, 1.0, 0.0),))
 
 
 # =============================================================================
@@ -146,11 +195,11 @@ def _staggered_pair():
     d1, d2, d3, d4 = weekdays(4)
     a = PriceSeries(
         "A",
-        tuple(PriceBar(d, c, c) for d, c in zip((d1, d2, d3), (10.0, 11.0, 12.0))),
+        tuple((d, c, c, 0.0) for d, c in zip((d1, d2, d3), (10.0, 11.0, 12.0))),
     )
     b = PriceSeries(
         "B",
-        tuple(PriceBar(d, c, c) for d, c in zip((d2, d3, d4), (20.0, 21.0, 22.0))),
+        tuple((d, c, c, 0.0) for d, c in zip((d2, d3, d4), (20.0, 21.0, 22.0))),
     )
     return a, b, (d1, d2, d3, d4)
 
@@ -172,8 +221,8 @@ def test_align_forward_fill_hand_trace():
 
 def test_align_empty_intersection_rejected():
     d = weekdays(6)
-    a = PriceSeries("A", (PriceBar(d[0], 1, 1), PriceBar(d[1], 2, 2)))
-    b = PriceSeries("B", (PriceBar(d[4], 1, 1), PriceBar(d[5], 2, 2)))
+    a = PriceSeries("A", ((d[0], 1, 1, 0), (d[1], 2, 2, 0)))
+    b = PriceSeries("B", ((d[4], 1, 1, 0), (d[5], 2, 2, 0)))
     with pytest.raises(ValueError, match="empty"):
         align_calendars([a, b], policy="intersect")
 
@@ -183,7 +232,7 @@ def test_align_intersect_dates_subset_of_inputs(rng):
     base = weekdays(20)
     for name in ("A", "B", "C"):
         keep = sorted(rng.choice(20, size=12, replace=False))
-        bars = tuple(PriceBar(base[i], 1.0 + i, 1.0 + i) for i in keep)
+        bars = tuple((base[i], 1.0 + i, 1.0 + i, 0.0) for i in keep)
         series.append(PriceSeries(name, bars))
     panel = align_calendars(series, policy="intersect")
     for s in series:
