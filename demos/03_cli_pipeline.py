@@ -24,8 +24,8 @@ def write_prices(directory: Path, tickers, panel) -> None:
     for i, ticker in enumerate(tickers):
         closes = 100.0 * np.cumprod(1.0 + panel.values[:, i])
         lines = ["Date,Close,Adj Close,Dividends"]
-        for day, close in zip(panel.dates, closes):
-            lines.append(f"{day.isoformat()},{float(close)!r},{float(close)!r},0")
+        for day, close in zip(np.datetime_as_string(panel.dates, unit="D"), closes):
+            lines.append(f"{day},{float(close)!r},{float(close)!r},0")
         (directory / f"{ticker}.csv").write_text("\n".join(lines) + "\n")
 
 

@@ -75,6 +75,13 @@ def _load_returns(cfg: PipelineConfig, tickers: tuple[str, ...], factors: bool =
     return out
 
 
+def _load_panel(cfg: PipelineConfig, tickers: tuple[str, ...], policy: str):
+    """Check every price file exists before reading any, then align their returns."""
+    for ticker in tickers:
+        _price_path(cfg, ticker)
+    return market_data.align_calendars(_load_returns(cfg, tickers), policy=policy)
+
+
 # =============================================================================
 # select
 # =============================================================================
@@ -87,15 +94,13 @@ def cmd_select(cfg: PipelineConfig) -> int:
         f"[selection] k = {cfg.k} exceeds the {len(cfg.tickers)}-company universe",
     )
     metrics_path = _require_file(cfg.metrics_csv, "[data] metrics_csv")
-    for ticker in cfg.tickers:
-        _price_path(cfg, ticker)
+    # Always intersect, whatever [risk] align says: bench/checks.py::check_constituents pins it.
+    panel = _load_panel(cfg, cfg.tickers, "intersect")
 
     fundamentals = selection.load_metrics_csv(metrics_path)
     missing = [t for t in cfg.tickers if t not in fundamentals]
     _require(not missing, f"metrics file has no rows for {missing}")
 
-    returns = _load_returns(cfg, cfg.tickers)
-    panel = market_data.align_calendars(returns, policy="intersect")
     market = selection.industry_average_returns(panel)
 
     universe = []
@@ -145,16 +150,6 @@ def _read_constituents(cfg: PipelineConfig) -> tuple[str, ...]:
 # =============================================================================
 
 
-def _risk_model(cfg: PipelineConfig, tickers: tuple[str, ...]):
-    returns = _load_returns(cfg, tickers)
-    panel = market_data.align_calendars(returns, policy=cfg.align_policy)
-    cov = riskmodel.covariance_matrix(panel)
-    corr = riskmodel.correlation_matrix(cov)
-    dist = riskmodel.correlation_distance(corr, convention=cfg.distance_convention)
-    link = riskmodel.linkage(dist, method=cfg.linkage_method)
-    return panel, cov, corr, link
-
-
 def _allocate_weights(cfg: PipelineConfig, cov, link) -> allocation.Weights:
     if cfg.strategy == "hrp_walk":
         return allocation.hrp_dendrogram_walk(cov, link)
@@ -168,10 +163,11 @@ def _allocate_weights(cfg: PipelineConfig, cov, link) -> allocation.Weights:
 
 
 def cmd_allocate(cfg: PipelineConfig) -> int:
-    tickers = _read_constituents(cfg)
-    for ticker in tickers:
-        _price_path(cfg, ticker)
-    _, cov, corr, link = _risk_model(cfg, tickers)
+    panel = _load_panel(cfg, _read_constituents(cfg), cfg.align_policy)
+    cov = riskmodel.covariance_matrix(panel)
+    corr = riskmodel.correlation_matrix(cov)
+    dist = riskmodel.correlation_distance(corr, convention=cfg.distance_convention)
+    link = riskmodel.linkage(dist, method=cfg.linkage_method)
     weights = _allocate_weights(cfg, cov, link)
 
     lines = [f"{t},{w:.4f}" for t, w in zip(weights.tickers, weights.values)]
@@ -223,10 +219,7 @@ def _load_weights_csv(path: Path) -> allocation.Weights:
 def cmd_build_index(cfg: PipelineConfig) -> int:
     weights_path = _require_file(cfg.artifact("weights.csv"), "weights.csv (run allocate)")
     weights = _load_weights_csv(weights_path)
-    for ticker in weights.tickers:
-        _price_path(cfg, ticker)
-    returns = _load_returns(cfg, weights.tickers)
-    panel = market_data.align_calendars(returns, policy=cfg.align_policy)
+    panel = _load_panel(cfg, weights.tickers, cfg.align_policy)
     index = index_builder.build_index(weights, panel)
 
     target = cfg.artifact("index_returns.csv")
@@ -307,7 +300,6 @@ def cmd_run_experiment(cfg: PipelineConfig) -> int:
                 test_ds,
                 cfg.train,
                 dataset_id=dataset_id,
-                max_workers=cfg.max_parallel,
             )
             # scaling is affine, so the unscaled-unit error is an exact rescale
             span = float(

@@ -49,7 +49,6 @@ class PipelineConfig:
     split_fraction: float
     feature_mode: str
     train: TrainConfig
-    max_parallel: int
     output_dir: Path
 
     def artifact(self, name: str) -> Path:
@@ -150,9 +149,6 @@ def load_config(
         k = sel.getint("k", 8)
         if k < 1:
             raise ConfigError(f"[selection] k must be positive, got {k}")
-        max_parallel = train_sec.getint("max_parallel", 1)
-        if max_parallel < 1:
-            raise ConfigError(f"[train] max_parallel must be positive, got {max_parallel}")
 
         return PipelineConfig(
             config_dir=base,
@@ -174,7 +170,6 @@ def load_config(
             split_fraction=split_fraction,
             feature_mode=_get_enum(ds, "feature_mode", FEATURE_MODES, "returns"),
             train=train_cfg,
-            max_parallel=max_parallel,
             output_dir=output_path,
         )
     except ConfigError:

@@ -12,7 +12,6 @@ import csv
 import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -291,11 +290,3 @@ def parse_runs_csv(text: str) -> tuple[list[RunStats], str]:
         for (model_id, dataset_id), values in grouped.items()
     ]
     return cells, fingerprints.pop()
-
-
-def save_report(report: ComparisonReport, path: str | Path) -> None:
-    Path(path).write_text(render_report(report), encoding="utf-8")
-
-
-def load_report(path: str | Path) -> ComparisonReport:
-    return parse_report(Path(path).read_text(encoding="utf-8"))

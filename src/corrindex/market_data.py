@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
+from functools import reduce
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,12 +37,27 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
-class _BarError(ValueError):
-    """Row `row` (0-based) of a bars array breaks a `PriceSeries` invariant."""
+class _RowError(ValueError):
+    """Row `row` (0-based) of a series breaks one of its invariants."""
 
-    def __init__(self, ticker: str, row: int, problem: str):
-        super().__init__(f"{ticker}: row {row + 1}: {problem}")
+    def __init__(self, name: str, row: int, problem: str):
+        super().__init__(f"{name}: row {row + 1}: {problem}")
         self.row, self.problem = row, problem
+
+
+def _check_dates(name: str, days: np.ndarray) -> None:
+    """Raise `_RowError` at the first date not strictly after its predecessor."""
+    # Written as not-greater so a NaT date, which compares false, is caught too.
+    (late,) = np.nonzero(~(days[1:] > days[:-1]))
+    if late.size:
+        row = int(late[0]) + 1
+        prev, cur = days[row - 1], days[row]
+        problem = (
+            f"duplicate date {cur}"
+            if prev == cur
+            else f"dates must be strictly increasing ({prev} then {cur})"
+        )
+        raise _RowError(name, row, problem)
 
 
 @dataclass(frozen=True)
@@ -64,18 +80,7 @@ class PriceSeries:
         object.__setattr__(self, "bars", bars)
         if len(bars) < 2:
             raise ValueError(f"{self.ticker}: need at least 2 bars, got {len(bars)}")
-        days = bars["date"]
-        # Written as not-greater so a NaT date, which compares false, is caught too.
-        (late,) = np.nonzero(~(days[1:] > days[:-1]))
-        if late.size:
-            row = int(late[0]) + 1
-            prev, cur = days[row - 1], days[row]
-            problem = (
-                f"duplicate date {cur}"
-                if prev == cur
-                else f"dates must be strictly increasing ({prev} then {cur})"
-            )
-            raise _BarError(self.ticker, row, problem)
+        _check_dates(self.ticker, bars["date"])
         for field, above_floor, below_floor in (
             ("close", np.greater, "non-positive"),
             ("adjusted_close", np.greater, "non-positive"),
@@ -87,11 +92,12 @@ class PriceSeries:
                 row = int(np.argmin(ok))
                 kind = below_floor if np.isfinite(values[row]) else "non-finite"
                 problem = f"{kind} {field.replace('_', ' ')} {values[row]}"
-                raise _BarError(self.ticker, row, problem)
+                raise _RowError(self.ticker, row, problem)
 
     @property
-    def dates(self) -> tuple[date, ...]:
-        return tuple(self.bars["date"].tolist())
+    def dates(self) -> np.ndarray:
+        """Read-only `datetime64[D]` view of the bars' date column."""
+        return self.bars["date"]
 
     def prices(self, field: str = "adjusted_close") -> np.ndarray:
         if field not in PRICE_FIELDS:
@@ -104,17 +110,21 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class ReturnSeries:
-    """Daily simple returns; each value is labelled by the end date of its period."""
+    """Daily simple returns; each value is labelled by the end date of its period.
+
+    `dates` is a read-only, strictly increasing `datetime64[D]` array.
+    """
 
     ticker: str
-    dates: tuple[date, ...]
+    dates: np.ndarray
     returns: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "dates", _readonly(self.dates, "datetime64[D]"))
         object.__setattr__(self, "returns", _readonly(self.returns))
-        if self.returns.ndim != 1 or len(self.dates) != self.returns.shape[0]:
+        if self.returns.ndim != 1 or self.dates.shape != self.returns.shape:
             raise ValueError(f"{self.ticker}: dates and returns lengths differ")
+        _check_dates(self.ticker, self.dates)
         if not np.all(np.isfinite(self.returns)):
             raise ValueError(f"{self.ticker}: returns contain non-finite values")
 
@@ -124,21 +134,25 @@ class ReturnSeries:
 
 @dataclass(frozen=True)
 class AlignedPanel:
-    """Dense date-by-ticker matrix of values sharing one calendar."""
+    """Dense date-by-ticker matrix of values sharing one calendar.
+
+    `dates` is a read-only, strictly increasing `datetime64[D]` array.
+    """
 
     tickers: tuple[str, ...]
-    dates: tuple[date, ...]
+    dates: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "dates", _readonly(self.dates, "datetime64[D]"))
         object.__setattr__(self, "values", _readonly(self.values))
         if self.values.shape != (len(self.dates), len(self.tickers)):
             raise ValueError(
                 f"panel shape {self.values.shape} does not match "
                 f"{len(self.dates)} dates x {len(self.tickers)} tickers"
             )
+        _check_dates("panel", self.dates)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("panel contains non-finite values")
 
@@ -216,7 +230,7 @@ def load_price_csv(
     order = np.argsort(bars["date"], kind="stable")
     try:
         return PriceSeries(ticker=name, bars=bars[order])
-    except _BarError as err:
+    except _RowError as err:
         raise ValueError(f"{path}: line {lines[order[err.row]]}: {err.problem}") from None
 
 
@@ -262,44 +276,26 @@ def align_calendars(
     if not series:
         raise ValueError("need at least one series to align")
 
-    tickers: list[str] = []
-    maps: list[dict[date, float]] = []
-    for item in series:
-        if isinstance(item, PriceSeries):
-            values = item.prices(price_field)
-            dates = item.dates
-        else:
-            values = item.returns
-            dates = item.dates
-        tickers.append(item.ticker)
-        maps.append(dict(zip(dates, values)))
-
+    empty = [item.ticker for item in series if not len(item.dates)]
+    if empty:
+        raise ValueError(f"no dates to align for {empty}")
+    calendars = [item.dates for item in series]
     if policy == "intersect":
-        common = set(maps[0])
-        for m in maps[1:]:
-            common &= set(m)
-        if not common:
+        dates = reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), calendars)
+        if not dates.size:
             raise ValueError("calendar intersection is empty")
-        out_dates = sorted(common)
-        matrix = np.array([[m[d] for m in maps] for d in out_dates])
-        return AlignedPanel(tickers=tuple(tickers), dates=tuple(out_dates), values=matrix)
-
-    union: set[date] = set()
-    for m in maps:
-        union |= set(m)
-    first_common = max(min(m) for m in maps)
-    out_dates = sorted(d for d in union if d >= first_common)
-    matrix = np.empty((len(out_dates), len(maps)))
-    for j, m in enumerate(maps):
-        known = sorted(m)
-        pos = 0
-        last = m[known[0]]
-        for i, d in enumerate(out_dates):
-            while pos < len(known) and known[pos] <= d:
-                last = m[known[pos]]
-                pos += 1
-            matrix[i, j] = last
-    return AlignedPanel(tickers=tuple(tickers), dates=tuple(out_dates), values=matrix)
+        rows = [np.searchsorted(days, dates) for days in calendars]
+    else:
+        union = reduce(np.union1d, calendars)
+        dates = union[union >= max(days[0] for days in calendars)]
+        # the last observation on or before each date
+        rows = [np.searchsorted(days, dates, side="right") - 1 for days in calendars]
+    columns = [
+        item.prices(price_field) if isinstance(item, PriceSeries) else item.returns
+        for item in series
+    ]
+    values = np.column_stack([column[r] for column, r in zip(columns, rows)])
+    return AlignedPanel(tickers=[item.ticker for item in series], dates=dates, values=values)
 
 
 def generate_synthetic_panel(
@@ -341,38 +337,61 @@ def generate_synthetic_panel(
     values = (shocks @ chol.T) * vol
 
     tickers = tuple(f"A{i:03d}" for i in range(n_assets))
-    return AlignedPanel(tickers=tickers, dates=tuple(_weekdays(start, n_days)), values=values)
+    weekdays = np.busday_offset(start, np.arange(n_days), roll="forward")
+    return AlignedPanel(tickers=tickers, dates=weekdays, values=values)
 
 
-def _weekdays(start: date, count: int) -> Iterable[date]:
-    day = start
-    produced = 0
-    while produced < count:
-        if day.weekday() < 5:
-            yield day
-            produced += 1
-        day += timedelta(days=1)
+def write_dated_csv(path: str | Path, header: Sequence[str], dates: np.ndarray, values) -> None:
+    """Write a `date` column, then one column per `header` name, values by repr."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["date", *header])
+        for day, row in zip(np.datetime_as_string(dates, unit="D"), np.asarray(values).tolist()):
+            writer.writerow([day, *map(repr, row)])
+
+
+def read_dated_csv(
+    path: str | Path, columns: Sequence[str] | None = None
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Read a file `write_dated_csv` wrote: (column names, dates, values matrix).
+
+    If `columns` is given, the header must be `date` followed by exactly those
+    names. Dates must be ISO-8601 and strictly increasing; a bad row raises
+    with its 1-based line number.
+    """
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if columns is not None and header != ["date", *columns]:
+            raise ValueError(f"{path}: expected header '{','.join(['date', *columns])}'")
+        if not header or header[0] != "date":
+            raise ValueError(f"{path}: expected a 'date' header column")
+        days: list[date] = []
+        rows: list[list[float]] = []
+        lines: list[int] = []
+        for row in reader:
+            line = reader.line_num
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {line}: expected {len(header)} fields, got {len(row)}")
+            try:
+                days.append(date.fromisoformat(row[0]))
+                rows.append([float(v) for v in row[1:]])
+            except ValueError as err:
+                raise ValueError(f"{path}: line {line}: {err}") from None
+            lines.append(line)
+    dates = np.array(days, dtype="datetime64[D]")
+    try:
+        _check_dates(str(path), dates)
+    except _RowError as err:
+        raise ValueError(f"{path}: line {lines[err.row]}: {err.problem}") from None
+    return tuple(header[1:]), dates, np.array(rows).reshape(len(rows), len(header) - 1)
 
 
 def panel_to_csv(panel: AlignedPanel, path: str | Path) -> None:
     """Write a panel as CSV: date column, then one column per ticker."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", *panel.tickers])
-        for i, day in enumerate(panel.dates):
-            writer.writerow([day.isoformat(), *(repr(float(v)) for v in panel.values[i])])
+    write_dated_csv(path, panel.tickers, panel.dates, panel.values)
 
 
 def panel_from_csv(path: str | Path) -> AlignedPanel:
-    with Path(path).open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0] != "date":
-            raise ValueError(f"{path}: expected a 'date' header column")
-        tickers = tuple(header[1:])
-        dates: list[date] = []
-        rows: list[list[float]] = []
-        for row in reader:
-            dates.append(date.fromisoformat(row[0]))
-            rows.append([float(v) for v in row[1:]])
-    return AlignedPanel(tickers=tickers, dates=tuple(dates), values=np.array(rows))
+    tickers, dates, values = read_dated_csv(path)
+    return AlignedPanel(tickers=tickers, dates=dates, values=values)

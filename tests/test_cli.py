@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,7 @@ FACTORS = tuple(f"F{i:02d}" for i in range(11))
 def write_price_csv(path, dates, closes):
     lines = ["Date,Close,Adj Close,Dividends"]
     for day, close in zip(dates, closes):
-        lines.append(f"{day.isoformat()},{float(close)!r},{float(close)!r},0")
+        lines.append(f"{day},{float(close)!r},{float(close)!r},0")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -231,6 +235,18 @@ def test_build_index_requires_weights(tmp_path, capsys):
     assert "allocate" in capsys.readouterr().err
 
 
+def test_make_dataset_rejects_out_of_order_index_csv(tmp_path, capsys):
+    rows = [f"2020-01-{d:02d},0.001" for d in range(1, 29)]
+    rows[5], rows[6] = rows[6], rows[5]  # lines 7 and 8 of the file
+    (tmp_path / "index.csv").write_text("date,return\n" + "\n".join(rows) + "\n")
+    config = write_config(tmp_path, factor_list=())
+    config.write_text(config.read_text().replace("[data]\n", "[data]\nindex_csv = index.csv\n"))
+    assert run(config, "make-dataset") == 2
+    err = capsys.readouterr().err
+    assert "index.csv: line 8: dates must be strictly increasing" in err
+    assert not (tmp_path / "out").exists()
+
+
 # =============================================================================
 # run-experiment / report
 # =============================================================================
@@ -305,6 +321,20 @@ def test_bad_enum_value(tmp_path, capsys):
     config.write_text(config.read_text().replace("linkage = single", "linkage = average"))
     assert run(config, "select") == 1
     assert "valid values" in capsys.readouterr().err
+
+
+def test_readme_config_loads_with_documented_defaults(tmp_path):
+    from corrindex.config import load_config
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    (tmp_path / "readme.ini").write_text(block, encoding="utf-8")
+    (tmp_path / "empty.ini").write_text("", encoding="utf-8")
+    cfg = load_config(tmp_path / "readme.ini")
+    defaults = load_config(tmp_path / "empty.ini")
+    # "All keys below show their defaults", apart from the example data paths
+    data = ("prices_dir", "metrics_csv", "tickers", "factors_dir", "factor_tickers")
+    assert replace(cfg, **{key: getattr(defaults, key) for key in data}) == defaults
 
 
 def test_seed_overrides_flag_beats_env_beats_file(tmp_path, monkeypatch):

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrindex.market_data import (
+    ALIGN_POLICIES,
     AlignedPanel,
     PriceSeries,
+    ReturnSeries,
     align_calendars,
     compute_returns,
     generate_synthetic_panel,
@@ -37,7 +39,7 @@ def test_load_three_row_csv(tmp_path):
     assert series.ticker == "ABC"
     assert len(series.bars) == 3
     assert [b.close for b in series.bars] == [100.0, 101.0, 99.0]
-    assert series.dates == (date(2020, 1, 2), date(2020, 1, 3), date(2020, 1, 6))
+    assert series.dates.tolist() == [date(2020, 1, 2), date(2020, 1, 3), date(2020, 1, 6)]
 
 
 def test_load_missing_dividend_column_defaults_zero(tmp_path):
@@ -74,7 +76,7 @@ def test_load_unsorted_rows_are_sorted(tmp_path):
     path = tmp_path / "UNSORTED.csv"
     path.write_text("Date,Close\n2020-01-06,99\n2020-01-02,100\n2020-01-03,101\n")
     series = load_price_csv(path)
-    assert series.dates == tuple(sorted(series.dates))
+    assert series.dates.tolist() == sorted(series.dates.tolist())
 
 
 def test_load_custom_schema(tmp_path):
@@ -125,7 +127,7 @@ def test_load_shuffled_repr_csv_round_trips_bit_exact(tmp_path_factory, rows, se
 
     series = load_price_csv(path)
     rows.sort()
-    assert series.dates == tuple(row[0] for row in rows)
+    assert series.dates.tolist() == [row[0] for row in rows]
     got = np.column_stack(
         [series.prices("close"), series.prices("adjusted_close"), series.dividends()]
     )
@@ -179,8 +181,117 @@ def test_single_bar_series_rejected():
 
 
 # =============================================================================
+# date invariants shared by PriceSeries, ReturnSeries and AlignedPanel
+# =============================================================================
+
+
+def test_dates_are_readonly_datetime64():
+    prices = price_series("X", [1.0, 2.0, 3.0])
+    returns = compute_returns(prices)
+    panel = align_calendars([returns])
+    for days in (prices.dates, returns.dates, panel.dates):
+        assert days.dtype == np.dtype("datetime64[D]")
+        assert not days.flags.writeable
+
+
+def test_return_series_validates_lengths():
+    with pytest.raises(ValueError, match="lengths differ"):
+        ReturnSeries(ticker="INDEX", dates=(), returns=np.array([0.01]))
+
+
+_DATED = {
+    "ReturnSeries": lambda days: ReturnSeries("X", dates=days, returns=np.zeros(len(days))),
+    "AlignedPanel": lambda days: AlignedPanel(("X",), dates=days, values=np.zeros((len(days), 1))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DATED))
+@pytest.mark.parametrize(
+    "order, message",
+    [((0, 1, 1), "duplicate date"), ((0, 2, 1), "dates must be strictly increasing")],
+)
+def test_series_reject_unordered_dates(kind, order, message):
+    days = weekdays(3)
+    with pytest.raises(ValueError, match=f"row 3: {message}"):
+        _DATED[kind]([days[i] for i in order])
+
+
+# =============================================================================
 # align_calendars
 # =============================================================================
+
+
+def _reference_align(series, policy, price_field="adjusted_close"):
+    """The per-date dict, set and forward-fill loop `align_calendars` replaced.
+
+    Kept as an oracle: returns (dates as `datetime.date` list, values matrix).
+    """
+    maps = []
+    for item in series:
+        values = item.prices(price_field) if isinstance(item, PriceSeries) else item.returns
+        maps.append(dict(zip(item.dates.tolist(), values)))
+
+    if policy == "intersect":
+        common = set(maps[0])
+        for m in maps[1:]:
+            common &= set(m)
+        if not common:
+            raise ValueError("calendar intersection is empty")
+        out_dates = sorted(common)
+        return out_dates, np.array([[m[d] for m in maps] for d in out_dates])
+
+    union = set()
+    for m in maps:
+        union |= set(m)
+    first_common = max(min(m) for m in maps)
+    out_dates = sorted(d for d in union if d >= first_common)
+    matrix = np.empty((len(out_dates), len(maps)))
+    for j, m in enumerate(maps):
+        known = sorted(m)
+        pos = 0
+        last = m[known[0]]
+        for i, d in enumerate(out_dates):
+            while pos < len(known) and known[pos] <= d:
+                last = m[known[pos]]
+                pos += 1
+            matrix[i, j] = last
+    return out_dates, matrix
+
+
+_calendars = st.lists(
+    st.lists(st.integers(min_value=0, max_value=30), min_size=2, max_size=20, unique=True),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(
+    calendars=_calendars,
+    policy=st.sampled_from(ALIGN_POLICIES),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_align_matches_reference_on_ragged_calendars(calendars, policy, seed):
+    rng = np.random.default_rng(seed)
+    series = []
+    for i, offsets in enumerate(calendars):
+        days = (np.datetime64("2020-01-01") + np.sort(offsets)).tolist()
+        if i % 2:
+            closes = rng.uniform(1.0, 100.0, size=len(days))
+            series.append(PriceSeries(f"P{i}", [(d, c, c, 0.0) for d, c in zip(days, closes)]))
+        else:
+            series.append(ReturnSeries(f"R{i}", dates=days, returns=rng.normal(size=len(days))))
+
+    try:
+        ref_dates, ref_values = _reference_align(series, policy, price_field="close")
+    except ValueError:
+        with pytest.raises(ValueError, match="intersection is empty"):
+            align_calendars(series, policy=policy, price_field="close")
+        return
+    panel = align_calendars(series, policy=policy, price_field="close")
+    assert panel.dates.tolist() == ref_dates
+    assert panel.values.tobytes() == ref_values.tobytes()
+
 
 
 def test_align_identical_dates_is_column_stack():
@@ -207,7 +318,7 @@ def _staggered_pair():
 def test_align_intersect_keeps_common_dates():
     a, b, (d1, d2, d3, d4) = _staggered_pair()
     panel = align_calendars([a, b], policy="intersect", price_field="close")
-    assert panel.dates == (d2, d3)
+    assert panel.dates.tolist() == [d2, d3]
     np.testing.assert_array_equal(panel.values, [[11, 20], [12, 21]])
 
 
@@ -215,7 +326,7 @@ def test_align_forward_fill_hand_trace():
     a, b, (d1, d2, d3, d4) = _staggered_pair()
     panel = align_calendars([a, b], policy="forward_fill", price_field="close")
     # d1 is a leading gap for B and drops; A's d4 carries d3's value forward
-    assert panel.dates == (d2, d3, d4)
+    assert panel.dates.tolist() == [d2, d3, d4]
     np.testing.assert_array_equal(panel.values, [[11, 20], [12, 21], [12, 22]])
 
 
@@ -225,6 +336,13 @@ def test_align_empty_intersection_rejected():
     b = PriceSeries("B", ((d[4], 1, 1, 0), (d[5], 2, 2, 0)))
     with pytest.raises(ValueError, match="empty"):
         align_calendars([a, b], policy="intersect")
+
+
+@pytest.mark.parametrize("policy", ALIGN_POLICIES)
+def test_align_empty_series_rejected(policy):
+    empty = ReturnSeries("INDEX", dates=[], returns=[])
+    with pytest.raises(ValueError, match=r"no dates to align for \['INDEX'\]"):
+        align_calendars([price_series("A", [1.0, 2.0]), empty], policy=policy)
 
 
 def test_align_intersect_dates_subset_of_inputs(rng):
@@ -259,7 +377,7 @@ def test_synthetic_single_asset_unit_correlation():
 def test_synthetic_same_seed_bit_identical():
     a = generate_synthetic_panel(4, 200, block_sizes=[2, 2], intra_corr=0.6, seed=11)
     b = generate_synthetic_panel(4, 200, block_sizes=[2, 2], intra_corr=0.6, seed=11)
-    assert a.dates == b.dates
+    assert a.dates.tolist() == b.dates.tolist()
     assert np.array_equal(a.values, b.values)
 
 
@@ -288,7 +406,7 @@ def test_panel_csv_round_trip(tmp_path, rng):
     panel_to_csv(panel, path)
     back = panel_from_csv(path)
     assert back.tickers == panel.tickers
-    assert back.dates == panel.dates
+    assert back.dates.tolist() == panel.dates.tolist()
     assert np.array_equal(back.values, panel.values)
 
 
