@@ -24,6 +24,7 @@ import numpy as np
 
 from . import allocation, dataset, evaluation, index_builder, market_data, riskmodel, selection
 from .config import STRATEGIES, ConfigError, PipelineConfig, load_config
+from .forecast import MODEL_KINDS
 from .market_data import PriceSeries, ReturnSeries
 
 WEIGHT_LOAD_TOL = 1e-3
@@ -132,17 +133,14 @@ def cmd_select(cfg: PipelineConfig) -> int:
 
 
 def _read_constituents(cfg: PipelineConfig) -> tuple[str, ...]:
-    path = cfg.artifact("constituents.csv")
-    if path.is_file():
-        tickers = tuple(
-            line.split(",")[0].strip()
-            for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        )
-        _require(len(tickers) >= 2, f"{path} lists fewer than 2 constituents")
-        return tickers
-    _require(len(cfg.tickers) >= 2, "no constituents.csv and [data] tickers not set")
-    return cfg.tickers
+    path = _require_file(cfg.artifact("constituents.csv"), "constituents.csv (run select)")
+    tickers = tuple(
+        line.split(",")[0].strip()
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    )
+    _require(len(tickers) >= 2, f"{path} lists fewer than 2 constituents")
+    return tickers
 
 
 # =============================================================================
@@ -291,7 +289,7 @@ def cmd_run_experiment(cfg: PipelineConfig) -> int:
     splits = _build_datasets(cfg, index, factors)
 
     cells = []
-    for model_id in evaluation.MODEL_IDS:
+    for model_id in MODEL_KINDS:
         for dataset_id in evaluation.DATASET_IDS:
             train_ds, test_ds = splits[dataset_id]
             stats = evaluation.multi_run(

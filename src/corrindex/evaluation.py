@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -17,9 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import WindowedDataset
-from .forecast import TrainConfig, TrainingDiverged, predict, train
+from .forecast import MODEL_KINDS, TrainConfig, TrainingDiverged, predict, train
 
-MODEL_IDS = ("lstm", "cnn_lstm")
 DATASET_IDS = ("dataset1", "dataset2")
 CELL_ORDER = (
     ("lstm", "dataset1"),
@@ -220,7 +220,7 @@ def render_report(report: ComparisonReport) -> str:
     lines.append("")
     lines.append("# mean test RMSE (scaled units)")
     lines.append("# model      dataset1   dataset2")
-    for model_id in MODEL_IDS:
+    for model_id in MODEL_KINDS:
         d1 = report.cell(model_id, "dataset1").mean
         d2 = report.cell(model_id, "dataset2").mean
         lines.append(f"# {model_id:<10} {d1:<10.4f} {d2:<10.4f}")
@@ -258,20 +258,23 @@ def parse_report(text: str) -> ComparisonReport:
 
 
 def runs_csv(report: ComparisonReport) -> str:
-    """Per-run RMSE table; every row carries the config fingerprint."""
+    """Per-run RMSE table; every row carries the config fingerprint.
+
+    Each cell lists its completed runs, then one row per diverged run with
+    rmse `nan`, numbered after the completed ones.
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["model", "dataset", "run", "rmse", "fingerprint"])
     for stats in report.cells:
-        for run, value in enumerate(stats.rmses):
-            writer.writerow(
-                [stats.model_id, stats.dataset_id, run, repr(value), report.fingerprint]
-            )
+        values = [repr(v) for v in stats.rmses] + ["nan"] * stats.diverged_count
+        for run, value in enumerate(values):
+            writer.writerow([stats.model_id, stats.dataset_id, run, value, report.fingerprint])
     return buffer.getvalue()
 
 
 def parse_runs_csv(text: str) -> tuple[list[RunStats], str]:
-    """Rebuild cell statistics from the per-run CSV (diverged runs are not listed)."""
+    """Rebuild cell statistics from the per-run CSV; `nan` rows are diverged runs."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != ["model", "dataset", "run", "rmse", "fingerprint"]:
@@ -286,7 +289,12 @@ def parse_runs_csv(text: str) -> tuple[list[RunStats], str]:
     for row in rows:
         grouped.setdefault((row[0], row[1]), []).append(float(row[3]))
     cells = [
-        RunStats.from_runs(model_id, dataset_id, values)
+        RunStats.from_runs(
+            model_id,
+            dataset_id,
+            [v for v in values if not math.isnan(v)],
+            diverged_count=sum(map(math.isnan, values)),
+        )
         for (model_id, dataset_id), values in grouped.items()
     ]
     return cells, fingerprints.pop()

@@ -2,14 +2,7 @@
 
 from .conv import ConvParams, conv_backward_batch, conv_forward_batch, pooled_length
 from .lstm import LstmParams, lstm_backward_batch, lstm_forward_batch
-from .models import (
-    CnnLstmModel,
-    LstmModel,
-    Model,
-    MODEL_KINDS,
-    cnn_lstm_forward,
-    lstm_forward,
-)
+from .models import MODEL_KINDS, CnnLstmModel, LstmModel, Model
 from .serialize import load_model, save_model
 from .training import (
     AdamState,
@@ -35,12 +28,10 @@ __all__ = [
     "backward_and_step",
     "batch_loss",
     "build_model",
-    "cnn_lstm_forward",
     "conv_backward_batch",
     "conv_forward_batch",
     "load_model",
     "lstm_backward_batch",
-    "lstm_forward",
     "lstm_forward_batch",
     "pooled_length",
     "predict",

@@ -7,8 +7,7 @@ time. Shapes are batch-major: inputs are (batch, steps, features).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,72 +18,62 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LstmParams:
-    """Input / recurrent weights and biases for the four gates, plus the readout.
+    """Gate-stacked input / recurrent weights and biases, plus the readout.
 
-    Field order is the canonical flat parameter order used by the optimizer
-    and the serializer. wx_* are (features, hidden), wh_* are (hidden,
-    hidden), b_* are (hidden,); the dense readout maps the final hidden state
-    to one scalar.
+    The leading axis of wx (4, features, hidden), wh (4, hidden, hidden) and
+    b (4, hidden) is the gate, in the order i, f, g, o. The dense readout
+    (w_out, b_out) maps the final hidden state to one scalar. Field order is
+    the parameter order of `arrays()`, of the gradients and of the optimizer.
     """
 
-    wx_i: np.ndarray
-    wh_i: np.ndarray
-    b_i: np.ndarray
-    wx_f: np.ndarray
-    wh_f: np.ndarray
-    b_f: np.ndarray
-    wx_g: np.ndarray
-    wh_g: np.ndarray
-    b_g: np.ndarray
-    wx_o: np.ndarray
-    wh_o: np.ndarray
-    b_o: np.ndarray
+    wx: np.ndarray
+    wh: np.ndarray
+    b: np.ndarray
     w_out: np.ndarray
     b_out: np.ndarray
 
     def __post_init__(self):
-        f, h = self.wx_i.shape
-        for name in ("wx_i", "wx_f", "wx_g", "wx_o"):
-            if getattr(self, name).shape != (f, h):
-                raise ValueError(f"{name} shape mismatch")
-        for name in ("wh_i", "wh_f", "wh_g", "wh_o"):
-            if getattr(self, name).shape != (h, h):
-                raise ValueError(f"{name} shape mismatch")
-        for name in ("b_i", "b_f", "b_g", "b_o", "w_out"):
-            if getattr(self, name).shape != (h,):
-                raise ValueError(f"{name} shape mismatch")
-        if self.b_out.shape != (1,):
-            raise ValueError("b_out must have shape (1,)")
+        if self.wx.ndim != 3 or self.wx.shape[0] != 4:
+            raise ValueError(f"wx must have shape (4, features, hidden), got {self.wx.shape}")
+        _, f, h = self.wx.shape
+        expected = {"wh": (4, h, h), "b": (4, h), "w_out": (h,), "b_out": (1,)}
+        for name, shape in expected.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
         if not all(np.all(np.isfinite(a)) for a in self.arrays()):
             raise ValueError("parameters contain non-finite values")
 
     @property
     def input_size(self) -> int:
-        return self.wx_i.shape[0]
+        return self.wx.shape[1]
 
     @property
     def hidden_size(self) -> int:
-        return self.wx_i.shape[1]
+        return self.wx.shape[2]
 
     def arrays(self) -> list[np.ndarray]:
-        return [getattr(self, f.name) for f in fields(self)]
+        return [self.wx, self.wh, self.b, self.w_out, self.b_out]
 
     @classmethod
     def init(cls, input_size: int, hidden_size: int, rng: np.random.Generator) -> "LstmParams":
-        """Seeded uniform init in +-1/sqrt(fan_in) per array."""
+        """Seeded uniform init in +-1/sqrt(fan_in) per array.
 
-        def uniform(shape: Sequence[int], fan_in: int) -> np.ndarray:
+        Draws gate by gate (wx, wh, b of each), then the readout.
+        """
+
+        def uniform(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
             bound = 1.0 / np.sqrt(max(1, fan_in))
             return rng.uniform(-bound, bound, size=shape)
 
-        kwargs = {}
-        for gate in ("i", "f", "g", "o"):
-            kwargs[f"wx_{gate}"] = uniform((input_size, hidden_size), input_size)
-            kwargs[f"wh_{gate}"] = uniform((hidden_size, hidden_size), hidden_size)
-            kwargs[f"b_{gate}"] = uniform((hidden_size,), hidden_size)
-        kwargs["w_out"] = uniform((hidden_size,), hidden_size)
-        kwargs["b_out"] = uniform((1,), hidden_size)
-        return cls(**kwargs)
+        wx = np.empty((4, input_size, hidden_size))
+        wh = np.empty((4, hidden_size, hidden_size))
+        b = np.empty((4, hidden_size))
+        for k in range(4):
+            wx[k] = uniform(wx.shape[1:], input_size)
+            wh[k] = uniform(wh.shape[1:], hidden_size)
+            b[k] = uniform(b.shape[1:], hidden_size)
+        w_out = uniform((hidden_size,), hidden_size)
+        return cls(wx, wh, b, w_out, uniform((1,), hidden_size))
 
 
 def lstm_forward_batch(p: LstmParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -102,13 +91,13 @@ def lstm_forward_batch(p: LstmParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
     batch, steps, _ = x.shape
     h = np.zeros((batch, p.hidden_size))
     c = np.zeros((batch, p.hidden_size))
+    bias = p.b[:, None, :]
     step_cache = []
     for t in range(steps):
         x_t = x[:, t, :]
-        gate_i = sigmoid(x_t @ p.wx_i + h @ p.wh_i + p.b_i)
-        gate_f = sigmoid(x_t @ p.wx_f + h @ p.wh_f + p.b_f)
-        gate_g = np.tanh(x_t @ p.wx_g + h @ p.wh_g + p.b_g)
-        gate_o = sigmoid(x_t @ p.wx_o + h @ p.wh_o + p.b_o)
+        a = x_t @ p.wx + h @ p.wh + bias
+        gate_i, gate_f, gate_o = sigmoid(a[[0, 1, 3]])
+        gate_g = np.tanh(a[2])
         c_next = gate_f * c + gate_i * gate_g
         tanh_c = np.tanh(c_next)
         h_next = gate_o * tanh_c
@@ -123,34 +112,32 @@ def lstm_backward_batch(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Exact gradients of a scalar loss given d(loss)/d(prediction).
 
-    Returns (gradients in LstmParams field order, d(loss)/d(input)).
+    Returns (gradients in `arrays()` order, d(loss)/d(input)).
     """
     steps = cache["steps"]
-    h_final = cache["h_final"]
     dpred = np.asarray(dpred, dtype=float)
 
-    grads = {f.name: np.zeros_like(getattr(p, f.name)) for f in fields(p)}
-    grads["w_out"] = h_final.T @ dpred
-    grads["b_out"] = np.array([dpred.sum()])
-
+    gwx, gwh, gb = np.zeros_like(p.wx), np.zeros_like(p.wh), np.zeros_like(p.b)
+    wx_t, wh_t = p.wx.transpose(0, 2, 1), p.wh.transpose(0, 2, 1)
     dh = np.outer(dpred, p.w_out)
     dc = np.zeros_like(dh)
     dx = np.zeros(cache["input_shape"])
     for t in range(len(steps) - 1, -1, -1):
         x_t, h_prev, c_prev, gate_i, gate_f, gate_g, gate_o, tanh_c = steps[t]
-        d_o = dh * tanh_c
-        da_o = d_o * gate_o * (1.0 - gate_o)
         dc = dc + dh * gate_o * (1.0 - tanh_c**2)
-        da_i = (dc * gate_g) * gate_i * (1.0 - gate_i)
-        da_f = (dc * c_prev) * gate_f * (1.0 - gate_f)
-        da_g = (dc * gate_i) * (1.0 - gate_g**2)
-
-        for gate, da in (("i", da_i), ("f", da_f), ("g", da_g), ("o", da_o)):
-            grads[f"wx_{gate}"] += x_t.T @ da
-            grads[f"wh_{gate}"] += h_prev.T @ da
-            grads[f"b_{gate}"] += da.sum(axis=0)
-
-        dx[:, t, :] = da_i @ p.wx_i.T + da_f @ p.wx_f.T + da_g @ p.wx_g.T + da_o @ p.wx_o.T
-        dh = da_i @ p.wh_i.T + da_f @ p.wh_f.T + da_g @ p.wh_g.T + da_o @ p.wh_o.T
+        da = np.stack(
+            [
+                (dc * gate_g) * gate_i * (1.0 - gate_i),
+                (dc * c_prev) * gate_f * (1.0 - gate_f),
+                (dc * gate_i) * (1.0 - gate_g**2),
+                dh * tanh_c * gate_o * (1.0 - gate_o),
+            ]
+        )
+        gwx += x_t.T @ da
+        gwh += h_prev.T @ da
+        gb += da.sum(axis=1)
+        dx[:, t, :] = (da @ wx_t).sum(axis=0)
+        dh = (da @ wh_t).sum(axis=0)
         dc = dc * gate_f
-    return [grads[f.name] for f in fields(p)], dx
+    grads = [gwx, gwh, gb, cache["h_final"].T @ dpred, np.array([dpred.sum()])]
+    return grads, dx

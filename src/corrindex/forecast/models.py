@@ -65,23 +65,3 @@ class CnnLstmModel:
 
 Model = LstmModel | CnnLstmModel
 
-
-def lstm_forward(params: LstmParams, x: np.ndarray) -> tuple[float, dict]:
-    """Single-sequence forward pass: (lookback, features) -> scalar prediction."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected a (lookback, features) input, got shape {x.shape}")
-    pred, cache = lstm_forward_batch(params, x[None, :, :])
-    return float(pred[0]), cache
-
-
-def cnn_lstm_forward(
-    conv: ConvParams, lstm: LstmParams, x: np.ndarray
-) -> tuple[float, dict]:
-    """Single-sequence forward pass through convolution, pooling, and the LSTM."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected a (lookback, features) input, got shape {x.shape}")
-    model = CnnLstmModel(conv, lstm)
-    pred, cache = model.forward_batch(x[None, :, :])
-    return float(pred[0]), cache

@@ -3,9 +3,9 @@
 Layout: magic "IDXF", format version (u16 LE), model type (u16 LE, 0 = lstm,
 1 = cnn_lstm), then five u32 LE header fields (hidden size, input features,
 kernel count, kernel width, pool width; the conv fields are zero for a plain
-LSTM), then every parameter array as little-endian float64 in canonical
-order: conv kernels, conv bias (cnn_lstm only), then the LstmParams fields.
-Round-trips are bit-exact.
+LSTM), then every parameter array as little-endian float64 in this order:
+conv kernels, conv bias (cnn_lstm only), then for each gate i, f, g, o its
+wx, wh and b, then w_out and b_out. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -25,13 +25,18 @@ _HEADER = struct.Struct("<4sHHIIIII")
 _MODEL_CODES = {"lstm": 0, "cnn_lstm": 1}
 
 
+def _lstm_file_arrays(p: LstmParams) -> list[np.ndarray]:
+    """The LSTM arrays in file order: per gate wx, wh, b, then the readout."""
+    return [a for k in range(4) for a in (p.wx[k], p.wh[k], p.b[k])] + [p.w_out, p.b_out]
+
+
 def save_model(model: Model, path: str | Path) -> None:
     if isinstance(model, LstmModel):
         code = _MODEL_CODES["lstm"]
         hidden = model.params.hidden_size
         features = model.params.input_size
         kernels = width = pool = 0
-        arrays = model.params.arrays()
+        arrays = _lstm_file_arrays(model.params)
     elif isinstance(model, CnnLstmModel):
         code = _MODEL_CODES["cnn_lstm"]
         hidden = model.lstm.hidden_size
@@ -39,7 +44,7 @@ def save_model(model: Model, path: str | Path) -> None:
         kernels = model.conv.n_kernels
         width = model.conv.width
         pool = model.conv.pool_width
-        arrays = model.arrays()
+        arrays = model.conv.arrays() + _lstm_file_arrays(model.lstm)
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, code, hidden, features, kernels, width, pool)
@@ -47,14 +52,6 @@ def save_model(model: Model, path: str | Path) -> None:
         handle.write(header)
         for array in arrays:
             handle.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
-
-
-def _lstm_shapes(input_size: int, hidden: int) -> list[tuple[int, ...]]:
-    shapes: list[tuple[int, ...]] = []
-    for _ in range(4):
-        shapes.extend([(input_size, hidden), (hidden, hidden), (hidden,)])
-    shapes.extend([(hidden,), (1,)])
-    return shapes
 
 
 def load_model(path: str | Path) -> Model:
@@ -76,17 +73,23 @@ def load_model(path: str | Path) -> Model:
         offset += count * 8
         return array.reshape(shape).astype(float)
 
+    def take_lstm(input_size: int) -> LstmParams:
+        gates = [
+            (take((input_size, hidden)), take((hidden, hidden)), take((hidden,)))
+            for _ in range(4)
+        ]
+        wx, wh, b = (np.stack(blocks) for blocks in zip(*gates))
+        return LstmParams(wx, wh, b, take((hidden,)), take((1,)))
+
     if code == _MODEL_CODES["lstm"]:
-        arrays = [take(shape) for shape in _lstm_shapes(features, hidden)]
-        model: Model = LstmModel(LstmParams(*arrays))
+        model: Model = LstmModel(take_lstm(features))
     elif code == _MODEL_CODES["cnn_lstm"]:
         conv = ConvParams(
             kernels=take((kernels, width, features)),
             bias=take((kernels,)),
             pool_width=pool,
         )
-        arrays = [take(shape) for shape in _lstm_shapes(kernels, hidden)]
-        model = CnnLstmModel(conv, LstmParams(*arrays))
+        model = CnnLstmModel(conv, take_lstm(kernels))
     else:
         raise ValueError(f"{path}: unknown model type code {code}")
     if offset != len(blob):

@@ -80,7 +80,7 @@ class AdamState:
 
 
 def build_model(model_spec: str, n_features: int, cfg: TrainConfig, rng) -> Model:
-    """Fresh model with seeded uniform init; draw order is fixed by field order."""
+    """Fresh model with seeded uniform init; each `init` fixes its own draw order."""
     if model_spec not in MODEL_KINDS:
         raise ValueError(f"unknown model spec {model_spec!r}, expected one of {MODEL_KINDS}")
     if model_spec == "lstm":

@@ -162,6 +162,14 @@ def test_allocate_equal_weight_two_assets(tmp_path):
     assert lines == ["C00,0.5000", "C01,0.5000"]
 
 
+def test_allocate_requires_constituents(tmp_path, capsys):
+    build_workspace(tmp_path, n_days=80, seed=9)
+    config = write_config(tmp_path)
+    assert run(config, "allocate") == 1
+    assert "select" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "weights.csv").exists()
+
+
 def test_allocate_writes_side_outputs(workspace):
     config = write_config(workspace)
     assert run(config, "select") == 0

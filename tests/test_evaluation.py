@@ -226,6 +226,20 @@ def test_runs_csv_round_trip():
         assert a.mean == b.mean
 
 
+def test_runs_csv_keeps_diverged_runs_so_report_rebuilds_byte_for_byte():
+    cells = _cells()
+    cells[0] = RunStats.from_runs("lstm", "dataset1", [0.1, 0.12, 0.11], diverged_count=2)
+    cells[3] = RunStats.from_runs("cnn_lstm", "dataset2", [0.03] * 19 + [0.031], diverged_count=1)
+    report = comparison_report(cells, "cfg=1")
+    text = runs_csv(report)
+    rows = text.splitlines()
+    assert rows[4:6] == ["lstm,dataset1,3,nan,cfg=1", "lstm,dataset1,4,nan,cfg=1"]
+    assert rows[-1] == "cnn_lstm,dataset2,20,nan,cfg=1"
+    parsed, fingerprint = parse_runs_csv(text)
+    assert [c.diverged_count for c in parsed] == [2, 0, 0, 1]
+    assert render_report(comparison_report(parsed, fingerprint)) == render_report(report)
+
+
 def test_parse_report_detects_tampering():
     report = comparison_report(_cells(), "cfg=1")
     text = render_report(report).replace(

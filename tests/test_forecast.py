@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrindex.dataset import make_windows
 from corrindex.forecast import (
@@ -15,10 +19,10 @@ from corrindex.forecast import (
     backward_and_step,
     batch_loss,
     build_model,
-    cnn_lstm_forward,
     conv_forward_batch,
     load_model,
-    lstm_forward,
+    lstm_backward_batch,
+    lstm_forward_batch,
     pooled_length,
     predict,
     save_model,
@@ -38,22 +42,73 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _reference_lstm_forward_batch(p: LstmParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Per-gate forward pass (one matmul pair per gate), the oracle for the stacked one."""
+    (wx_i, wx_f, wx_g, wx_o), (wh_i, wh_f, wh_g, wh_o), (b_i, b_f, b_g, b_o) = p.wx, p.wh, p.b
+    batch, steps, _ = x.shape
+    h = np.zeros((batch, p.hidden_size))
+    c = np.zeros((batch, p.hidden_size))
+    step_cache = []
+    for t in range(steps):
+        x_t = x[:, t, :]
+        gate_i = sigmoid(x_t @ wx_i + h @ wh_i + b_i)
+        gate_f = sigmoid(x_t @ wx_f + h @ wh_f + b_f)
+        gate_g = np.tanh(x_t @ wx_g + h @ wh_g + b_g)
+        gate_o = sigmoid(x_t @ wx_o + h @ wh_o + b_o)
+        c_next = gate_f * c + gate_i * gate_g
+        tanh_c = np.tanh(c_next)
+        h_next = gate_o * tanh_c
+        step_cache.append((x_t, h, c, gate_i, gate_f, gate_g, gate_o, tanh_c))
+        h, c = h_next, c_next
+    pred = h @ p.w_out + p.b_out[0]
+    return pred, {"steps": step_cache, "h_final": h, "input_shape": x.shape}
+
+
+def _reference_lstm_backward_batch(
+    p: LstmParams, cache: dict, dpred: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Per-gate BPTT; gradients keyed wx_i, wh_i, b_i, ..., w_out, b_out."""
+    (wx_i, wx_f, wx_g, wx_o), (wh_i, wh_f, wh_g, wh_o) = p.wx, p.wh
+    steps = cache["steps"]
+    grads = {
+        f"{name}_{gate}": np.zeros_like(getattr(p, name)[0])
+        for gate in "ifgo"
+        for name in ("wx", "wh", "b")
+    }
+    grads["w_out"] = cache["h_final"].T @ dpred
+    grads["b_out"] = np.array([dpred.sum()])
+
+    dh = np.outer(dpred, p.w_out)
+    dc = np.zeros_like(dh)
+    dx = np.zeros(cache["input_shape"])
+    for t in range(len(steps) - 1, -1, -1):
+        x_t, h_prev, c_prev, gate_i, gate_f, gate_g, gate_o, tanh_c = steps[t]
+        d_o = dh * tanh_c
+        da_o = d_o * gate_o * (1.0 - gate_o)
+        dc = dc + dh * gate_o * (1.0 - tanh_c**2)
+        da_i = (dc * gate_g) * gate_i * (1.0 - gate_i)
+        da_f = (dc * c_prev) * gate_f * (1.0 - gate_f)
+        da_g = (dc * gate_i) * (1.0 - gate_g**2)
+
+        for gate, da in (("i", da_i), ("f", da_f), ("g", da_g), ("o", da_o)):
+            grads[f"wx_{gate}"] += x_t.T @ da
+            grads[f"wh_{gate}"] += h_prev.T @ da
+            grads[f"b_{gate}"] += da.sum(axis=0)
+
+        dx[:, t, :] = da_i @ wx_i.T + da_f @ wx_f.T + da_g @ wx_g.T + da_o @ wx_o.T
+        dh = da_i @ wh_i.T + da_f @ wh_f.T + da_g @ wh_g.T + da_o @ wh_o.T
+        dc = dc * gate_f
+    return grads, dx
+
+
 # =============================================================================
 # lstm forward
 # =============================================================================
 
 
 def test_lstm_zero_params_predict_zero():
-    zeros = LstmParams(
-        *(np.zeros(s) for s in [
-            (2, 4), (4, 4), (4,),
-            (2, 4), (4, 4), (4,),
-            (2, 4), (4, 4), (4,),
-            (2, 4), (4, 4), (4,),
-            (4,), (1,),
-        ])
-    )
-    pred, _ = lstm_forward(zeros, np.ones((5, 2)))
+    zeros = LstmParams(*(np.zeros(s) for s in [(4, 2, 4), (4, 4, 4), (4, 4), (4,), (1,)]))
+    pred, _ = lstm_forward_batch(zeros, np.ones((5, 2))[None])
     assert pred == 0.0
 
 
@@ -62,15 +117,15 @@ def test_lstm_length_one_equals_single_cell_step(rng):
     x = rng.normal(size=(1, 2))
 
     x0 = x[0]
-    gate_i = sigmoid(x0 @ p.wx_i + p.b_i)
-    gate_f = sigmoid(x0 @ p.wx_f + p.b_f)
-    gate_g = np.tanh(x0 @ p.wx_g + p.b_g)
-    gate_o = sigmoid(x0 @ p.wx_o + p.b_o)
+    gate_i = sigmoid(x0 @ p.wx[0] + p.b[0])
+    gate_f = sigmoid(x0 @ p.wx[1] + p.b[1])
+    gate_g = np.tanh(x0 @ p.wx[2] + p.b[2])
+    gate_o = sigmoid(x0 @ p.wx[3] + p.b[3])
     c = gate_f * 0.0 + gate_i * gate_g
     h = gate_o * np.tanh(c)
     expected = float(h @ p.w_out + p.b_out[0])
 
-    pred, _ = lstm_forward(p, x)
+    pred, _ = lstm_forward_batch(p, x[None])
     assert pred == pytest.approx(expected, abs=1e-15)
 
 
@@ -82,32 +137,70 @@ def test_lstm_matches_step_by_step_oracle(rng):
     c = np.zeros(4)
     for t in range(5):
         xt = x[t]
-        gate_i = sigmoid(xt @ p.wx_i + h @ p.wh_i + p.b_i)
-        gate_f = sigmoid(xt @ p.wx_f + h @ p.wh_f + p.b_f)
-        gate_g = np.tanh(xt @ p.wx_g + h @ p.wh_g + p.b_g)
-        gate_o = sigmoid(xt @ p.wx_o + h @ p.wh_o + p.b_o)
+        gate_i = sigmoid(xt @ p.wx[0] + h @ p.wh[0] + p.b[0])
+        gate_f = sigmoid(xt @ p.wx[1] + h @ p.wh[1] + p.b[1])
+        gate_g = np.tanh(xt @ p.wx[2] + h @ p.wh[2] + p.b[2])
+        gate_o = sigmoid(xt @ p.wx[3] + h @ p.wh[3] + p.b[3])
         c = gate_f * c + gate_i * gate_g
         h = gate_o * np.tanh(c)
     expected = float(h @ p.w_out + p.b_out[0])
 
-    pred, _ = lstm_forward(p, x)
+    pred, _ = lstm_forward_batch(p, x[None])
     assert pred == pytest.approx(expected, abs=1e-12)
 
 
 def test_lstm_shape_mismatch_rejected(rng):
     p = small_lstm(rng, features=3)
     with pytest.raises(ValueError, match="incompatible"):
-        lstm_forward(p, np.zeros((5, 2)))
+        lstm_forward_batch(p, np.zeros((5, 2))[None])
 
 
 def test_lstm_gate_ranges(rng):
     p = small_lstm(rng)
     x = rng.normal(0, 5, size=(8, 2))
-    _, cache = lstm_forward(p, x)
+    _, cache = lstm_forward_batch(p, x[None])
     for _, _, _, gate_i, gate_f, gate_g, gate_o, _ in cache["steps"]:
         for gate in (gate_i, gate_f, gate_o):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
         assert np.all(gate_g > -1.0) and np.all(gate_g < 1.0)
+
+
+@given(
+    batch=st.integers(1, 33),
+    steps=st.integers(1, 12),
+    features=st.integers(1, 16),
+    hidden=st.integers(1, 32),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_lstm_gate_stacked_matches_per_gate_reference_bytes(batch, steps, features, hidden, seed):
+    rng = np.random.default_rng(seed)
+    p = LstmParams.init(features, hidden, rng)
+    x = rng.normal(size=(batch, steps, features))
+    dpred = rng.normal(size=batch)
+
+    pred, cache = lstm_forward_batch(p, x)
+    ref_pred, ref_cache = _reference_lstm_forward_batch(p, x)
+    assert pred.tobytes() == ref_pred.tobytes()
+
+    (gwx, gwh, gb, gw_out, gb_out), dx = lstm_backward_batch(p, cache, dpred)
+    ref, ref_dx = _reference_lstm_backward_batch(p, ref_cache, dpred)
+    for k, gate in enumerate("ifgo"):
+        assert gwx[k].tobytes() == ref[f"wx_{gate}"].tobytes()
+        assert gwh[k].tobytes() == ref[f"wh_{gate}"].tobytes()
+        assert gb[k].tobytes() == ref[f"b_{gate}"].tobytes()
+    assert gw_out.tobytes() == ref["w_out"].tobytes()
+    assert gb_out.tobytes() == ref["b_out"].tobytes()
+    assert dx.tobytes() == ref_dx.tobytes()
+
+
+def test_lstm_params_has_five_gate_stacked_arrays(rng):
+    p = small_lstm(rng, features=3, hidden=5)
+    assert [a.shape for a in p.arrays()] == [(4, 3, 5), (4, 5, 5), (4, 5), (5,), (1,)]
+    conv = small_conv(rng, features=2, kernels=3)
+    assert len(CnnLstmModel(conv, small_lstm(rng, features=3)).arrays()) == 7
+    with pytest.raises(ValueError, match="wh must have shape"):
+        LstmParams(p.wx, p.wh[:3], p.b, p.w_out, p.b_out)
 
 
 # =============================================================================
@@ -169,14 +262,14 @@ def test_conv_too_short_rejected(rng):
     conv = small_conv(rng)
     lstm = small_lstm(rng, features=3)
     with pytest.raises(ValueError, match="too short"):
-        cnn_lstm_forward(conv, lstm, np.zeros((3, 2)))
+        CnnLstmModel(conv, lstm).forward_batch(np.zeros((3, 2))[None])
 
 
 def test_cnn_lstm_forward_composes(rng):
     conv = small_conv(rng)
     lstm = small_lstm(rng, features=3)
     x = rng.normal(size=(20, 2))
-    pred, cache = cnn_lstm_forward(conv, lstm, x)
+    pred, cache = CnnLstmModel(conv, lstm).forward_batch(x[None])
     assert np.isfinite(pred)
     assert len(cache["lstm"]["steps"]) == 9
 
@@ -391,6 +484,37 @@ def test_serialization_round_trip_preserves_predictions(tmp_path, rng):
     pred_a, _ = model.forward_batch(x)
     pred_b, _ = back.forward_batch(x)
     assert np.array_equal(pred_a, pred_b)
+
+
+def _idxf_v1(model) -> bytes:
+    """IDXF version 1 written by hand: header, conv blocks, per-gate LSTM blocks, readout."""
+    if isinstance(model, CnnLstmModel):
+        conv, lstm, code = model.conv, model.lstm, 1
+        shape = (conv.input_size, conv.n_kernels, conv.width, conv.pool_width)
+        blocks = [conv.kernels, conv.bias]
+    else:
+        lstm, code = model.params, 0
+        shape = (lstm.input_size, 0, 0, 0)
+        blocks = []
+    for k in range(4):
+        blocks += [lstm.wx[k], lstm.wh[k], lstm.b[k]]
+    blocks += [lstm.w_out, lstm.b_out]
+    out = struct.pack("<4sHHIIIII", b"IDXF", 1, code, lstm.hidden_size, *shape)
+    for block in blocks:
+        values = block.ravel().tolist()
+        out += struct.pack(f"<{len(values)}d", *values)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["lstm", "cnn_lstm"])
+def test_idxf_v1_layout_is_per_gate(tmp_path, kind):
+    cfg = TrainConfig(hidden_size=5, kernels=3)
+    model = build_model(kind, 2, cfg, np.random.default_rng(11))
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    assert path.read_bytes() == _idxf_v1(model)
+    back = load_model(path)
+    assert [a.tobytes() for a in back.arrays()] == [a.tobytes() for a in model.arrays()]
 
 
 def test_serialization_rejects_bad_magic(tmp_path):
