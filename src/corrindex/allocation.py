@@ -3,8 +3,8 @@
 Four strategies share the `Weights` contract (nonnegative, summing to 1):
 
 * `hrp_dendrogram_walk` walks the dendrogram bottom-up and gives each leaf a weight
-  proportional to the mean cross-cluster covariance of the first merge that
-  absorbs it, scaled by its own cluster's size.
+  proportional to the (floored) mean cross-cluster covariance of the merge
+  that names it as a child.
 * `hrp_recursive_bisection` is the standard hierarchical risk parity step:
   split the quasi-diagonally ordered assets in half and allocate inversely
   to each half's inverse-variance-portfolio variance.
@@ -100,18 +100,16 @@ def node_mean_cross_covariances(cov: CovarianceMatrix, link: Linkage) -> np.ndar
 
 
 def hrp_dendrogram_walk(cov: CovarianceMatrix, link: Linkage) -> Weights:
-    """Dendrogram walk allocation: assign-once node values, normalized at the end.
+    """Dendrogram walk allocation: one node value per leaf, normalized at the end.
 
-    Merges are visited bottom-up in merge order. At the node merging clusters
-    k and j, every not-yet-assigned leaf of k receives node_value * |k| and
-    every not-yet-assigned leaf of j receives node_value * |j|; later merges
-    never overwrite. Node values <= 0 are floored at 1e-12 (with a warning)
-    to keep the weights nonnegative.
+    Merges are visited bottom-up in merge order. A leaf joins the tree at the
+    one merge that names it as a child and takes that merge's node value.
+    Node values <= 0 are floored at 1e-12 (with a warning) to keep the
+    weights nonnegative.
     """
     n = cov.n
     node_values = node_mean_cross_covariances(cov, link)
     weights = np.zeros(n)
-    assigned = np.zeros(n, dtype=bool)
     for rec, value in zip(link.merges, node_values):
         if value <= 0:
             warnings.warn(
@@ -121,18 +119,9 @@ def hrp_dendrogram_walk(cov: CovarianceMatrix, link: Linkage) -> Weights:
                 stacklevel=2,
             )
             value = NODE_VALUE_FLOOR
-        left = link.leaves_under(rec.left)
-        right = link.leaves_under(rec.right)
-        for leaf in left:
-            if not assigned[leaf]:
-                weights[leaf] = value * len(left)
-                assigned[leaf] = True
-        for leaf in right:
-            if not assigned[leaf]:
-                weights[leaf] = value * len(right)
-                assigned[leaf] = True
-    if not assigned.all():
-        raise RuntimeError("dendrogram walk left unassigned leaves; linkage is malformed")
+        for child in (rec.left, rec.right):
+            if child < n:
+                weights[child] = value
     total = weights.sum()
     if total <= 0:
         raise ValueError("total weight is non-positive; covariance matrix is indefinite")
@@ -145,19 +134,7 @@ def quasi_diagonal_order(link: Linkage) -> list[int]:
     Places correlated assets adjacently, the input order for recursive
     bisection.
     """
-    n = link.n_leaves
-    root = 2 * n - 2
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node < n:
-            order.append(node)
-        else:
-            rec = link.merges[node - n]
-            stack.append(rec.right)
-            stack.append(rec.left)
-    return order
+    return list(link.members[-1])
 
 
 def _inverse_variance_weights(cov_sub: np.ndarray) -> np.ndarray:
@@ -330,22 +307,3 @@ def portfolio_moments(
     mean = float(w @ mu)
     variance = float(w @ cov.values @ w)
     return PortfolioMoments(expected_return=mean, variance=max(variance, 0.0))
-
-
-def portfolio_moments_scaled_variant(
-    weights: Weights, mean_returns: np.ndarray
-) -> PortfolioMoments:
-    """Variant moment formulas that divide the weighted sums by the asset count
-    and square the mean terms: mean = sum(w_i mu_i) / n, variance =
-    sum(w_i^2 mu_i^2) / n. Kept for reference and comparison only; reports use
-    `portfolio_moments`.
-    """
-    mu = np.asarray(mean_returns, dtype=float)
-    if mu.shape != (weights.n,):
-        raise ValueError("dimension mismatch between weights and means")
-    n = weights.n
-    w = weights.values
-    return PortfolioMoments(
-        expected_return=float((w @ mu) / n),
-        variance=float(((w**2) @ (mu**2)) / n),
-    )

@@ -9,7 +9,7 @@ nodes n..2n-2 in merge order.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -99,23 +99,29 @@ class DistanceMatrix:
 
 @dataclass(frozen=True, slots=True)
 class MergeRecord:
-    """One agglomerative merge: child node ids, merge distance, and sizes."""
+    """One agglomerative merge: child node ids, merge distance, and leaf count."""
 
     left: int
     right: int
     distance: float
     size: int
-    left_size: int
-    right_size: int
 
 
 @dataclass(frozen=True)
 class Linkage:
-    """Merge schedule of the dendrogram over `tickers`."""
+    """Merge schedule of the dendrogram over `tickers`.
+
+    `members[node]` holds the leaves under each node (leaves 0..n-1, then
+    one per merge), left subtree first, so `members[-1]` is the dendrogram's
+    pre-order. Construction rejects any schedule that is not a tree: every
+    merge must join two distinct earlier nodes that no earlier merge has
+    joined, and its `size` must count the leaves under it.
+    """
 
     tickers: tuple[str, ...]
     merges: tuple[MergeRecord, ...]
     method: str
+    members: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tickers", tuple(self.tickers))
@@ -123,11 +129,21 @@ class Linkage:
         n = len(self.tickers)
         if len(self.merges) != n - 1:
             raise ValueError(f"expected {n - 1} merges for {n} leaves, got {len(self.merges)}")
-        for rec in self.merges:
-            if rec.size != rec.left_size + rec.right_size:
-                raise ValueError(f"merge size {rec.size} != {rec.left_size} + {rec.right_size}")
-        if self.merges and self.merges[-1].size != n:
-            raise ValueError("root merge must cover all leaves")
+        members = [(leaf,) for leaf in range(n)]
+        merged: set[int] = set()
+        for node, rec in enumerate(self.merges, start=n):
+            if rec.left == rec.right:
+                raise ValueError(f"node {node} merges node {rec.left} with itself")
+            for child in (rec.left, rec.right):
+                if not 0 <= child < node:
+                    raise ValueError(f"node {node} merges node {child}, which is not an earlier node")
+                if child in merged:
+                    raise ValueError(f"node {node} merges node {child}, which is already merged")
+                merged.add(child)
+            members.append(members[rec.left] + members[rec.right])
+            if rec.size != len(members[node]):
+                raise ValueError(f"node {node} has size {rec.size} but {len(members[node])} leaves")
+        object.__setattr__(self, "members", tuple(members))
         if self.method in ("single", "complete"):
             dists = [rec.distance for rec in self.merges]
             if any(b < a - SYMMETRY_TOL for a, b in zip(dists, dists[1:])):
@@ -138,21 +154,8 @@ class Linkage:
         return len(self.tickers)
 
     def leaves_under(self, node: int) -> tuple[int, ...]:
-        """All leaf ids below `node` (a leaf id returns itself)."""
-        n = self.n_leaves
-        if node < n:
-            return (node,)
-        out: list[int] = []
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if cur < n:
-                out.append(cur)
-            else:
-                rec = self.merges[cur - n]
-                stack.append(rec.right)
-                stack.append(rec.left)
-        return tuple(sorted(out))
+        """All leaf ids below `node` in increasing order (a leaf id returns itself)."""
+        return tuple(sorted(self.members[node]))
 
 
 @dataclass(frozen=True)
@@ -244,56 +247,52 @@ def linkage(dist: DistanceMatrix, method: str = "single") -> Linkage:
     if n < 2:
         raise ValueError("need at least 2 assets to build a linkage")
 
-    # Pairwise distances between active clusters, keyed by (low id, high id).
+    # Distances between active clusters in one symmetric matrix indexed by
+    # node id; the diagonal and merged or not-yet-formed nodes hold inf. The
+    # row-major argmin is then the tied pair with the smallest (low, high).
     # Ward tracks squared distances; the merge record stores the square root.
     squared = method == "ward"
-    pair: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(dist.values[i, j])
-            pair[(i, j)] = d * d if squared else d
+    nodes = 2 * n - 1
+    d = np.full((nodes, nodes), np.inf)
+    upper = np.triu_indices(n, 1)
+    d[upper] = dist.values[upper] ** 2 if squared else dist.values[upper]
+    d[upper[::-1]] = d[upper]
 
-    sizes = {i: 1 for i in range(n)}
-    active = set(range(n))
+    sizes = np.zeros(nodes, dtype=np.int64)
+    sizes[:n] = 1
+    active = np.zeros(nodes, dtype=bool)
+    active[:n] = True
     merges: list[MergeRecord] = []
-    for step in range(n - 1):
-        (a, b), best = min(pair.items(), key=lambda kv: (kv[1], kv[0]))
-        new_id = n + step
-        for c in active:
-            if c in (a, b):
-                continue
-            d_ac = pair.pop(_key(a, c))
-            d_bc = pair.pop(_key(b, c))
-            if method == "single":
-                merged = min(d_ac, d_bc)
-            elif method == "complete":
-                merged = max(d_ac, d_bc)
-            else:
-                na, nb, nc = sizes[a], sizes[b], sizes[c]
-                merged = (
-                    (na + nc) * d_ac + (nb + nc) * d_bc - nc * best
-                ) / (na + nb + nc)
-            pair[(c, new_id)] = merged
-        del pair[(a, b)]
-        active.discard(a)
-        active.discard(b)
-        active.add(new_id)
+    for new_id in range(n, nodes):
+        a, b = divmod(int(np.argmin(d)), nodes)
+        best = float(d[a, b])
+        active[[a, b]] = False
+        others = np.flatnonzero(active)
+        d_ac, d_bc = d[a, others], d[b, others]
+        # np.where keeps d_ac on ties, as min()/max() do; np.minimum would
+        # return d_bc and so flip the sign of a 0.0 / -0.0 tie.
+        if method == "single":
+            merged = np.where(d_bc < d_ac, d_bc, d_ac)
+        elif method == "complete":
+            merged = np.where(d_bc > d_ac, d_bc, d_ac)
+        else:
+            na, nb, nc = sizes[a], sizes[b], sizes[others]
+            merged = ((na + nc) * d_ac + (nb + nc) * d_bc - nc * best) / (na + nb + nc)
+        d[[a, b], :] = np.inf
+        d[:, [a, b]] = np.inf
+        d[new_id, others] = merged
+        d[others, new_id] = merged
+        active[new_id] = True
         sizes[new_id] = sizes[a] + sizes[b]
         merges.append(
             MergeRecord(
                 left=a,
                 right=b,
                 distance=float(np.sqrt(best)) if squared else best,
-                size=sizes[new_id],
-                left_size=sizes[a],
-                right_size=sizes[b],
+                size=int(sizes[new_id]),
             )
         )
     return Linkage(tickers=dist.tickers, merges=tuple(merges), method=method)
-
-
-def _key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
 
 
 def cut_clusters(link: Linkage, m: int) -> tuple[int, ...]:
@@ -305,26 +304,11 @@ def cut_clusters(link: Linkage, m: int) -> tuple[int, ...]:
     n = link.n_leaves
     if not 1 <= m <= n:
         raise ValueError(f"cluster count {m} outside [1, {n}]")
-    parent = list(range(2 * n - 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for step in range(n - m):
-        rec = link.merges[step]
-        node = n + step
-        parent[find(rec.left)] = node
-        parent[find(rec.right)] = node
-
-    roots: dict[int, list[int]] = {}
-    for leaf in range(n):
-        roots.setdefault(find(leaf), []).append(leaf)
-    ordered = sorted(roots.values(), key=min)
+    kept = link.merges[: n - m]
+    consumed = {child for rec in kept for child in (rec.left, rec.right)}
+    roots = [node for node in range(n + len(kept)) if node not in consumed]
     assignment = [0] * n
-    for cid, leaves in enumerate(ordered):
+    for cid, leaves in enumerate(sorted((link.members[r] for r in roots), key=min)):
         for leaf in leaves:
             assignment[leaf] = cid
     return tuple(assignment)

@@ -12,7 +12,6 @@ from corrindex.allocation import (
     min_variance_long_only,
     node_mean_cross_covariances,
     portfolio_moments,
-    portfolio_moments_scaled_variant,
     project_to_simplex,
     quasi_diagonal_order,
 )
@@ -366,14 +365,6 @@ def test_moments_dimension_mismatch():
     weights = equal_weight(2, cov.tickers)
     with pytest.raises(ValueError, match="mismatch"):
         portfolio_moments(weights, np.zeros(3), cov)
-
-
-def test_scaled_variant_reference_formulas():
-    weights = equal_weight(2)
-    mu = np.array([0.02, 0.04])
-    moments = portfolio_moments_scaled_variant(weights, mu)
-    assert moments.expected_return == pytest.approx((0.01 + 0.02) / 2)
-    assert moments.variance == pytest.approx((0.25 * 0.0004 + 0.25 * 0.0016) / 2)
 
 
 # =============================================================================

@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corrindex.allocation import quasi_diagonal_order
 from corrindex.riskmodel import (
+    LINKAGE_METHODS,
     CorrelationMatrix,
     CovarianceMatrix,
     DistanceMatrix,
     Linkage,
+    MergeRecord,
     cluster_aggregates,
     correlation_distance,
     correlation_matrix,
@@ -267,6 +272,177 @@ def test_linkage_single_complete_distances_nondecreasing(rng):
     for method in ("single", "complete"):
         dists = [m.distance for m in linkage(dist_matrix(values), method=method).merges]
         assert all(b >= a - 1e-12 for a, b in zip(dists, dists[1:]))
+
+
+# =============================================================================
+# Linkage tree validation
+# =============================================================================
+
+
+@pytest.mark.parametrize(
+    "merges, message",
+    [
+        ((MergeRecord(0, 4, 0.1, 2), MergeRecord(3, 1, 0.2, 3)), "not an earlier node"),
+        ((MergeRecord(-1, 0, 0.1, 2), MergeRecord(3, 1, 0.2, 3)), "not an earlier node"),
+        ((MergeRecord(0, 0, 0.1, 2), MergeRecord(3, 1, 0.2, 3)), "with itself"),
+        ((MergeRecord(0, 1, 0.1, 2), MergeRecord(3, 1, 0.2, 3)), "already merged"),
+        ((MergeRecord(0, 1, 0.1, 2), MergeRecord(3, 2, 0.2, 2)), "size 2 but 3 leaves"),
+    ],
+    ids=["forward-reference", "negative-id", "self-merge", "merged-twice", "size-mismatch"],
+)
+def test_linkage_rejects_malformed_tree(merges, message):
+    with pytest.raises(ValueError, match=message):
+        Linkage(tickers=tickers(3), merges=merges, method="single")
+
+
+def test_linkage_members_are_preorder_leaf_lists():
+    link = Linkage(
+        tickers=tickers(4),
+        merges=(MergeRecord(2, 0, 0.1, 2), MergeRecord(3, 1, 0.2, 2), MergeRecord(5, 4, 0.3, 4)),
+        method="single",
+    )
+    assert link.members == ((0,), (1,), (2,), (3,), (2, 0), (3, 1), (3, 1, 2, 0))
+    assert link.leaves_under(6) == (0, 1, 2, 3)
+    assert quasi_diagonal_order(link) == [3, 1, 2, 0]
+
+
+# =============================================================================
+# linkage against scipy (Muellner's reference implementations)
+# =============================================================================
+
+
+@pytest.mark.parametrize("method", ["single", "complete", "ward"])
+def test_linkage_matches_scipy(method):
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    from scipy.spatial.distance import squareform
+
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 7, 30, 90, 200):
+        dist = correlation_distance(correlation_matrix(random_covariance(n, rng)))
+        link = linkage(dist, method=method)
+        want = hierarchy.linkage(squareform(dist.values, checks=False), method=method)
+        np.testing.assert_allclose(
+            [rec.distance for rec in link.merges], want[:, 2], rtol=1e-9, atol=1e-12
+        )
+        scipy_members = [frozenset([i]) for i in range(n)]
+        for step, (a, b) in enumerate(want[:, :2].astype(int)):
+            scipy_members.append(scipy_members[a] | scipy_members[b])
+            assert frozenset(link.members[n + step]) == scipy_members[n + step], (n, step)
+
+
+# =============================================================================
+# byte-level references: the pair-dict linkage, union-find cut and stack walk
+# =============================================================================
+
+
+def _reference_linkage(values: np.ndarray, method: str) -> list[tuple[int, int, float, int]]:
+    """Dict of (low, high) pair distances scanned with min() at every merge."""
+    n = values.shape[0]
+    squared = method == "ward"
+    pair: dict[tuple[int, int], float] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = float(values[i, j])
+            pair[(i, j)] = d * d if squared else d
+
+    def key(a: int, b: int) -> tuple[int, int]:
+        return (a, b) if a < b else (b, a)
+
+    sizes = {i: 1 for i in range(n)}
+    active = set(range(n))
+    merges = []
+    for step in range(n - 1):
+        (a, b), best = min(pair.items(), key=lambda kv: (kv[1], kv[0]))
+        new_id = n + step
+        for c in active:
+            if c in (a, b):
+                continue
+            d_ac = pair.pop(key(a, c))
+            d_bc = pair.pop(key(b, c))
+            if method == "single":
+                merged = min(d_ac, d_bc)
+            elif method == "complete":
+                merged = max(d_ac, d_bc)
+            else:
+                na, nb, nc = sizes[a], sizes[b], sizes[c]
+                merged = ((na + nc) * d_ac + (nb + nc) * d_bc - nc * best) / (na + nb + nc)
+            pair[(c, new_id)] = merged
+        del pair[(a, b)]
+        active -= {a, b}
+        active.add(new_id)
+        sizes[new_id] = sizes[a] + sizes[b]
+        merges.append((a, b, float(np.sqrt(best)) if squared else best, sizes[new_id]))
+    return merges
+
+
+def _reference_cut_clusters(link: Linkage, m: int) -> tuple[int, ...]:
+    """Union-find over the first n - m merges."""
+    n = link.n_leaves
+    parent = list(range(2 * n - 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for step in range(n - m):
+        rec = link.merges[step]
+        parent[find(rec.left)] = n + step
+        parent[find(rec.right)] = n + step
+
+    roots: dict[int, list[int]] = {}
+    for leaf in range(n):
+        roots.setdefault(find(leaf), []).append(leaf)
+    assignment = [0] * n
+    for cid, leaves in enumerate(sorted(roots.values(), key=min)):
+        for leaf in leaves:
+            assignment[leaf] = cid
+    return tuple(assignment)
+
+
+def _reference_quasi_diagonal_order(link: Linkage) -> list[int]:
+    """Stack-based pre-order walk from the root."""
+    n = link.n_leaves
+    order: list[int] = []
+    stack = [2 * n - 2]
+    while stack:
+        node = stack.pop()
+        if node < n:
+            order.append(node)
+        else:
+            rec = link.merges[node - n]
+            stack.append(rec.right)
+            stack.append(rec.left)
+    return order
+
+
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    method=st.sampled_from(LINKAGE_METHODS),
+    source=st.sampled_from(["uniform", "correlation", "euclidean"]),
+    decimals=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_linkage_tree_walks_match_references(n, method, source, decimals, seed):
+    rng = np.random.default_rng(seed)
+    if source == "uniform":
+        raw = rng.uniform(0.0, 1.0, size=(n, n))
+        values = (raw + raw.T) / 2
+        np.fill_diagonal(values, 0.0)
+    else:
+        corr = correlation_matrix(random_covariance(n, rng))
+        values = correlation_distance(corr, convention=source).values
+    # coarse rounding makes many pairs tie, which exercises the tie-break
+    dist = dist_matrix(np.round(values, decimals))
+
+    link = linkage(dist, method=method)
+    got = [(rec.left, rec.right, rec.distance, rec.size) for rec in link.merges]
+    assert got == _reference_linkage(dist.values, method)
+    for m in range(1, n + 1):
+        assert cut_clusters(link, m) == _reference_cut_clusters(link, m)
+    assert quasi_diagonal_order(link) == _reference_quasi_diagonal_order(link)
 
 
 # =============================================================================
