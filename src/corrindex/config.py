@@ -1,8 +1,10 @@
 """Pipeline configuration: one INI-style file drives every command.
 
 Paths are resolved relative to the config file so a run is reproducible from
-the file alone. Only two environment overrides exist (CORRINDEX_OUTPUT_DIR
-and CORRINDEX_SEED); command-line flags take precedence over both.
+the file alone. Unknown sections and keys are rejected, so a misspelt key
+cannot silently fall back to its default. Only two environment overrides exist
+(CORRINDEX_OUTPUT_DIR and CORRINDEX_SEED); command-line flags take precedence
+over both.
 """
 
 from __future__ import annotations
@@ -22,6 +24,18 @@ ENV_SEED = "CORRINDEX_SEED"
 
 STRATEGIES = ("hrp_walk", "hrp_bisection", "equal_weight", "min_variance")
 FEATURE_MODES = ("returns", "levels")
+
+# The keys each section reads; any other key is rejected rather than ignored.
+SECTION_KEYS = {
+    "data": ("prices_dir", "metrics_csv", "tickers", "factors_dir", "factor_tickers",
+             "price_field", "dividend_mode", "index_csv"),
+    "selection": ("weights", "k"),
+    "risk": ("linkage", "distance", "align"),
+    "allocation": ("strategy",),
+    "dataset": ("split_fraction", "lookback", "feature_mode"),
+    "train": ("seed", "epochs", "runs", "learning_rate", "batch_size", "hidden_size", "kernels"),
+    "output": ("dir",),
+}
 
 
 class ConfigError(ValueError):
@@ -66,6 +80,12 @@ def _get_enum(section, key: str, valid: tuple[str, ...], default: str) -> str:
     return value
 
 
+def _check_keys(section: str, keys: set[str], valid) -> None:
+    unknown = sorted(keys - set(valid))
+    if unknown:
+        raise ConfigError(f"[{section}] unknown key {unknown[0]!r}; valid keys: {', '.join(valid)}")
+
+
 def load_config(
     path: str | Path,
     seed_override: int | None = None,
@@ -88,9 +108,17 @@ def load_config(
         p = Path(raw.strip())
         return p if p.is_absolute() else base / p
 
+    # configparser copies [DEFAULT] keys into every section, so a [DEFAULT] key
+    # need only be one that some section reads, and a section is checked for
+    # the keys it sets itself.
+    defaults = parser.defaults()
+    known = sorted({key for keys in SECTION_KEYS.values() for key in keys})
+    _check_keys("DEFAULT", set(defaults), known)
     for section in parser.sections():
-        if section not in ("data", "selection", "risk", "allocation", "dataset", "train", "output"):
+        if section not in SECTION_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
+        own = {key for key, value in parser.items(section) if defaults.get(key) != value}
+        _check_keys(section, own, SECTION_KEYS[section])
 
     data = parser["data"] if parser.has_section("data") else parser["DEFAULT"]
     sel = parser["selection"] if parser.has_section("selection") else parser["DEFAULT"]

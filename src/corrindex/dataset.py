@@ -20,21 +20,19 @@ import numpy as np
 from .market_data import PriceSeries, ReturnSeries, _readonly, align_calendars
 
 
+@dataclass(frozen=True, eq=False)
 class Scaler:
-    """Per-feature min-max state. Constant features transform to 0.5."""
+    """Per-feature min-max bounds, built by `fit_scaler`. Constant features transform to 0.5."""
 
-    def __init__(self):
-        self.feature_min: np.ndarray | None = None
-        self.feature_max: np.ndarray | None = None
+    feature_min: np.ndarray
+    feature_max: np.ndarray
 
-    @property
-    def is_fit(self) -> bool:
-        return self.feature_min is not None
+    def __post_init__(self):
+        object.__setattr__(self, "feature_min", _readonly(self.feature_min))
+        object.__setattr__(self, "feature_max", _readonly(self.feature_max))
 
     def _bounds(self, feature: int | None):
         """(min, max - min) for every feature, or for one feature index."""
-        if not self.is_fit:
-            raise ValueError("scaler used before fitting")
         low, high = self.feature_min, self.feature_max
         if feature is not None:
             low, high = low[feature], high[feature]
@@ -60,10 +58,7 @@ def fit_scaler(train_matrix: np.ndarray) -> Scaler:
         raise ValueError(f"expected a non-empty 2-D matrix, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("fit matrix contains non-finite values")
-    scaler = Scaler()
-    scaler.feature_min = x.min(axis=0)
-    scaler.feature_max = x.max(axis=0)
-    return scaler
+    return Scaler(feature_min=x.min(axis=0), feature_max=x.max(axis=0))
 
 
 @dataclass(frozen=True)
@@ -202,6 +197,11 @@ def save_windows_csv(ds: WindowedDataset, path: str | Path) -> None:
 
 
 def load_windows_csv(path: str | Path, target_feature: int = 0) -> WindowedDataset:
+    """Read a file `save_windows_csv` wrote.
+
+    Row i must be sample i // lookback, lag i % lookback, with as many fields
+    as the header; a bad row raises with its 1-based line number.
+    """
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -211,16 +211,28 @@ def load_windows_csv(path: str | Path, target_feature: int = 0) -> WindowedDatas
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: no samples")
-    samples = int(rows[-1][0]) + 1
-    lookback = int(rows[-1][1]) + 1
+    try:
+        samples, lookback = int(rows[-1][0]) + 1, int(rows[-1][1]) + 1
+    except (IndexError, ValueError) as err:
+        raise ValueError(f"{path}: line {len(rows) + 1}: {err}") from None
     if len(rows) != samples * lookback:
         raise ValueError(f"{path}: expected {samples * lookback} rows, got {len(rows)}")
-    x = np.empty((samples, lookback, len(feature_names)))
-    y = np.empty(samples)
-    for row in rows:
-        s, lag = int(row[0]), int(row[1])
-        x[s, lag] = [float(v) for v in row[2:-1]]
-        y[s] = float(row[-1])
+    values = []
+    for line, row in enumerate(rows, start=2):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            sample, lag = divmod(line - 2, lookback)
+            if (int(row[0]), int(row[1])) != (sample, lag):
+                raise ValueError(f"expected sample {sample}, lag {lag}, got {row[0]}, {row[1]}")
+            values.append([float(v) for v in row[2:]])
+        except ValueError as err:
+            raise ValueError(f"{path}: line {line}: {err}") from None
+    table = np.array(values)
     return WindowedDataset(
-        X=x, y=y, feature_names=feature_names, scaler=None, target_feature=target_feature
+        X=table[:, :-1].reshape(samples, lookback, len(feature_names)),
+        y=table[lookback - 1 :: lookback, -1],
+        feature_names=feature_names,
+        scaler=None,
+        target_feature=target_feature,
     )

@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -44,44 +44,28 @@ def rmse(pred: np.ndarray, target: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RunStats:
-    """Per-run test RMSEs for one (model, dataset) cell plus their aggregates."""
+    """Per-run test RMSEs for one (model, dataset) cell plus their aggregates.
+
+    `mean`, `std` (ddof=1, 0.0 for a single run) and `run_count` are computed
+    once from `rmses`.
+    """
 
     model_id: str
     dataset_id: str
     rmses: tuple[float, ...]
-    mean: float
-    std: float
-    run_count: int
     diverged_count: int = 0
+    mean: float = field(init=False)
+    std: float = field(init=False)
+    run_count: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rmses", tuple(float(v) for v in self.rmses))
-        if self.run_count != len(self.rmses):
-            raise ValueError("run_count must equal the number of recorded RMSEs")
-        if self.run_count == 0:
+        values = tuple(float(v) for v in self.rmses)
+        if not values:
             raise ValueError("a cell needs at least one completed run")
-        if abs(self.mean - float(np.mean(self.rmses))) > 1e-12:
-            raise ValueError("mean is not the arithmetic mean of the run list")
-
-    @classmethod
-    def from_runs(
-        cls,
-        model_id: str,
-        dataset_id: str,
-        rmses: Sequence[float],
-        diverged_count: int = 0,
-    ) -> "RunStats":
-        values = tuple(float(v) for v in rmses)
-        std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-        return cls(
-            model_id=model_id,
-            dataset_id=dataset_id,
-            rmses=values,
-            mean=float(np.mean(values)),
-            std=std,
-            run_count=len(values),
-            diverged_count=diverged_count,
-        )
+        object.__setattr__(self, "rmses", values)
+        object.__setattr__(self, "mean", float(np.mean(values)))
+        object.__setattr__(self, "std", float(np.std(values, ddof=1)) if len(values) > 1 else 0.0)
+        object.__setattr__(self, "run_count", len(values))
 
     @property
     def divergence_flagged(self) -> bool:
@@ -123,7 +107,7 @@ def multi_run(
     diverged = len(results) - len(completed)
     if not completed:
         raise RuntimeError(f"all {cfg.runs} runs diverged for {model_spec}/{dataset_id}")
-    return RunStats.from_runs(model_spec, dataset_id, completed, diverged_count=diverged)
+    return RunStats(model_spec, dataset_id, completed, diverged_count=diverged)
 
 
 def reduction_pct(baseline: float, improved: float) -> float:
@@ -228,35 +212,6 @@ def render_report(report: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_report(text: str) -> ComparisonReport:
-    """Rebuild a ComparisonReport from rendered text; validates consistency."""
-    values: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(" = ")
-        values[key] = value
-    if values.get("report_version") != str(REPORT_VERSION):
-        raise ValueError(f"unsupported report version {values.get('report_version')!r}")
-    cells = []
-    for model_id, dataset_id in CELL_ORDER:
-        prefix = f"cell.{model_id}.{dataset_id}"
-        rmses = tuple(float(v) for v in values[f"{prefix}.rmses"].split(","))
-        stats = RunStats.from_runs(
-            model_id,
-            dataset_id,
-            rmses,
-            diverged_count=int(values[f"{prefix}.diverged_count"]),
-        )
-        if abs(stats.mean - float(values[f"{prefix}.mean_rmse"])) > 1e-12:
-            raise ValueError(f"{prefix}: stored mean disagrees with per-run values")
-        if int(values[f"{prefix}.run_count"]) != stats.run_count:
-            raise ValueError(f"{prefix}: stored run count disagrees with per-run values")
-        cells.append(stats)
-    return comparison_report(cells, values["fingerprint"])
-
-
 def runs_csv(report: ComparisonReport) -> str:
     """Per-run RMSE table; every row carries the config fingerprint.
 
@@ -289,7 +244,7 @@ def parse_runs_csv(text: str) -> tuple[list[RunStats], str]:
     for row in rows:
         grouped.setdefault((row[0], row[1]), []).append(float(row[3]))
     cells = [
-        RunStats.from_runs(
+        RunStats(
             model_id,
             dataset_id,
             [v for v in values if not math.isnan(v)],

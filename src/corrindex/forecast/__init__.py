@@ -1,6 +1,6 @@
 """From-scratch recurrent and convolutional-recurrent forecasting models."""
 
-from .conv import ConvParams, conv_backward_batch, conv_forward_batch, pooled_length
+from .conv import ConvParams, conv_backward_batch, conv_forward_batch
 from .lstm import LstmParams, lstm_backward_batch, lstm_forward_batch
 from .models import MODEL_KINDS, CnnLstmModel, LstmModel, Model
 from .serialize import load_model, save_model
@@ -33,7 +33,6 @@ __all__ = [
     "load_model",
     "lstm_backward_batch",
     "lstm_forward_batch",
-    "pooled_length",
     "predict",
     "save_model",
     "train",

@@ -63,11 +63,6 @@ class ConvParams:
         )
 
 
-def pooled_length(lookback: int, width: int = 3, pool_width: int = 2) -> int:
-    """Output sequence length: floor((lookback - width + 1) / pool_width)."""
-    return (lookback - width + 1) // pool_width
-
-
 def conv_forward_batch(c: ConvParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Valid (no padding) convolution along time, ReLU, then max pooling.
 

@@ -104,19 +104,19 @@ def backward_and_step(
     batch: tuple[np.ndarray, np.ndarray],
     adam: AdamState,
     learning_rate: float,
-) -> tuple[Model, float]:
-    """One gradient step on a batch; returns the (mutated) model and batch loss."""
+) -> float:
+    """One gradient step on a batch, updating `model` in place; returns the batch loss."""
     x, y = batch
     y = np.asarray(y, dtype=float)
     pred, cache = model.forward_batch(x)
     diff = pred - y
     loss = float(np.mean(diff**2))
     if not np.isfinite(loss):
-        return model, loss
+        return loss
     dpred = 2.0 * diff / y.shape[0]
     grads = model.backward_batch(cache, dpred)
     adam.step(model.arrays(), grads, learning_rate)
-    return model, loss
+    return loss
 
 
 def train(
@@ -141,9 +141,7 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            model, loss = backward_and_step(
-                model, (x_all[idx], y_all[idx]), adam, cfg.learning_rate
-            )
+            loss = backward_and_step(model, (x_all[idx], y_all[idx]), adam, cfg.learning_rate)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, loss)
             epoch_loss += loss * idx.shape[0]

@@ -385,13 +385,3 @@ def read_dated_csv(
     except _RowError as err:
         raise ValueError(f"{path}: line {lines[err.row]}: {err.problem}") from None
     return tuple(header[1:]), dates, np.array(rows).reshape(len(rows), len(header) - 1)
-
-
-def panel_to_csv(panel: AlignedPanel, path: str | Path) -> None:
-    """Write a panel as CSV: date column, then one column per ticker."""
-    write_dated_csv(path, panel.tickers, panel.dates, panel.values)
-
-
-def panel_from_csv(path: str | Path) -> AlignedPanel:
-    tickers, dates, values = read_dated_csv(path)
-    return AlignedPanel(tickers=tickers, dates=dates, values=values)

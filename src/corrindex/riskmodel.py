@@ -182,10 +182,6 @@ class ClusterRisk:
         object.__setattr__(self, "avg_corr_within", _readonly(self.avg_corr_within))
         object.__setattr__(self, "avg_corr_cross", _readonly(self.avg_corr_cross))
 
-    @property
-    def n_clusters(self) -> int:
-        return self.cluster_cov.shape[0]
-
 
 def covariance_matrix(panel: AlignedPanel) -> CovarianceMatrix:
     """Sample covariance (n-1 denominator) of a returns panel."""

@@ -28,10 +28,10 @@ from corrindex.evaluation import (
     RunStats,
     comparison_report,
     multi_run,
-    parse_report,
+    parse_runs_csv,
     reduction_pct,
-    render_report,
     rmse,
+    runs_csv,
 )
 from corrindex.forecast import (
     CnnLstmModel,
@@ -309,7 +309,7 @@ def test_pipeline_commands_byte_identical(tmp_path):
 
 
 def test_round_trips():
-    """Scaler inverse, model serialization, report parse-back."""
+    """Scaler inverse, model serialization, report rebuilt from runs.csv."""
     rng = np.random.default_rng(123)
 
     scaler = fit_scaler(rng.normal(size=(50, 4)))
@@ -331,12 +331,12 @@ def test_round_trips():
                 assert np.array_equal(a, b)
 
     cells = [
-        RunStats.from_runs(model, ds, list(rng.uniform(0.01, 0.2, size=5)))
+        RunStats(model, ds, list(rng.uniform(0.01, 0.2, size=5)))
         for model, ds in CELL_ORDER
     ]
     report = comparison_report(cells, "seed=0;runs=5")
-    assert parse_report(render_report(report)) == report
+    assert comparison_report(*parse_runs_csv(runs_csv(report))) == report
     ok(
         "round trips: scaler inverse within 1e-12, model serialization "
-        "bit-exact, report parse-back field-exact"
+        "bit-exact, report rebuilt from runs.csv field-exact"
     )

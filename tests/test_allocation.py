@@ -308,6 +308,52 @@ def test_min_variance_budget_overrun_carries_iterate():
     assert np.isfinite(info.value.objective)
 
 
+def covariance_with_condition(n: int, condition: float, rng) -> CovarianceMatrix:
+    """Random rotation of eigenvalues spaced geometrically from 1 down to 1 / condition."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    values = (q * np.geomspace(1.0, 1.0 / condition, n)) @ q.T
+    return cov_of((values + values.T) / 2.0)
+
+
+def slsqp_minimum_variance(cov_values: np.ndarray) -> float:
+    """Long-only minimum variance from scipy's SLSQP, an independent QP solver."""
+    optimize = pytest.importorskip("scipy.optimize")
+    n = cov_values.shape[0]
+    result = optimize.minimize(
+        lambda w: w @ cov_values @ w,
+        np.full(n, 1.0 / n),
+        jac=lambda w: 2.0 * cov_values @ w,
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * n,
+        constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0, "jac": lambda w: np.ones(n)}],
+        options={"ftol": 1e-16, "maxiter": 1000},
+    )
+    assert result.success, result.message
+    return float(result.x @ cov_values @ result.x)
+
+
+@pytest.mark.parametrize("condition", [1e2, 1e4])
+def test_min_variance_matches_slsqp_oracle(condition):
+    # objective values, not weights: the minimizer is not unique on a flat face
+    rng = np.random.default_rng(int(condition))
+    for _ in range(40):
+        cov = covariance_with_condition(int(rng.integers(2, 26)), condition, rng)
+        _, variance = min_variance_long_only(cov)
+        assert variance == pytest.approx(slsqp_minimum_variance(cov.values), rel=1e-10)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConvergenceError,
+    reason="projected gradient needs on the order of `condition` iterations; at 1e6 the "
+    "100,000-iteration budget runs out before the active-set polish finds the support",
+)
+def test_min_variance_matches_slsqp_oracle_ill_conditioned():
+    cov = covariance_with_condition(6, 1e6, np.random.default_rng(17))
+    _, variance = min_variance_long_only(cov)
+    assert variance == pytest.approx(slsqp_minimum_variance(cov.values), rel=1e-10)
+
+
 def test_project_to_simplex_properties(rng):
     for _ in range(50):
         v = rng.normal(0, 2, size=rng.integers(1, 9))

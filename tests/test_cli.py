@@ -331,6 +331,42 @@ def test_bad_enum_value(tmp_path, capsys):
     assert "valid values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "[allocation]\nstratgy = min_variance\n",
+            "[allocation] unknown key 'stratgy'; valid keys: strategy",
+        ),
+        ("[train]\nepoch = 3\n", "[train] unknown key 'epoch'; valid keys: seed, epochs"),
+        ("[DEFAULT]\nlookbak = 5\n", "[DEFAULT] unknown key 'lookbak'; valid keys: "),
+        ("[data]\nk = 5\n", "[data] unknown key 'k'; valid keys: prices_dir"),
+        ("[DEFAULT]\nk = 5\n[train]\nk = 3\n", "[train] unknown key 'k'; valid keys: seed"),
+    ],
+    ids=[
+        "misspelt-strategy",
+        "misspelt-epochs",
+        "default-section",
+        "key-of-another-section",
+        "default-overridden-where-unread",
+    ],
+)
+def test_unknown_config_key_rejected(tmp_path, text, message):
+    from corrindex.config import ConfigError, load_config
+
+    (tmp_path / "bad.ini").write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(tmp_path / "bad.ini")
+    assert str(err.value).startswith(message)
+
+
+def test_default_section_key_applies_to_sections_that_read_it(tmp_path):
+    from corrindex.config import load_config
+
+    (tmp_path / "ok.ini").write_text("[DEFAULT]\nk = 5\n\n[selection]\n[data]\n", encoding="utf-8")
+    assert load_config(tmp_path / "ok.ini").k == 5
+
+
 def test_readme_config_loads_with_documented_defaults(tmp_path):
     from corrindex.config import load_config
 

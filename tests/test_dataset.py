@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from corrindex.dataset import (
-    Scaler,
     chronological_split,
     feature_matrix,
     fit_scaler,
@@ -64,13 +63,6 @@ def test_scaler_constant_feature_maps_to_half():
     # inverse of a constant feature recovers the constant
     back = scaler.inverse(out)
     assert back[0, 0] == 3.0 and back[1, 0] == 3.0
-
-
-def test_scaler_before_fit_rejected():
-    with pytest.raises(ValueError, match="before fitting"):
-        Scaler().inverse(np.zeros((1, 1)))
-    with pytest.raises(ValueError, match="before fitting"):
-        Scaler().transform(np.zeros((1, 1)))
 
 
 # =============================================================================
@@ -221,6 +213,28 @@ def test_windows_csv_round_trip_bit_exact(tmp_path, rng):
     assert back.feature_names == ds.feature_names
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.y, ds.y)
+
+
+@pytest.mark.parametrize(
+    "line, replace, message",
+    [
+        (5, lambda rows: rows[3], "line 5: expected sample 0, lag 3, got 0, 2"),
+        (9, lambda rows: rows[10], "line 9: expected sample 1, lag 3, got 2, 1"),
+        (7, lambda rows: rows[6][:-1], "line 7: expected 6 fields, got 5"),
+        (3, lambda rows: ["0", "x", *rows[2][2:]], "line 3: invalid literal"),
+        (41, lambda rows: ["9", "x", *rows[40][2:]], "line 41: invalid literal"),
+    ],
+    ids=["repeated-row", "row-from-later-sample", "short-row", "bad-lag", "bad-last-row"],
+)
+def test_windows_csv_row_out_of_order_rejected(tmp_path, rng, line, replace, message):
+    ds = make_windows(rng.normal(size=(14, 3)), lookback=4, feature_names=("a", "b", "c"))
+    path = tmp_path / "windows.csv"
+    save_windows_csv(ds, path)
+    rows = [row.split(",") for row in path.read_text().splitlines()]
+    rows[line - 1] = replace(rows)
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(ValueError, match=message):
+        load_windows_csv(path)
 
 
 def test_windows_csv_reserved_names_rejected(tmp_path, rng):

@@ -16,8 +16,8 @@ from corrindex.market_data import (
     compute_returns,
     generate_synthetic_panel,
     load_price_csv,
-    panel_from_csv,
-    panel_to_csv,
+    read_dated_csv,
+    write_dated_csv,
 )
 from conftest import price_series, weekdays
 
@@ -403,11 +403,11 @@ def test_synthetic_block_structure_shows_up():
 def test_panel_csv_round_trip(tmp_path, rng):
     panel = generate_synthetic_panel(3, 25, seed=2)
     path = tmp_path / "panel.csv"
-    panel_to_csv(panel, path)
-    back = panel_from_csv(path)
-    assert back.tickers == panel.tickers
-    assert back.dates.tolist() == panel.dates.tolist()
-    assert np.array_equal(back.values, panel.values)
+    write_dated_csv(path, panel.tickers, panel.dates, panel.values)
+    tickers, dates, values = read_dated_csv(path)
+    assert tickers == panel.tickers
+    assert dates.tolist() == panel.dates.tolist()
+    assert np.array_equal(values, panel.values)
 
 
 def test_panel_rejects_non_finite():
