@@ -104,25 +104,17 @@ def cmd_select(cfg: PipelineConfig) -> int:
 
     market = selection.industry_average_returns(panel)
 
-    universe = []
+    rows = []
     for ticker in cfg.tickers:
         column = panel.column(ticker)
-        raw = fundamentals[ticker]
-        universe.append(
-            selection.MetricVector(
-                economic_impact=raw["economic_impact"],
-                global_reach=raw["global_reach"],
-                capital_expenditure=raw["capital_expenditure"],
-                beta=selection.beta(column, market),
-                kpi=raw["kpi"],
-                volatility=selection.volatility(column),
-            )
+        metrics = dict(
+            fundamentals[ticker],
+            beta=selection.beta(column, market),
+            volatility=selection.volatility(column),
         )
-    normalized = selection.normalize_metrics(universe)
-    scored = [
-        (ticker, selection.selection_score(m, cfg.selection_weights))
-        for ticker, m in zip(cfg.tickers, normalized)
-    ]
+        rows.append([metrics[name] for name in selection.METRICS])
+    scores = selection.selection_score(selection.normalize_metrics(rows), cfg.selection_weights)
+    scored = list(zip(cfg.tickers, scores.tolist()))
     ranked = selection.rank_universe(scored, cfg.k)
     by_ticker = dict(scored)
     lines = [f"{ticker},{by_ticker[ticker]!r}" for ticker in ranked]
@@ -132,13 +124,29 @@ def cmd_select(cfg: PipelineConfig) -> int:
     return 0
 
 
+def _read_pairs(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a headerless `ticker,value` file (constituents.csv, weights.csv); skips blank lines."""
+    pairs: dict[str, float] = {}
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        ticker, _, raw = (part.strip() for part in line.partition(","))
+        try:
+            value = float(raw)
+        except ValueError:
+            value = np.nan
+        _require(
+            bool(ticker) and np.isfinite(value),
+            f"{path}: line {number}: expected 'ticker,value' with a finite value, got {line!r}",
+        )
+        _require(ticker not in pairs, f"{path}: line {number}: repeated ticker {ticker!r}")
+        pairs[ticker] = value
+    return tuple(pairs), np.array(list(pairs.values()))
+
+
 def _read_constituents(cfg: PipelineConfig) -> tuple[str, ...]:
     path = _require_file(cfg.artifact("constituents.csv"), "constituents.csv (run select)")
-    tickers = tuple(
-        line.split(",")[0].strip()
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    )
+    tickers, _ = _read_pairs(path)
     _require(len(tickers) >= 2, f"{path} lists fewer than 2 constituents")
     return tickers
 
@@ -191,22 +199,14 @@ def cmd_allocate(cfg: PipelineConfig) -> int:
 
 def _load_weights_csv(path: Path) -> allocation.Weights:
     """Read a two-column weights file; renormalizes display rounding away."""
-    tickers: list[str] = []
-    values: list[float] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        ticker, _, raw = line.partition(",")
-        tickers.append(ticker.strip())
-        values.append(float(raw))
-    vec = np.array(values)
+    tickers, vec = _read_pairs(path)
     total = vec.sum()
     _require(
         abs(total - 1.0) <= WEIGHT_LOAD_TOL,
         f"{path}: weights sum to {total}, outside tolerance {WEIGHT_LOAD_TOL}",
     )
     _require(vec.min() >= 0, f"{path}: negative weight")
-    return allocation.Weights(tickers=tuple(tickers), values=vec / total)
+    return allocation.Weights(tickers=tickers, values=vec / total)
 
 
 # =============================================================================

@@ -17,13 +17,14 @@ from pathlib import Path
 from .forecast import TrainConfig
 from .market_data import ALIGN_POLICIES, PRICE_FIELDS, RETURN_MODES
 from .riskmodel import DISTANCE_CONVENTIONS, LINKAGE_METHODS
-from .selection import SelectionWeights
+from .selection import METRICS
 
 ENV_OUTPUT_DIR = "CORRINDEX_OUTPUT_DIR"
 ENV_SEED = "CORRINDEX_SEED"
 
 STRATEGIES = ("hrp_walk", "hrp_bisection", "equal_weight", "min_variance")
 FEATURE_MODES = ("returns", "levels")
+WEIGHT_SUM_TOL = 1e-12
 
 # The keys each section reads; any other key is rejected rather than ignored.
 SECTION_KEYS = {
@@ -54,7 +55,7 @@ class PipelineConfig:
     dividend_mode: str
     index_csv: Path | None
     k: int
-    selection_weights: SelectionWeights
+    selection_weights: tuple[float, ...]  # w1..w6, one per selection.METRICS column
     linkage_method: str
     distance_convention: str
     align_policy: str
@@ -69,8 +70,31 @@ class PipelineConfig:
         return self.output_dir / name
 
 
-def _split_list(raw: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
+def _tickers(section, key: str) -> tuple[str, ...]:
+    tickers = tuple(part.strip() for part in section.get(key, "").split(",") if part.strip())
+    for i, ticker in enumerate(tickers):
+        if ticker in tickers[:i]:
+            raise ConfigError(f"[data] {key} lists {ticker!r} more than once")
+    return tickers
+
+
+def _selection_weights(raw: str) -> tuple[float, ...]:
+    """`[selection] weights`: nonnegative w1..w6 summing to 1; equal weights when unset."""
+    if not raw:
+        return (1.0 / len(METRICS),) * len(METRICS)
+    weights = tuple(float(v) for v in raw.split(","))
+    if len(weights) != len(METRICS):
+        raise ConfigError(f"[selection] weights needs {len(METRICS)} values, got {len(weights)}")
+    if any(w < 0 for w in weights):
+        raise ConfigError(
+            f"[selection] weights invalid: selection weights must be nonnegative, got {weights}"
+        )
+    total = sum(weights)
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ConfigError(
+            f"[selection] weights invalid: selection weights must sum to 1, got {total!r}"
+        )
+    return weights
 
 
 def _get_enum(section, key: str, valid: tuple[str, ...], default: str) -> str:
@@ -129,18 +153,7 @@ def load_config(
     out = parser["output"] if parser.has_section("output") else parser["DEFAULT"]
 
     try:
-        weights_raw = sel.get("weights", "").strip()
-        if weights_raw:
-            parts = [float(v) for v in weights_raw.split(",")]
-            if len(parts) != 6:
-                raise ConfigError(f"[selection] weights needs 6 values, got {len(parts)}")
-            try:
-                selection_weights = SelectionWeights(*parts)
-            except ValueError as exc:
-                raise ConfigError(f"[selection] weights invalid: {exc}") from exc
-        else:
-            selection_weights = SelectionWeights.equal()
-
+        selection_weights = _selection_weights(sel.get("weights", "").strip())
         seed = seed_override
         if seed is None and os.environ.get(ENV_SEED):
             try:
@@ -182,9 +195,9 @@ def load_config(
             config_dir=base,
             prices_dir=resolve(data.get("prices_dir")),
             metrics_csv=resolve(data.get("metrics_csv")),
-            tickers=_split_list(data.get("tickers", "")),
+            tickers=_tickers(data, "tickers"),
             factors_dir=resolve(data.get("factors_dir")),
-            factor_tickers=_split_list(data.get("factor_tickers", "")),
+            factor_tickers=_tickers(data, "factor_tickers"),
             price_field=_get_enum(data, "price_field", PRICE_FIELDS, "adjusted_close"),
             dividend_mode=_get_enum(data, "dividend_mode", RETURN_MODES, "simple_with_dividends"),
             index_csv=resolve(data.get("index_csv")),

@@ -1,91 +1,25 @@
-"""Constituent screening: per-company metrics and the composite selection score."""
+"""Constituent screening: a universe's metrics as one table, and the composite score."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .market_data import AlignedPanel, ReturnSeries
+from .market_data import AlignedPanel
 
-WEIGHT_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True, slots=True)
-class MetricVector:
-    """Six screening metrics for one company.
-
-    `beta` and `volatility` come from price history; the rest from a
-    fundamentals file. After `normalize_metrics` each slot holds the
-    min-max-rescaled value, with `beta` holding the rescaled |beta - 1| term.
-    """
-
-    economic_impact: float
-    global_reach: float
-    capital_expenditure: float
-    beta: float
-    kpi: float
-    volatility: float
-
-    def __post_init__(self):
-        values = (
-            self.economic_impact,
-            self.global_reach,
-            self.capital_expenditure,
-            self.beta,
-            self.kpi,
-            self.volatility,
-        )
-        if not all(np.isfinite(v) for v in values):
-            raise ValueError(f"metrics must be finite, got {values}")
-        if not 0.0 <= self.global_reach <= 1.0:
-            raise ValueError(f"global_reach must lie in [0, 1], got {self.global_reach}")
-        if self.volatility < 0:
-            raise ValueError(f"volatility must be nonnegative, got {self.volatility}")
+# The columns of a metric table, in the order of the weights w1..w6. `beta`
+# and `volatility` come from price history; the rest from a fundamentals file.
+METRICS = ("economic_impact", "global_reach", "capital_expenditure", "beta", "kpi", "volatility")
+_BETA = METRICS.index("beta")
 
 
-@dataclass(frozen=True, slots=True)
-class SelectionWeights:
-    """Nonnegative combiner weights w1..w6 summing to 1."""
-
-    w1: float
-    w2: float
-    w3: float
-    w4: float
-    w5: float
-    w6: float
-
-    def __post_init__(self):
-        if any(w < 0 for w in self.as_tuple()):
-            raise ValueError(f"selection weights must be nonnegative, got {self.as_tuple()}")
-        total = sum(self.as_tuple())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"selection weights must sum to 1, got {total!r}")
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.w1, self.w2, self.w3, self.w4, self.w5, self.w6)
-
-    @classmethod
-    def equal(cls) -> "SelectionWeights":
-        return cls(*(1.0 / 6.0,) * 6)
-
-
-def _as_array(returns: ReturnSeries | Sequence[float] | np.ndarray) -> np.ndarray:
-    if isinstance(returns, ReturnSeries):
-        return np.asarray(returns.returns, dtype=float)
-    return np.asarray(returns, dtype=float)
-
-
-def beta(
-    asset_returns: ReturnSeries | np.ndarray,
-    market_returns: ReturnSeries | np.ndarray,
-) -> float:
+def beta(asset_returns: np.ndarray, market_returns: np.ndarray) -> float:
     """Cov(asset, market) / Var(market) with the sample (n-1) estimator throughout."""
-    a = _as_array(asset_returns)
-    m = _as_array(market_returns)
+    a = np.asarray(asset_returns, dtype=float)
+    m = np.asarray(market_returns, dtype=float)
     if a.shape != m.shape or a.ndim != 1:
         raise ValueError(f"return series lengths differ: {a.shape} vs {m.shape}")
     n = a.shape[0]
@@ -100,9 +34,9 @@ def beta(
     return cov_am / var_m
 
 
-def volatility(returns: ReturnSeries | np.ndarray) -> float:
+def volatility(returns: np.ndarray) -> float:
     """Sample standard deviation (n-1 denominator) of a return series."""
-    r = _as_array(returns)
+    r = np.asarray(returns, dtype=float)
     if r.ndim != 1 or r.shape[0] < 2:
         raise ValueError("need at least 2 returns to estimate volatility")
     if np.all(r == r[0]):
@@ -115,53 +49,34 @@ def industry_average_returns(panel: AlignedPanel) -> np.ndarray:
     return panel.values.mean(axis=1)
 
 
-_METRIC_FIELDS = (
-    "economic_impact",
-    "global_reach",
-    "capital_expenditure",
-    "beta",
-    "kpi",
-    "volatility",
-)
-
-
-def normalize_metrics(universe: Sequence[MetricVector]) -> list[MetricVector]:
-    """Min-max rescale each metric across the universe to [0, 1].
+def normalize_metrics(table: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
+    """Min-max rescale each column of a (companies, 6) metric table to [0, 1].
 
     Beta is transformed to |beta - 1| before rescaling, since the composite
     rewards distance from the industry-average cyclicality. A metric that is
     constant across the universe maps to 0.5 for every company.
     """
-    if len(universe) < 2:
+    raw = np.array(table, dtype=float)
+    if raw.ndim != 2 or raw.shape[1] != len(METRICS):
+        raise ValueError(f"metric table must be (companies, {len(METRICS)}), got {raw.shape}")
+    if raw.shape[0] < 2:
         raise ValueError("need at least 2 companies to normalize metrics")
-    columns: dict[str, np.ndarray] = {}
-    for field in _METRIC_FIELDS:
-        raw = np.array([getattr(m, field) for m in universe])
-        if field == "beta":
-            raw = np.abs(raw - 1.0)
-        span = raw.max() - raw.min()
-        if span == 0.0:
-            columns[field] = np.full(len(universe), 0.5)
-        else:
-            columns[field] = (raw - raw.min()) / span
-    return [
-        MetricVector(**{field: float(columns[field][i]) for field in _METRIC_FIELDS})
-        for i in range(len(universe))
-    ]
+    raw[:, _BETA] = np.abs(raw[:, _BETA] - 1.0)
+    low = raw.min(axis=0)
+    span = raw.max(axis=0) - low
+    return np.divide(raw - low, span, out=np.full_like(raw, 0.5), where=span != 0.0)
 
 
-def selection_score(metrics: MetricVector, weights: SelectionWeights) -> float:
-    """Weighted sum of the six normalized metrics; lies in [0, 1] for normalized input."""
-    w = weights.as_tuple()
-    m = (
-        metrics.economic_impact,
-        metrics.global_reach,
-        metrics.capital_expenditure,
-        metrics.beta,
-        metrics.kpi,
-        metrics.volatility,
-    )
-    return float(sum(wi * mi for wi, mi in zip(w, m)))
+def selection_score(table: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+    """Weighted sum of the six normalized metrics, one score per row.
+
+    Scores lie in [0, 1] for normalized input and weights summing to 1.
+    The terms are added in column order, so each score is bit-identical to
+    `w1 * m1 + w2 * m2 + ... + w6 * m6` in Python floats.
+    """
+    if len(weights) != table.shape[1]:
+        raise ValueError(f"need {table.shape[1]} weights, one per column, got {len(weights)}")
+    return sum(w * table[:, j] for j, w in enumerate(weights))
 
 
 def rank_universe(scores: Sequence[tuple[str, float]], k: int) -> list[str]:
@@ -198,13 +113,12 @@ def load_metrics_csv(path: str | Path) -> dict[str, dict[str, float]]:
             if ticker in out:
                 raise ValueError(f"{path}: line {line}: duplicate ticker {ticker!r}")
             try:
-                market_cap = float(row["market_cap"])
-                intl = float(row["intl_sales"])
-                total = float(row["total_sales"])
-                capex = float(row["capex"])
-                kpi = float(row["kpi"])
+                values = [float(row[c]) for c in required[1:]]
             except ValueError:
                 raise ValueError(f"{path}: line {line}: unparseable numeric field") from None
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}: line {line}: non-finite numeric field")
+            market_cap, intl, total, capex, kpi = values
             if total <= 0:
                 raise ValueError(f"{path}: line {line}: total_sales must be positive")
             reach = intl / total

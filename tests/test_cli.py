@@ -331,6 +331,44 @@ def test_bad_enum_value(tmp_path, capsys):
     assert "valid values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["tickers", "factor_tickers"])
+def test_repeated_ticker_rejected(tmp_path, capsys, key):
+    build_workspace(tmp_path, n_days=80, seed=13)
+    config = write_config(tmp_path)
+    listed = UNIVERSE if key == "tickers" else FACTORS
+    config.write_text(
+        config.read_text().replace(
+            f"{key} = {', '.join(listed)}", f"{key} = {listed[9]}, {', '.join(listed)}"
+        )
+    )
+    assert run(config, "select") == 1
+    assert f"[data] {key} lists {listed[9]!r} more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, command, message",
+    [
+        ("weights.csv", "C00,0.5\nC01\n", "build-index", "line 2: expected 'ticker,value'"),
+        ("weights.csv", "C00,0.5\n\nC00,0.5\n", "build-index", "line 3: repeated ticker 'C00'"),
+        ("constituents.csv", "C00,1\nC01,0.9\nC00,0.8\n", "allocate", "line 3: repeated ticker 'C00'"),
+        ("constituents.csv", "C00,1.0\n,0.9\n", "allocate", "line 2: expected 'ticker,value'"),
+    ],
+    ids=["weights-no-comma", "weights-repeated", "constituents-repeated", "constituents-no-ticker"],
+)
+def test_ticker_value_files_name_path_and_line_of_bad_row(
+    tmp_path, capsys, name, text, command, message
+):
+    build_workspace(tmp_path, n_days=80, seed=9)
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_text(text)
+    assert run(config, command) == 1
+    assert f"{out / name}: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [name]
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

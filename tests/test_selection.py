@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrindex.config import load_config
 from corrindex.selection import (
-    MetricVector,
-    SelectionWeights,
+    METRICS,
     beta,
     industry_average_returns,
     load_metrics_csv,
@@ -19,15 +21,18 @@ from corrindex.selection import (
 from conftest import panel_from_matrix
 
 
-def make_metrics(econ, reach, capex, b, kpi, vol) -> MetricVector:
-    return MetricVector(
-        economic_impact=econ,
-        global_reach=reach,
-        capital_expenditure=capex,
-        beta=b,
-        kpi=kpi,
-        volatility=vol,
-    )
+EQUAL = (1.0 / 6.0,) * 6
+
+
+def make_metrics(econ, reach, capex, b, kpi, vol) -> np.ndarray:
+    """A one-company metric table, columns in `METRICS` order."""
+    return np.array([[econ, reach, capex, b, kpi, vol]], dtype=float)
+
+
+def score(metrics: np.ndarray, weights) -> float:
+    """The score of a one-company table."""
+    (value,) = selection_score(metrics, weights).tolist()
+    return value
 
 
 # =============================================================================
@@ -98,7 +103,7 @@ def test_volatility_single_value_rejected():
 # =============================================================================
 
 
-def _uniform_universe(columns: dict[str, list[float]]) -> list[MetricVector]:
+def _uniform_universe(columns: dict[str, list[float]]) -> np.ndarray:
     n = len(next(iter(columns.values())))
     defaults = {
         "economic_impact": 1.0,
@@ -108,32 +113,33 @@ def _uniform_universe(columns: dict[str, list[float]]) -> list[MetricVector]:
         "kpi": 1.0,
         "volatility": 0.1,
     }
-    out = []
-    for i in range(n):
-        kwargs = dict(defaults)
-        for key, values in columns.items():
-            kwargs[key] = values[i]
-        out.append(MetricVector(**kwargs))
-    return out
+    table = np.tile([defaults[name] for name in METRICS], (n, 1))
+    for key, values in columns.items():
+        table[:, METRICS.index(key)] = values
+    return table
+
+
+def column(table: np.ndarray, name: str) -> list[float]:
+    return table[:, METRICS.index(name)].tolist()
 
 
 def test_normalize_minmax_endpoints():
     universe = _uniform_universe({"economic_impact": [1e9, 3e9]})
     normalized = normalize_metrics(universe)
-    assert [m.economic_impact for m in normalized] == [0.0, 1.0]
+    assert column(normalized, "economic_impact") == [0.0, 1.0]
 
 
 def test_normalize_beta_distance_from_one():
     universe = _uniform_universe({"beta": [1.0, 1.5, 0.5], "kpi": [1.0, 2.0, 3.0]})
     normalized = normalize_metrics(universe)
     # |beta - 1| = {0, .5, .5} -> min-max {0, 1, 1}
-    assert [m.beta for m in normalized] == [0.0, 1.0, 1.0]
+    assert column(normalized, "beta") == [0.0, 1.0, 1.0]
 
 
 def test_normalize_constant_metric_maps_to_half():
     universe = _uniform_universe({"economic_impact": [1.0, 2.0, 3.0]})
     normalized = normalize_metrics(universe)
-    assert all(m.kpi == 0.5 for m in normalized)
+    assert all(m == 0.5 for m in column(normalized, "kpi"))
 
 
 def test_normalize_needs_two_companies():
@@ -148,17 +154,17 @@ def test_normalize_needs_two_companies():
 
 def test_score_all_ones_equal_weights():
     m = make_metrics(1, 1, 1, 1, 1, 1)
-    assert selection_score(m, SelectionWeights.equal()) == pytest.approx(1.0, abs=1e-12)
+    assert score(m, EQUAL) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_score_all_zeros():
     m = make_metrics(0, 0, 0, 0, 0, 0)
-    assert selection_score(m, SelectionWeights.equal()) == 0.0
+    assert score(m, EQUAL) == 0.0
 
 
 def test_score_equal_weights_is_mean():
     m = make_metrics(0.2, 0.4, 0.6, 0.8, 0.1, 0.3)
-    assert selection_score(m, SelectionWeights.equal()) == pytest.approx(0.4, abs=1e-12)
+    assert score(m, EQUAL) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_rank_descending():
@@ -186,21 +192,13 @@ def test_rank_k_too_large_rejected():
 
 
 def test_score_monotone_in_each_metric(rng):
-    weights = SelectionWeights(0.3, 0.1, 0.2, 0.15, 0.15, 0.1)
+    weights = (0.3, 0.1, 0.2, 0.15, 0.15, 0.1)
     base = make_metrics(*rng.uniform(0.2, 0.8, size=6))
-    fields = (
-        "economic_impact",
-        "global_reach",
-        "capital_expenditure",
-        "beta",
-        "kpi",
-        "volatility",
-    )
-    s0 = selection_score(base, weights)
-    for field in fields:
-        bumped = {f: getattr(base, f) for f in fields}
-        bumped[field] += 0.1
-        assert selection_score(MetricVector(**bumped), weights) > s0
+    s0 = score(base, weights)
+    for j in range(len(METRICS)):
+        bumped = base.copy()
+        bumped[0, j] += 0.1
+        assert score(bumped, weights) > s0
 
 
 @given(
@@ -212,38 +210,74 @@ def test_rank_invariant_to_affine_rescale_of_capex(scale, shift):
     # min-max normalization absorbs positive affine maps of pass-through
     # metrics (beta is pre-transformed, so it is excluded by design)
     rng = np.random.default_rng(99)
-    raw = [
-        make_metrics(*rng.uniform(0.1, 0.9, size=6)),
-        make_metrics(*rng.uniform(0.1, 0.9, size=6)),
-        make_metrics(*rng.uniform(0.1, 0.9, size=6)),
-        make_metrics(*rng.uniform(0.1, 0.9, size=6)),
-    ]
-    weights = SelectionWeights.equal()
+    raw = np.vstack([make_metrics(*rng.uniform(0.1, 0.9, size=6)) for _ in range(4)])
+    weights = EQUAL
 
     def ranking(universe):
-        scored = [
-            (f"C{i}", selection_score(m, weights))
-            for i, m in enumerate(normalize_metrics(universe))
-        ]
+        scores = selection_score(normalize_metrics(universe), weights).tolist()
+        scored = [(f"C{i}", s) for i, s in enumerate(scores)]
         return rank_universe(scored, len(scored))
 
-    rescaled = [
-        make_metrics(
-            m.economic_impact,
-            m.global_reach,
-            scale * m.capital_expenditure + shift,
-            m.beta,
-            m.kpi,
-            m.volatility,
-        )
-        for m in raw
-    ]
+    rescaled = raw.copy()
+    capex = METRICS.index("capital_expenditure")
+    rescaled[:, capex] = scale * raw[:, capex] + shift
     assert ranking(raw) == ranking(rescaled)
+
+
+def reference_scores(rows: list[list[float]], weights) -> list[float]:
+    """Screening as it was computed one company at a time, kept as the reference.
+
+    Each metric column is rebuilt from the companies and min-max rescaled on
+    its own (beta as |beta - 1|, a constant column at 0.5), every company's six
+    values go back to Python floats, and its score is `sum(wi * mi)`.
+    """
+    columns = []
+    for j, name in enumerate(METRICS):
+        raw = np.array([row[j] for row in rows])
+        if name == "beta":
+            raw = np.abs(raw - 1.0)
+        span = raw.max() - raw.min()
+        columns.append(np.full(len(rows), 0.5) if span == 0.0 else (raw - raw.min()) / span)
+    companies = [[float(c[i]) for c in columns] for i in range(len(rows))]
+    return [float(sum(wi * mi for wi, mi in zip(weights, m))) for m in companies]
+
+
+@st.composite
+def metric_rows(draw) -> list[list[float]]:
+    """2-60 companies; each column is rounded or constant, so ties occur."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    columns = []
+    for _ in METRICS:
+        scale = draw(st.sampled_from([1.0, 1e-3, 1e9]))
+        digits = draw(st.sampled_from([0, 1, 3]))
+        values = st.floats(min_value=-3.0, max_value=3.0).map(lambda v: scale * round(v, digits))
+        if draw(st.booleans()):
+            columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+        else:
+            columns.append([draw(values)] * n)
+    return [list(row) for row in zip(*columns)]
+
+
+simplex_weights = st.lists(
+    st.integers(min_value=0, max_value=20), min_size=6, max_size=6
+).filter(sum).map(lambda raw: tuple(v / sum(raw) for v in raw))
+
+
+@given(rows=metric_rows(), weights=st.one_of(st.just(EQUAL), simplex_weights))
+@settings(max_examples=100, deadline=None)
+def test_table_screening_matches_per_company_reference_bytes(rows, weights):
+    scores = selection_score(normalize_metrics(rows), weights).tolist()
+    expected = reference_scores(rows, weights)
+    assert np.array(scores).tobytes() == np.array(expected).tobytes()
+    tickers = [f"C{i:02d}" for i in range(len(rows))]
+    assert rank_universe(list(zip(tickers, scores)), len(rows)) == rank_universe(
+        list(zip(tickers, expected)), len(rows)
+    )
 
 
 def test_equal_weight_score_of_equal_metrics_is_that_value():
     m = make_metrics(0.37, 0.37, 0.37, 0.37, 0.37, 0.37)
-    assert selection_score(m, SelectionWeights.equal()) == pytest.approx(0.37, abs=1e-12)
+    assert score(m, EQUAL) == pytest.approx(0.37, abs=1e-12)
 
 
 # =============================================================================
@@ -251,18 +285,17 @@ def test_equal_weight_score_of_equal_metrics_is_that_value():
 # =============================================================================
 
 
-def test_weights_must_sum_to_one():
+def _weights_config(tmp_path, weights: str):
+    path = tmp_path / "weights.ini"
+    path.write_text(f"[selection]\nweights = {weights}\n", encoding="utf-8")
+    return path
+
+
+def test_weights_must_sum_to_one(tmp_path):
     with pytest.raises(ValueError, match="sum to 1"):
-        SelectionWeights(0.5, 0.5, 0.5, 0, 0, 0)
+        load_config(_weights_config(tmp_path, "0.5, 0.5, 0.5, 0, 0, 0"))
     with pytest.raises(ValueError, match="nonnegative"):
-        SelectionWeights(1.5, -0.5, 0, 0, 0, 0)
-
-
-def test_metric_vector_validates_fields():
-    with pytest.raises(ValueError, match="global_reach"):
-        make_metrics(1, 1.5, 1, 1, 1, 0.1)
-    with pytest.raises(ValueError, match="volatility"):
-        make_metrics(1, 0.5, 1, 1, 1, -0.1)
+        load_config(_weights_config(tmp_path, "1.5, -0.5, 0, 0, 0, 0"))
 
 
 def test_industry_average_is_row_mean(rng):
@@ -292,4 +325,15 @@ def test_load_metrics_csv_rejects_bad_reach(tmp_path):
         "ticker,market_cap,intl_sales,total_sales,capex,kpi\nAAA,1e9,150,100,2e8,0.7\n"
     )
     with pytest.raises(ValueError, match="outside"):
+        load_metrics_csv(path)
+
+
+def test_load_metrics_csv_rejects_non_finite_field(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text(
+        "ticker,market_cap,intl_sales,total_sales,capex,kpi\n"
+        "AAA,1e9,30,100,2e8,0.7\n"
+        "BBB,3e9,60,100,5e8,nan\n"
+    )
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: non-finite"):
         load_metrics_csv(path)
