@@ -284,6 +284,12 @@ def cmd_run_experiment(cfg: PipelineConfig) -> int:
         "[data] factor_tickers must be set: the experiment compares the "
         "index-only dataset against the factor-augmented dataset",
     )
+    shortest = cfg.train.kernel_width + cfg.train.pool_width - 1
+    _require(
+        cfg.lookback >= shortest,
+        f"[dataset] lookback = {cfg.lookback} is too short for the CNN-LSTM, which needs "
+        f"kernel_width + pool_width - 1 = {shortest} steps",
+    )
     index = _load_index_series(cfg)
     factors = _load_factor_series(cfg)
     splits = _build_datasets(cfg, index, factors)

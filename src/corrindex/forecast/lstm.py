@@ -76,12 +76,16 @@ class LstmParams:
         return cls(wx, wh, b, w_out, uniform((1,), hidden_size))
 
 
-def lstm_forward_batch(p: LstmParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def lstm_forward_batch(
+    p: LstmParams, x: np.ndarray, keep_steps: bool = True
+) -> tuple[np.ndarray, dict]:
     """Run the recurrence over a (batch, steps, features) tensor.
 
     Hidden and cell states start at zero. The prediction is the dense readout
     of the final hidden state. Returns (predictions, cache) where the cache
-    holds everything the backward pass needs.
+    holds everything the backward pass needs. Forward-only callers pass
+    `keep_steps=False`: the per-step states are then dropped as the loop
+    goes, and the cache cannot be used for a backward pass.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[2] != p.input_size:
@@ -101,7 +105,8 @@ def lstm_forward_batch(p: LstmParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
         c_next = gate_f * c + gate_i * gate_g
         tanh_c = np.tanh(c_next)
         h_next = gate_o * tanh_c
-        step_cache.append((x_t, h, c, gate_i, gate_f, gate_g, gate_o, tanh_c))
+        if keep_steps:
+            step_cache.append((x_t, h, c, gate_i, gate_f, gate_g, gate_o, tanh_c))
         h, c = h_next, c_next
     pred = h @ p.w_out + p.b_out[0]
     return pred, {"steps": step_cache, "h_final": h, "input_shape": x.shape}

@@ -23,8 +23,8 @@ class LstmModel:
     def arrays(self) -> list[np.ndarray]:
         return self.params.arrays()
 
-    def forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        return lstm_forward_batch(self.params, x)
+    def forward_batch(self, x: np.ndarray, keep_steps: bool = True) -> tuple[np.ndarray, dict]:
+        return lstm_forward_batch(self.params, x, keep_steps)
 
     def backward_batch(self, cache: dict, dpred: np.ndarray) -> list[np.ndarray]:
         grads, _ = lstm_backward_batch(self.params, cache, dpred)
@@ -52,9 +52,9 @@ class CnnLstmModel:
     def arrays(self) -> list[np.ndarray]:
         return self.conv.arrays() + self.lstm.arrays()
 
-    def forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    def forward_batch(self, x: np.ndarray, keep_steps: bool = True) -> tuple[np.ndarray, dict]:
         pooled, conv_cache = conv_forward_batch(self.conv, x)
-        pred, lstm_cache = lstm_forward_batch(self.lstm, pooled)
+        pred, lstm_cache = lstm_forward_batch(self.lstm, pooled, keep_steps)
         return pred, {"conv": conv_cache, "lstm": lstm_cache}
 
     def backward_batch(self, cache: dict, dpred: np.ndarray) -> list[np.ndarray]:

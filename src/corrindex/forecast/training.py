@@ -94,7 +94,7 @@ def build_model(model_spec: str, n_features: int, cfg: TrainConfig, rng) -> Mode
 
 def batch_loss(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     """Forward-only mean squared error over a batch."""
-    pred, _ = model.forward_batch(x)
+    pred, _ = model.forward_batch(x, keep_steps=False)
     diff = pred - np.asarray(y, dtype=float)
     return float(np.mean(diff**2))
 
@@ -155,5 +155,5 @@ def predict(model: Model, ds: WindowedDataset) -> np.ndarray:
         raise ValueError(
             f"dataset has {ds.feature_count} features but model expects {model.n_features}"
         )
-    pred, _ = model.forward_batch(ds.X)
+    pred, _ = model.forward_batch(ds.X, keep_steps=False)
     return pred

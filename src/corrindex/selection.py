@@ -107,6 +107,9 @@ def load_metrics_csv(path: str | Path) -> dict[str, dict[str, float]]:
             raise ValueError(f"{path}: missing columns {missing}")
         for row in reader:
             line = reader.line_num
+            # DictReader files a long row's extra fields under None and fills a short row with None
+            if None in row or None in row.values():
+                raise ValueError(f"{path}: line {line}: expected {len(reader.fieldnames)} fields")
             ticker = row["ticker"].strip()
             if not ticker:
                 raise ValueError(f"{path}: line {line}: empty ticker")

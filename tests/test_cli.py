@@ -306,6 +306,23 @@ def test_run_experiment_missing_factor_fails_before_training(tmp_path, capsys):
     assert not (out / "runs.csv").exists()
 
 
+def test_run_experiment_rejects_lookback_too_short_for_cnn_before_training(tmp_path, capsys):
+    build_workspace(tmp_path, n_days=120, seed=5)
+    config = write_config(tmp_path)
+    config.write_text(config.read_text().replace("lookback = 10", "lookback = 3"))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "index_returns.csv").write_text(
+        "date,return\n" + "\n".join(f"2020-01-{d:02d},0.001" for d in range(1, 29)) + "\n"
+    )
+    assert run(config, "run-experiment") == 1
+    captured = capsys.readouterr()
+    assert "[dataset] lookback = 3" in captured.err
+    assert "kernel_width + pool_width - 1 = 4" in captured.err
+    assert "RMSE" not in captured.out
+    assert sorted(p.name for p in out.iterdir()) == ["index_returns.csv"]
+
+
 def test_report_requires_runs_csv(tmp_path, capsys):
     build_workspace(tmp_path, n_days=80, seed=11)
     config = write_config(tmp_path)

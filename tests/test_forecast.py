@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,6 +423,23 @@ def test_predict_deterministic_and_ordered(rng):
     b = predict(model, ds)
     assert np.array_equal(a, b)
     assert a.shape == (ds.sample_count,)
+
+
+@pytest.mark.parametrize("spec, features", [("lstm", 1), ("cnn_lstm", 12)])
+def test_predict_keeps_no_step_cache(spec, features):
+    rng = np.random.default_rng(0)
+    ds = make_windows(rng.normal(size=(1620, features)), lookback=20)  # 1,600 samples
+    model = build_model(spec, features, TrainConfig(hidden_size=32), rng)
+    tracemalloc.start()
+    try:
+        got = predict(model, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want, _ = model.forward_batch(ds.X)
+    assert got.tobytes() == want.tobytes()
+    # the full BPTT step cache at these shapes is over 30 MiB
+    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_predict_feature_mismatch_rejected(rng):

@@ -328,6 +328,18 @@ def test_load_metrics_csv_rejects_bad_reach(tmp_path):
         load_metrics_csv(path)
 
 
+@pytest.mark.parametrize("row", ["B,1,1", "B,3e9,60,100,5e8,0.4,9"], ids=["short", "long"])
+def test_load_metrics_csv_rejects_row_of_wrong_length(tmp_path, row):
+    path = tmp_path / "metrics.csv"
+    path.write_text(
+        "ticker,market_cap,intl_sales,total_sales,capex,kpi\n"
+        "AAA,1e9,30,100,2e8,0.7\n"
+        f"{row}\n"
+    )
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: expected 6 fields$"):
+        load_metrics_csv(path)
+
+
 def test_load_metrics_csv_rejects_non_finite_field(tmp_path):
     path = tmp_path / "metrics.csv"
     path.write_text(
