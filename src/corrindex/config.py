@@ -10,6 +10,7 @@ over both.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,12 +80,16 @@ def _tickers(section, key: str) -> tuple[str, ...]:
 
 
 def _selection_weights(raw: str) -> tuple[float, ...]:
-    """`[selection] weights`: nonnegative w1..w6 summing to 1; equal weights when unset."""
+    """`[selection] weights`: finite, nonnegative w1..w6 summing to 1; equal when unset."""
     if not raw:
         return (1.0 / len(METRICS),) * len(METRICS)
     weights = tuple(float(v) for v in raw.split(","))
     if len(weights) != len(METRICS):
         raise ConfigError(f"[selection] weights needs {len(METRICS)} values, got {len(weights)}")
+    if not all(math.isfinite(w) for w in weights):
+        raise ConfigError(
+            f"[selection] weights invalid: selection weights must be finite, got {weights}"
+        )
     if any(w < 0 for w in weights):
         raise ConfigError(
             f"[selection] weights invalid: selection weights must be nonnegative, got {weights}"

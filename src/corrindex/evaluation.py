@@ -229,20 +229,32 @@ def runs_csv(report: ComparisonReport) -> str:
 
 
 def parse_runs_csv(text: str) -> tuple[list[RunStats], str]:
-    """Rebuild cell statistics from the per-run CSV; `nan` rows are diverged runs."""
+    """Rebuild cell statistics from the per-run CSV; `nan` rows are diverged runs.
+
+    A malformed row raises ValueError naming its 1-based line.
+    """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != ["model", "dataset", "run", "rmse", "fingerprint"]:
         raise ValueError("malformed per-run CSV header")
-    rows = list(reader)
-    if not rows:
+    grouped: dict[tuple[str, str], list[float]] = {}
+    fingerprints = set()
+    for row in reader:
+        line = reader.line_num
+        if len(row) != 5:
+            raise ValueError(f"line {line}: expected 5 fields, got {len(row)}")
+        model_id, dataset_id, _, value, fingerprint = row
+        if (model_id, dataset_id) not in CELL_ORDER:
+            raise ValueError(f"line {line}: unknown cell ({model_id!r}, {dataset_id!r})")
+        try:
+            grouped.setdefault((model_id, dataset_id), []).append(float(value))
+        except ValueError:
+            raise ValueError(f"line {line}: rmse {value!r} is not a number") from None
+        fingerprints.add(fingerprint)
+    if not grouped:
         raise ValueError("per-run CSV has no rows")
-    fingerprints = {row[4] for row in rows}
     if len(fingerprints) != 1:
         raise ValueError(f"per-run CSV mixes fingerprints: {sorted(fingerprints)}")
-    grouped: dict[tuple[str, str], list[float]] = {}
-    for row in rows:
-        grouped.setdefault((row[0], row[1]), []).append(float(row[3]))
     cells = [
         RunStats(
             model_id,

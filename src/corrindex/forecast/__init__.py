@@ -2,7 +2,7 @@
 
 from .conv import ConvParams, conv_backward_batch, conv_forward_batch
 from .lstm import LstmParams, lstm_backward_batch, lstm_forward_batch
-from .models import MODEL_KINDS, CnnLstmModel, LstmModel, Model
+from .models import MODEL_KINDS, Model
 from .serialize import load_model, save_model
 from .training import (
     AdamState,
@@ -17,9 +17,7 @@ from .training import (
 
 __all__ = [
     "AdamState",
-    "CnnLstmModel",
     "ConvParams",
-    "LstmModel",
     "LstmParams",
     "Model",
     "MODEL_KINDS",

@@ -49,12 +49,10 @@ class ConvParams:
         cls,
         input_size: int,
         n_kernels: int,
+        rng: np.random.Generator,
         width: int = 3,
         pool_width: int = 2,
-        rng: np.random.Generator | None = None,
     ) -> "ConvParams":
-        if rng is None:
-            rng = np.random.default_rng()
         bound = 1.0 / np.sqrt(width * input_size)
         return cls(
             kernels=rng.uniform(-bound, bound, size=(n_kernels, width, input_size)),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .conv import ConvParams
 from .lstm import LstmParams
-from .models import CnnLstmModel, LstmModel, Model
+from .models import Model
 
 MAGIC = b"IDXF"
 FORMAT_VERSION = 1
@@ -31,23 +31,13 @@ def _lstm_file_arrays(p: LstmParams) -> list[np.ndarray]:
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    if isinstance(model, LstmModel):
-        code = _MODEL_CODES["lstm"]
-        hidden = model.params.hidden_size
-        features = model.params.input_size
-        kernels = width = pool = 0
-        arrays = _lstm_file_arrays(model.params)
-    elif isinstance(model, CnnLstmModel):
-        code = _MODEL_CODES["cnn_lstm"]
-        hidden = model.lstm.hidden_size
-        features = model.conv.input_size
-        kernels = model.conv.n_kernels
-        width = model.conv.width
-        pool = model.conv.pool_width
-        arrays = model.conv.arrays() + _lstm_file_arrays(model.lstm)
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, code, hidden, features, kernels, width, pool)
+    conv = model.conv
+    front = (0, 0, 0) if conv is None else (conv.n_kernels, conv.width, conv.pool_width)
+    header = _HEADER.pack(
+        MAGIC, FORMAT_VERSION, _MODEL_CODES[model.kind], model.lstm.hidden_size,
+        model.n_features, *front,
+    )
+    arrays = ([] if conv is None else conv.arrays()) + _lstm_file_arrays(model.lstm)
     with Path(path).open("wb") as handle:
         handle.write(header)
         for array in arrays:
@@ -81,17 +71,12 @@ def load_model(path: str | Path) -> Model:
         wx, wh, b = (np.stack(blocks) for blocks in zip(*gates))
         return LstmParams(wx, wh, b, take((hidden,)), take((1,)))
 
-    if code == _MODEL_CODES["lstm"]:
-        model: Model = LstmModel(take_lstm(features))
-    elif code == _MODEL_CODES["cnn_lstm"]:
-        conv = ConvParams(
-            kernels=take((kernels, width, features)),
-            bias=take((kernels,)),
-            pool_width=pool,
-        )
-        model = CnnLstmModel(conv, take_lstm(kernels))
-    else:
+    if code not in _MODEL_CODES.values():
         raise ValueError(f"{path}: unknown model type code {code}")
+    conv = None
+    if code == _MODEL_CODES["cnn_lstm"]:
+        conv = ConvParams(take((kernels, width, features)), take((kernels,)), pool)
+    model = Model(take_lstm(features if conv is None else kernels), conv)
     if offset != len(blob):
         raise ValueError(f"{path}: trailing bytes after parameters")
     return model

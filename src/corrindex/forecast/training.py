@@ -9,7 +9,7 @@ import numpy as np
 from ..dataset import WindowedDataset
 from .conv import ConvParams
 from .lstm import LstmParams
-from .models import CnnLstmModel, LstmModel, Model, MODEL_KINDS
+from .models import MODEL_KINDS, Model
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -40,8 +40,8 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
         if self.hidden_size < 1 or self.kernels < 1:
@@ -83,13 +83,13 @@ def build_model(model_spec: str, n_features: int, cfg: TrainConfig, rng) -> Mode
     """Fresh model with seeded uniform init; each `init` fixes its own draw order."""
     if model_spec not in MODEL_KINDS:
         raise ValueError(f"unknown model spec {model_spec!r}, expected one of {MODEL_KINDS}")
-    if model_spec == "lstm":
-        return LstmModel(LstmParams.init(n_features, cfg.hidden_size, rng))
-    conv = ConvParams.init(
-        n_features, cfg.kernels, width=cfg.kernel_width, pool_width=cfg.pool_width, rng=rng
-    )
-    lstm = LstmParams.init(cfg.kernels, cfg.hidden_size, rng)
-    return CnnLstmModel(conv, lstm)
+    conv = None
+    if model_spec == "cnn_lstm":
+        conv = ConvParams.init(
+            n_features, cfg.kernels, width=cfg.kernel_width, pool_width=cfg.pool_width, rng=rng
+        )
+    lstm_inputs = n_features if conv is None else conv.n_kernels
+    return Model(LstmParams.init(lstm_inputs, cfg.hidden_size, rng), conv)
 
 
 def batch_loss(model: Model, x: np.ndarray, y: np.ndarray) -> float:

@@ -34,10 +34,9 @@ from corrindex.evaluation import (
     runs_csv,
 )
 from corrindex.forecast import (
-    CnnLstmModel,
     ConvParams,
-    LstmModel,
     LstmParams,
+    Model,
     TrainConfig,
     load_model,
     predict,
@@ -193,15 +192,13 @@ def test_gradient_checks_both_architectures():
     worst = 0.0
     for draw in range(5):
         rng = np.random.default_rng(1000 + draw)
-        model = LstmModel(LstmParams.init(3, 8, rng))
+        model = Model(LstmParams.init(3, 8, rng))
         x = rng.normal(size=(4, 7, 3))
         y = rng.normal(size=4)
         worst = max(worst, finite_difference_check(model, x, y, rng, n_samples=50))
     for draw in range(5):
         rng = np.random.default_rng(2000 + draw)
-        model = CnnLstmModel(
-            ConvParams.init(3, 5, rng=rng), LstmParams.init(5, 8, rng)
-        )
+        model = Model(conv=ConvParams.init(3, 5, rng=rng), lstm=LstmParams.init(5, 8, rng))
         x = rng.normal(size=(4, 12, 3))
         y = rng.normal(size=4)
         worst = max(worst, finite_difference_check(model, x, y, rng, n_samples=50))
@@ -321,8 +318,8 @@ def test_round_trips():
 
     with tempfile.TemporaryDirectory() as tmp:
         for model in (
-            LstmModel(LstmParams.init(2, 6, rng)),
-            CnnLstmModel(ConvParams.init(2, 4, rng=rng), LstmParams.init(4, 6, rng)),
+            Model(LstmParams.init(2, 6, rng)),
+            Model(conv=ConvParams.init(2, 4, rng=rng), lstm=LstmParams.init(4, 6, rng)),
         ):
             path = Path(tmp) / "model.bin"
             save_model(model, path)

@@ -10,6 +10,8 @@ import pytest
 from corrindex.cli import atomic_write, main
 from corrindex.market_data import generate_synthetic_panel
 
+from conftest import weekdays
+
 UNIVERSE = tuple(f"C{i:02d}" for i in range(10))
 FACTORS = tuple(f"F{i:02d}" for i in range(11))
 
@@ -255,6 +257,48 @@ def test_make_dataset_rejects_out_of_order_index_csv(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_make_dataset_levels_mode_scales_forward_filled_factor_closes(tmp_path):
+    """`feature_mode = levels`: dataset2 holds factor closes carried onto the index calendar."""
+    rng = np.random.default_rng(17)
+    days = weekdays(60)
+    index_returns = rng.normal(0.0, 0.01, size=len(days))
+    (tmp_path / "index.csv").write_text(
+        "date,return\n" + "".join(f"{d},{float(r)!r}\n" for d, r in zip(days, index_returns))
+    )
+    # F00 starts three days late and skips every fifth day; F01 skips three days
+    calendars = {
+        "F00": [d for i, d in enumerate(days) if i >= 3 and i % 5 != 4],
+        "F01": [d for i, d in enumerate(days) if not 20 <= i < 23],
+    }
+    closes = {t: returns_to_closes(rng.normal(0.0, 0.01, len(c))) for t, c in calendars.items()}
+    (tmp_path / "factors").mkdir()
+    for ticker, calendar in calendars.items():
+        write_price_csv(tmp_path / "factors" / f"{ticker}.csv", calendar, closes[ticker])
+    config = write_config(tmp_path, factor_list=tuple(calendars))
+    config.write_text(
+        config.read_text()
+        .replace("[data]\n", "[data]\nindex_csv = index.csv\n")
+        .replace("[dataset]\n", "[dataset]\nfeature_mode = levels\n")
+    )
+    assert run(config, "make-dataset") == 0
+
+    rows = days[3:]  # the union calendar, from the last first observation on
+    columns = [index_returns[3:]]
+    for ticker, calendar in calendars.items():
+        latest = [max(i for i, d in enumerate(calendar) if d <= day) for day in rows]
+        columns.append(closes[ticker][latest])
+    matrix = np.column_stack(columns)
+    lookback, n_train = 10, int(0.8 * (len(rows) - 10))
+    seen = matrix[: n_train + lookback - 1]  # the rows the training windows expose
+    scaled = (matrix - seen.min(axis=0)) / (seen.max(axis=0) - seen.min(axis=0))
+
+    table = np.loadtxt(tmp_path / "out" / "dataset2_train.csv", delimiter=",", skiprows=1)
+    sample, lag = table[:, 0].astype(int), table[:, 1].astype(int)
+    assert sample.max() + 1 == n_train and lag.max() + 1 == lookback
+    np.testing.assert_allclose(table[:, 2:5], scaled[sample + lag], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(table[:, 5], scaled[sample + lookback, 0], rtol=0, atol=1e-12)
+
+
 # =============================================================================
 # run-experiment / report
 # =============================================================================
@@ -330,6 +374,18 @@ def test_report_requires_runs_csv(tmp_path, capsys):
     assert "run-experiment" in capsys.readouterr().err
 
 
+def test_report_names_line_of_bad_runs_row(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "runs.csv").write_text(
+        "model,dataset,run,rmse,fingerprint\nlstm,dataset1,0,0.1,cfg=1\nlstm,dataset1,1\n"
+    )
+    assert run(config, "report") == 2
+    assert "line 3: expected 5 fields, got 3" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["runs.csv"]
+
+
 # =============================================================================
 # config validation
 # =============================================================================
@@ -346,6 +402,35 @@ def test_bad_enum_value(tmp_path, capsys):
     config.write_text(config.read_text().replace("linkage = single", "linkage = average"))
     assert run(config, "select") == 1
     assert "valid values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_selection_weight_rejected(tmp_path, capsys, value):
+    build_workspace(tmp_path, n_days=80, seed=13)
+    config = write_config(tmp_path)
+    config.write_text(
+        config.read_text().replace(
+            "[selection]\n", f"[selection]\nweights = {value}, 0.2, 0.2, 0.2, 0.2, 0.2\n"
+        )
+    )
+    assert run(config, "select") == 1
+    assert "[selection] weights invalid: selection weights must be finite" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_learning_rate_rejected_before_training(tmp_path, capsys, value):
+    build_workspace(tmp_path, n_days=80, seed=13)
+    config = write_config(tmp_path, extra_train=f"learning_rate = {value}")
+    for command in ("select", "allocate", "build-index"):
+        assert run(config, command) == 1
+    assert run(config, "run-experiment") == 1
+    captured = capsys.readouterr()
+    assert "[train] invalid: learning rate must be positive and finite" in captured.err
+    assert "RMSE" not in captured.out
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", ["tickers", "factor_tickers"])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,22 @@ def test_runs_csv_keeps_diverged_runs_so_report_rebuilds_byte_for_byte():
     parsed, fingerprint = parse_runs_csv(text)
     assert [c.diverged_count for c in parsed] == [2, 0, 0, 1]
     assert render_report(comparison_report(parsed, fingerprint)) == render_report(report)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("lstm,dataset1,5", "line 3: expected 5 fields, got 3"),
+        ("lstm,dataset1,5,abc,cfg=1", "line 3: rmse 'abc' is not a number"),
+        ("gru,dataset1,0,0.1,cfg=1", "line 3: unknown cell ('gru', 'dataset1')"),
+    ],
+    ids=["short-row", "non-numeric-rmse", "unknown-cell"],
+)
+def test_parse_runs_csv_names_line_of_bad_row(row, message):
+    lines = runs_csv(comparison_report(_cells(), "cfg=1")).splitlines()
+    lines.insert(2, row)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_runs_csv("\n".join(lines) + "\n")
 
 
 def test_fingerprint_contains_hyperparameters():

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from corrindex.dataset import make_windows
 from corrindex.forecast import (
     AdamState,
-    CnnLstmModel,
     ConvParams,
-    LstmModel,
     LstmParams,
+    Model,
     TrainConfig,
     TrainingDiverged,
     backward_and_step,
@@ -198,7 +197,7 @@ def test_lstm_params_has_five_gate_stacked_arrays(rng):
     p = small_lstm(rng, features=3, hidden=5)
     assert [a.shape for a in p.arrays()] == [(4, 3, 5), (4, 5, 5), (4, 5), (5,), (1,)]
     conv = small_conv(rng, features=2, kernels=3)
-    assert len(CnnLstmModel(conv, small_lstm(rng, features=3)).arrays()) == 7
+    assert len(Model(small_lstm(rng, features=3), conv).arrays()) == 7
     with pytest.raises(ValueError, match="wh must have shape"):
         LstmParams(p.wx, p.wh[:3], p.b, p.w_out, p.b_out)
 
@@ -256,14 +255,14 @@ def test_conv_too_short_rejected(rng):
     conv = small_conv(rng)
     lstm = small_lstm(rng, features=3)
     with pytest.raises(ValueError, match="too short"):
-        CnnLstmModel(conv, lstm).forward_batch(np.zeros((3, 2))[None])
+        Model(lstm, conv).forward_batch(np.zeros((3, 2))[None])
 
 
 def test_cnn_lstm_forward_composes(rng):
     conv = small_conv(rng)
     lstm = small_lstm(rng, features=3)
     x = rng.normal(size=(20, 2))
-    pred, cache = CnnLstmModel(conv, lstm).forward_batch(x[None])
+    pred, cache = Model(lstm, conv).forward_batch(x[None])
     assert np.isfinite(pred)
     assert len(cache["lstm"]["steps"]) == 9
 
@@ -306,21 +305,21 @@ def finite_difference_check(model, x, y, rng, n_samples=50, step=1e-5) -> float:
 
 
 def test_lstm_gradients_match_finite_differences(rng):
-    model = LstmModel(small_lstm(rng))
+    model = Model(small_lstm(rng))
     x = rng.normal(size=(4, 6, 2))
     y = rng.normal(size=4)
     assert finite_difference_check(model, x, y, rng) < 1e-4
 
 
 def test_cnn_lstm_gradients_match_finite_differences(rng):
-    model = CnnLstmModel(small_conv(rng), small_lstm(rng, features=3))
+    model = Model(conv=small_conv(rng), lstm=small_lstm(rng, features=3))
     x = rng.normal(size=(4, 12, 2))
     y = rng.normal(size=4)
     assert finite_difference_check(model, x, y, rng) < 1e-4
 
 
 def test_zero_learning_rate_leaves_params_unchanged(rng):
-    model = LstmModel(small_lstm(rng))
+    model = Model(small_lstm(rng))
     before = [a.copy() for a in model.arrays()]
     adam = AdamState(model.arrays())
     x = rng.normal(size=(3, 5, 2))
@@ -338,7 +337,7 @@ def test_identical_models_update_identically(rng):
 
     results = []
     for _ in range(2):
-        model = LstmModel(LstmParams.init(2, 4, seed_rng()))
+        model = Model(LstmParams.init(2, 4, seed_rng()))
         adam = AdamState(model.arrays())
         backward_and_step(model, (x, y), adam, learning_rate=1e-3)
         results.append([a.copy() for a in model.arrays()])
@@ -466,28 +465,28 @@ def test_train_empty_config_validation():
 
 
 def test_lstm_serialization_bit_exact(tmp_path, rng):
-    model = LstmModel(small_lstm(rng, features=3, hidden=5))
+    model = Model(small_lstm(rng, features=3, hidden=5))
     path = tmp_path / "model.bin"
     save_model(model, path)
     back = load_model(path)
-    assert isinstance(back, LstmModel)
+    assert back.kind == "lstm"
     for a, b in zip(model.arrays(), back.arrays()):
         assert np.array_equal(a, b)
 
 
 def test_cnn_lstm_serialization_bit_exact(tmp_path, rng):
-    model = CnnLstmModel(small_conv(rng), small_lstm(rng, features=3))
+    model = Model(conv=small_conv(rng), lstm=small_lstm(rng, features=3))
     path = tmp_path / "model.bin"
     save_model(model, path)
     back = load_model(path)
-    assert isinstance(back, CnnLstmModel)
+    assert back.kind == "cnn_lstm"
     assert back.conv.pool_width == model.conv.pool_width
     for a, b in zip(model.arrays(), back.arrays()):
         assert np.array_equal(a, b)
 
 
 def test_serialization_round_trip_preserves_predictions(tmp_path, rng):
-    model = CnnLstmModel(small_conv(rng), small_lstm(rng, features=3))
+    model = Model(conv=small_conv(rng), lstm=small_lstm(rng, features=3))
     x = rng.normal(size=(3, 10, 2))
     path = tmp_path / "model.bin"
     save_model(model, path)
@@ -499,12 +498,12 @@ def test_serialization_round_trip_preserves_predictions(tmp_path, rng):
 
 def _idxf_v1(model) -> bytes:
     """IDXF version 1 written by hand: header, conv blocks, per-gate LSTM blocks, readout."""
-    if isinstance(model, CnnLstmModel):
+    if model.kind == "cnn_lstm":
         conv, lstm, code = model.conv, model.lstm, 1
         shape = (conv.input_size, conv.n_kernels, conv.width, conv.pool_width)
         blocks = [conv.kernels, conv.bias]
     else:
-        lstm, code = model.params, 0
+        lstm, code = model.lstm, 0
         shape = (lstm.input_size, 0, 0, 0)
         blocks = []
     for k in range(4):
