@@ -36,7 +36,7 @@ ds1 = make_windows(target, lookback=lookback)
 splits = {"dataset1": chronological_split(ds1, 0.8)}
 
 matrix = np.column_stack([target, factors])
-ds2 = make_windows(matrix, lookback=lookback, target_feature=0)
+ds2 = make_windows(matrix, lookback=lookback)
 splits["dataset2"] = chronological_split(ds2, 0.8)
 
 for name, (train_ds, test_ds) in splits.items():

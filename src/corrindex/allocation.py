@@ -64,10 +64,6 @@ class PortfolioMoments:
             raise ValueError(f"variance must be nonnegative, got {self.variance}")
 
 
-def _default_tickers(n: int) -> tuple[str, ...]:
-    return tuple(f"A{i:03d}" for i in range(n))
-
-
 def node_mean_cross_covariances(cov: CovarianceMatrix, link: Linkage) -> np.ndarray:
     """Per-merge node value: mean covariance between the two merged clusters.
 
@@ -170,13 +166,11 @@ def hrp_recursive_bisection(cov: CovarianceMatrix, order: Sequence[int]) -> Weig
     return Weights(tickers=cov.tickers, values=weights / weights.sum())
 
 
-def equal_weight(n: int, tickers: Sequence[str] | None = None) -> Weights:
+def equal_weight(n: int, tickers: Sequence[str]) -> Weights:
     """Naive risk parity: 1/n to every asset."""
     if n < 1:
         raise ValueError("need at least one asset")
-    if tickers is None:
-        tickers = _default_tickers(n)
-    elif len(tickers) != n:
+    if len(tickers) != n:
         raise ValueError(f"{len(tickers)} tickers for n={n}")
     return Weights(tickers=tuple(tickers), values=np.full(n, 1.0 / n))
 

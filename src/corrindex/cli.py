@@ -67,19 +67,21 @@ def _price_path(cfg: PipelineConfig, ticker: str, factors: bool = False) -> Path
     return path
 
 
+def _load_prices(cfg: PipelineConfig, tickers: tuple[str, ...], factors: bool = False):
+    """Check every price file exists before reading any, then read them."""
+    paths = [_price_path(cfg, ticker, factors) for ticker in tickers]
+    return [market_data.load_price_csv(path, ticker=t) for t, path in zip(tickers, paths)]
+
+
 def _load_returns(cfg: PipelineConfig, tickers: tuple[str, ...], factors: bool = False):
     mode = "simple_price_only" if factors else cfg.dividend_mode
-    out = []
-    for ticker in tickers:
-        series = market_data.load_price_csv(_price_path(cfg, ticker, factors), ticker=ticker)
-        out.append(market_data.compute_returns(series, mode=mode, price_field=cfg.price_field))
-    return out
+    return [
+        market_data.compute_returns(series, mode=mode, price_field=cfg.price_field)
+        for series in _load_prices(cfg, tickers, factors)
+    ]
 
 
 def _load_panel(cfg: PipelineConfig, tickers: tuple[str, ...], policy: str):
-    """Check every price file exists before reading any, then align their returns."""
-    for ticker in tickers:
-        _price_path(cfg, ticker)
     return market_data.align_calendars(_load_returns(cfg, tickers), policy=policy)
 
 
@@ -244,24 +246,19 @@ def _load_index_series(cfg: PipelineConfig) -> ReturnSeries:
 
 def _load_factor_series(cfg: PipelineConfig) -> list[ReturnSeries | PriceSeries]:
     """Factor columns enter as daily returns (default) or as raw levels."""
-    for ticker in cfg.factor_tickers:
-        _price_path(cfg, ticker, factors=True)
     if cfg.feature_mode == "levels":
-        return [
-            market_data.load_price_csv(_price_path(cfg, t, factors=True), ticker=t)
-            for t in cfg.factor_tickers
-        ]
+        return _load_prices(cfg, cfg.factor_tickers, factors=True)
     return _load_returns(cfg, cfg.factor_tickers, factors=True)
 
 
 def _build_datasets(cfg: PipelineConfig, index: ReturnSeries, factors) -> dict[str, tuple]:
     out = {}
     matrix1, names1 = dataset.feature_matrix(index)
-    ds1 = dataset.make_windows(matrix1, cfg.lookback, target_feature=0, feature_names=names1)
+    ds1 = dataset.make_windows(matrix1, cfg.lookback, feature_names=names1)
     out["dataset1"] = dataset.chronological_split(ds1, cfg.split_fraction)
     if factors:
-        matrix2, names2 = dataset.feature_matrix(index, factors)
-        ds2 = dataset.make_windows(matrix2, cfg.lookback, target_feature=0, feature_names=names2)
+        matrix2, names2 = dataset.feature_matrix(index, factors, price_field=cfg.price_field)
+        ds2 = dataset.make_windows(matrix2, cfg.lookback, feature_names=names2)
         out["dataset2"] = dataset.chronological_split(ds2, cfg.split_fraction)
     return out
 
@@ -306,10 +303,7 @@ def cmd_run_experiment(cfg: PipelineConfig) -> int:
                 dataset_id=dataset_id,
             )
             # scaling is affine, so the unscaled-unit error is an exact rescale
-            span = float(
-                test_ds.scaler.feature_max[test_ds.target_feature]
-                - test_ds.scaler.feature_min[test_ds.target_feature]
-            )
+            span = float(test_ds.scaler.feature_max[0] - test_ds.scaler.feature_min[0])
             print(
                 f"{model_id}/{dataset_id}: mean RMSE {stats.mean:.4f} scaled, "
                 f"{stats.mean * span:.6f} in return units ({stats.run_count} runs)"

@@ -63,13 +63,12 @@ def fit_scaler(train_matrix: np.ndarray) -> Scaler:
 
 @dataclass(frozen=True)
 class WindowedDataset:
-    """Supervised samples: X is samples x lookback x features, y the next-step target."""
+    """Supervised samples: X is samples x lookback x features, y the next step of feature 0."""
 
     X: np.ndarray
     y: np.ndarray
     feature_names: tuple[str, ...]
     scaler: Scaler | None = None
-    target_feature: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "X", _readonly(self.X))
@@ -83,8 +82,6 @@ class WindowedDataset:
             raise ValueError("feature_names length does not match X")
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
             raise ValueError("dataset contains non-finite values")
-        if not 0 <= self.target_feature < self.X.shape[2]:
-            raise ValueError(f"target feature {self.target_feature} out of range")
 
     @property
     def sample_count(self) -> int:
@@ -102,10 +99,9 @@ class WindowedDataset:
 def make_windows(
     matrix: np.ndarray,
     lookback: int,
-    target_feature: int = 0,
     feature_names: Sequence[str] | None = None,
 ) -> WindowedDataset:
-    """Sliding windows: X[s] = rows s..s+lookback-1, y[s] = target at row s+lookback."""
+    """Sliding windows: X[s] = rows s..s+lookback-1, y[s] = column 0 at row s+lookback."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim == 1:
         m = m[:, None]
@@ -114,16 +110,12 @@ def make_windows(
     length = m.shape[0]
     if length <= lookback:
         raise ValueError(f"series length {length} must exceed lookback {lookback}")
-    if not 0 <= target_feature < m.shape[1]:
-        raise ValueError(f"target feature {target_feature} out of range")
     if feature_names is None:
         feature_names = tuple(f"f{i}" for i in range(m.shape[1]))
     samples = length - lookback
     x = np.stack([m[s : s + lookback] for s in range(samples)])
-    y = m[lookback:, target_feature].copy()
-    return WindowedDataset(
-        X=x, y=y, feature_names=tuple(feature_names), scaler=None, target_feature=target_feature
-    )
+    y = m[lookback:, 0].copy()
+    return WindowedDataset(X=x, y=y, feature_names=tuple(feature_names), scaler=None)
 
 
 def chronological_split(
@@ -149,10 +141,9 @@ def chronological_split(
         x_flat = scaler.transform(x_part.reshape(-1, ds.feature_count))
         return WindowedDataset(
             X=x_flat.reshape(x_part.shape),
-            y=scaler.transform(y_part, ds.target_feature),
+            y=scaler.transform(y_part, 0),
             feature_names=ds.feature_names,
             scaler=scaler,
-            target_feature=ds.target_feature,
         )
 
     train = scaled(ds.X[:n_train], ds.y[:n_train])
@@ -163,17 +154,19 @@ def chronological_split(
 def feature_matrix(
     index_returns: ReturnSeries,
     factors: Sequence[ReturnSeries | PriceSeries] = (),
-    policy: str = "forward_fill",
+    price_field: str = "adjusted_close",
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Stack the index series (column 0) with factor series on one calendar.
 
-    Factors may be return series or price series; passing price series keeps
-    them as levels. Forward-fill alignment preserves the index's length on
-    mixed holiday calendars.
+    Factors may be return series or price series; price series enter as
+    levels of `price_field`. Forward-fill alignment preserves the index's
+    length on mixed holiday calendars.
     """
     if not factors:
         return index_returns.returns[:, None].copy(), (index_returns.ticker,)
-    panel = align_calendars([index_returns, *factors], policy=policy)
+    panel = align_calendars(
+        [index_returns, *factors], policy="forward_fill", price_field=price_field
+    )
     return panel.values.copy(), panel.tickers
 
 
@@ -196,7 +189,7 @@ def save_windows_csv(ds: WindowedDataset, path: str | Path) -> None:
                 )
 
 
-def load_windows_csv(path: str | Path, target_feature: int = 0) -> WindowedDataset:
+def load_windows_csv(path: str | Path) -> WindowedDataset:
     """Read a file `save_windows_csv` wrote.
 
     Row i must be sample i // lookback, lag i % lookback, with as many fields
@@ -234,5 +227,4 @@ def load_windows_csv(path: str | Path, target_feature: int = 0) -> WindowedDatas
         y=table[lookback - 1 :: lookback, -1],
         feature_names=feature_names,
         scaler=None,
-        target_feature=target_feature,
     )

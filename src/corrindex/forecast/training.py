@@ -44,6 +44,8 @@ class TrainConfig:
             raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.hidden_size < 1 or self.kernels < 1:
             raise ValueError("hidden size and kernel count must be positive")
 

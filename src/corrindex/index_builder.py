@@ -26,7 +26,7 @@ def index_to_csv(series: ReturnSeries, path: str | Path) -> None:
     write_dated_csv(path, ["return"], series.dates, series.returns[:, None])
 
 
-def index_from_csv(path: str | Path, ticker: str = "INDEX") -> ReturnSeries:
-    """Read a (date, return) CSV back as a return series."""
+def index_from_csv(path: str | Path) -> ReturnSeries:
+    """Read a (date, return) CSV back as the return series of ticker INDEX."""
     _, dates, values = read_dated_csv(path, columns=["return"])
-    return ReturnSeries(ticker=ticker, dates=dates, returns=values[:, 0])
+    return ReturnSeries(ticker="INDEX", dates=dates, returns=values[:, 0])

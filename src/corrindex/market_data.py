@@ -11,8 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-# Yahoo-style header set accepted out of the box; override per file via `schema`.
-DEFAULT_SCHEMA = {
+# The Yahoo-style header names `load_price_csv` reads.
+YAHOO_COLUMNS = {
     "date": "Date",
     "close": "Close",
     "adjusted_close": "Adj Close",
@@ -172,23 +172,16 @@ class AlignedPanel:
         return self.values[:, idx]
 
 
-def load_price_csv(
-    path: str | Path,
-    schema: dict[str, str] | None = None,
-    ticker: str | None = None,
-) -> PriceSeries:
+def load_price_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:
     """Load one ticker's daily bars from a CSV file.
 
-    The default schema expects Yahoo-style headers (Date, Close, Adj Close,
-    Dividends); pass `schema` to remap. A missing dividend column or empty
+    Columns are found by their Yahoo-style header names (Date, Close, Adj
+    Close, Dividends), in any order. A missing dividend column or empty
     dividend cell means dividend 0; a missing adjusted-close column or empty
     cell falls back to close. Rows may come in any date order and are sorted.
     Malformed rows and invalid values raise with the 1-based line number.
     """
     path = Path(path)
-    colmap = dict(DEFAULT_SCHEMA)
-    if schema:
-        colmap.update(schema)
     name = ticker if ticker is not None else path.stem
 
     rows: list[tuple[date, float, float, float]] = []
@@ -201,11 +194,11 @@ def load_price_csv(
         # A repeated header name maps to its last column, as csv.DictReader does.
         column = {field: i for i, field in enumerate(header)}
         for key in ("date", "close"):
-            if colmap[key] not in column:
-                raise ValueError(f"{path}: required column {colmap[key]!r} not in header")
-        date_col, close_col = column[colmap["date"]], column[colmap["close"]]
-        adj_col = column.get(colmap["adjusted_close"])
-        div_col = column.get(colmap["dividend"])
+            if YAHOO_COLUMNS[key] not in column:
+                raise ValueError(f"{path}: required column {YAHOO_COLUMNS[key]!r} not in header")
+        date_col, close_col = column[YAHOO_COLUMNS["date"]], column[YAHOO_COLUMNS["close"]]
+        adj_col = column.get(YAHOO_COLUMNS["adjusted_close"])
+        div_col = column.get(YAHOO_COLUMNS["dividend"])
         width = 1 + max(c for c in (date_col, close_col, adj_col, div_col) if c is not None)
         for row in reader:
             if not row:
@@ -306,13 +299,13 @@ def generate_synthetic_panel(
     inter_corr: float = 0.0,
     daily_vol: float | Sequence[float] = 0.01,
     seed: int = 0,
-    start: date = date(2008, 1, 2),
 ) -> AlignedPanel:
     """Gaussian return panel whose target correlation has a block structure.
 
     Assets inside a block share `intra_corr`; assets in different blocks share
     `inter_corr`. The target matrix must be positive definite (checked before
-    sampling). Deterministic per (parameters, seed).
+    sampling). Dates are the business days from 2008-01-02. Deterministic per
+    (parameters, seed).
     """
     if n_assets < 1 or n_days < 1:
         raise ValueError("n_assets and n_days must be positive")
@@ -337,7 +330,7 @@ def generate_synthetic_panel(
     values = (shocks @ chol.T) * vol
 
     tickers = tuple(f"A{i:03d}" for i in range(n_assets))
-    weekdays = np.busday_offset(start, np.arange(n_days), roll="forward")
+    weekdays = np.busday_offset(date(2008, 1, 2), np.arange(n_days), roll="forward")
     return AlignedPanel(tickers=tickers, dates=weekdays, values=values)
 
 

@@ -265,7 +265,7 @@ def test_factor_inputs_beat_history_only_inputs():
     stats1 = multi_run("lstm", train1, test1, cfg, dataset_id="dataset1")
 
     matrix = np.column_stack([target, factors])
-    ds2 = make_windows(matrix, lookback=lookback, target_feature=0)
+    ds2 = make_windows(matrix, lookback=lookback)
     train2, test2 = chronological_split(ds2, 0.8)
     stats2 = multi_run("lstm", train2, test2, cfg, dataset_id="dataset2")
 

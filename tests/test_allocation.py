@@ -218,22 +218,22 @@ def test_bisection_scale_invariant(rng):
 
 
 def test_equal_weight_eighths():
-    weights = equal_weight(8)
+    weights = equal_weight(8, tickers(8))
     np.testing.assert_array_equal(weights.values, np.full(8, 0.125))
 
 
 def test_equal_weight_single():
-    assert equal_weight(1).values[0] == 1.0
+    assert equal_weight(1, tickers(1)).values[0] == 1.0
 
 
 def test_equal_weight_zero_rejected():
     with pytest.raises(ValueError):
-        equal_weight(0)
+        equal_weight(0, ())
 
 
 def test_equal_weight_sums_to_one():
     for n in (3, 7, 11, 100):
-        assert abs(equal_weight(n).values.sum() - 1.0) <= 1e-12
+        assert abs(equal_weight(n, tickers(n)).values.sum() - 1.0) <= 1e-12
 
 
 # =============================================================================

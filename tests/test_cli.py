@@ -16,10 +16,11 @@ UNIVERSE = tuple(f"C{i:02d}" for i in range(10))
 FACTORS = tuple(f"F{i:02d}" for i in range(11))
 
 
-def write_price_csv(path, dates, closes):
+def write_price_csv(path, dates, closes, adj_closes=None):
+    adj_closes = closes if adj_closes is None else adj_closes
     lines = ["Date,Close,Adj Close,Dividends"]
-    for day, close in zip(dates, closes):
-        lines.append(f"{day},{float(close)!r},{float(close)!r},0")
+    for day, close, adj_close in zip(dates, closes, adj_closes):
+        lines.append(f"{day},{float(close)!r},{float(adj_close)!r},0")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -257,8 +258,9 @@ def test_make_dataset_rejects_out_of_order_index_csv(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_make_dataset_levels_mode_scales_forward_filled_factor_closes(tmp_path):
-    """`feature_mode = levels`: dataset2 holds factor closes carried onto the index calendar."""
+@pytest.mark.parametrize("price_field", ["adjusted_close", "close"])
+def test_make_dataset_levels_mode_scales_forward_filled_factor_closes(tmp_path, price_field):
+    """`feature_mode = levels`: dataset2 holds factor levels carried onto the index calendar."""
     rng = np.random.default_rng(17)
     days = weekdays(60)
     index_returns = rng.normal(0.0, 0.01, size=len(days))
@@ -271,13 +273,18 @@ def test_make_dataset_levels_mode_scales_forward_filled_factor_closes(tmp_path):
         "F01": [d for i, d in enumerate(days) if not 20 <= i < 23],
     }
     closes = {t: returns_to_closes(rng.normal(0.0, 0.01, len(c))) for t, c in calendars.items()}
+    # an adjusted path that is not an affine image of the closes, which scaling would hide
+    adjusted = {t: returns_to_closes(rng.normal(0.0, 0.01, len(c))) for t, c in calendars.items()}
     (tmp_path / "factors").mkdir()
     for ticker, calendar in calendars.items():
-        write_price_csv(tmp_path / "factors" / f"{ticker}.csv", calendar, closes[ticker])
+        write_price_csv(
+            tmp_path / "factors" / f"{ticker}.csv", calendar, closes[ticker], adjusted[ticker]
+        )
+    levels = closes if price_field == "close" else adjusted
     config = write_config(tmp_path, factor_list=tuple(calendars))
     config.write_text(
         config.read_text()
-        .replace("[data]\n", "[data]\nindex_csv = index.csv\n")
+        .replace("[data]\n", f"[data]\nindex_csv = index.csv\nprice_field = {price_field}\n")
         .replace("[dataset]\n", "[dataset]\nfeature_mode = levels\n")
     )
     assert run(config, "make-dataset") == 0
@@ -286,7 +293,7 @@ def test_make_dataset_levels_mode_scales_forward_filled_factor_closes(tmp_path):
     columns = [index_returns[3:]]
     for ticker, calendar in calendars.items():
         latest = [max(i for i, d in enumerate(calendar) if d <= day) for day in rows]
-        columns.append(closes[ticker][latest])
+        columns.append(levels[ticker][latest])
     matrix = np.column_stack(columns)
     lookback, n_train = 10, int(0.8 * (len(rows) - 10))
     seen = matrix[: n_train + lookback - 1]  # the rows the training windows expose
@@ -429,6 +436,23 @@ def test_non_finite_learning_rate_rejected_before_training(tmp_path, capsys, val
     assert run(config, "run-experiment") == 1
     captured = capsys.readouterr()
     assert "[train] invalid: learning rate must be positive and finite" in captured.err
+    assert "RMSE" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["config-key", "flag", "env"])
+def test_negative_seed_rejected_before_any_work(tmp_path, capsys, monkeypatch, source):
+    build_workspace(tmp_path, n_days=80, seed=13)
+    config = write_config(tmp_path)
+    flags = ("--seed", "-1") if source == "flag" else ()
+    if source == "config-key":
+        config.write_text(config.read_text().replace("seed = 0\n", "seed = -1\n"))
+    if source == "env":
+        monkeypatch.setenv("CORRINDEX_SEED", "-1")
+    for command in ("select", "run-experiment"):
+        assert run(config, command, *flags) == 1
+    captured = capsys.readouterr()
+    assert "[train] invalid: seed must be non-negative, got -1" in captured.err
     assert "RMSE" not in captured.out
     assert not (tmp_path / "out").exists()
 

@@ -83,7 +83,7 @@ def test_window_hand_trace():
 
 def test_window_multifeature_shape(rng):
     matrix = rng.normal(size=(120, 12))
-    ds = make_windows(matrix, lookback=20, target_feature=0)
+    ds = make_windows(matrix, lookback=20)
     assert ds.X.shape == (100, 20, 12)
     assert ds.y.shape == (100,)
 
@@ -95,8 +95,8 @@ def test_window_too_short_rejected():
 
 def test_window_targets_reconstruct_series_tail(rng):
     matrix = rng.normal(size=(50, 3))
-    ds = make_windows(matrix, lookback=7, target_feature=1)
-    np.testing.assert_array_equal(ds.y, matrix[7:, 1])
+    ds = make_windows(matrix, lookback=7)
+    np.testing.assert_array_equal(ds.y, matrix[7:, 0])
 
 
 # =============================================================================

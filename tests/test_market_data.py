@@ -79,13 +79,6 @@ def test_load_unsorted_rows_are_sorted(tmp_path):
     assert series.dates.tolist() == sorted(series.dates.tolist())
 
 
-def test_load_custom_schema(tmp_path):
-    path = tmp_path / "CUSTOM.csv"
-    path.write_text("day,px\n2020-01-02,10\n2020-01-03,11\n")
-    series = load_price_csv(path, schema={"date": "day", "close": "px"})
-    assert [b.close for b in series.bars] == [10.0, 11.0]
-
-
 @pytest.mark.parametrize(
     "row, message",
     [
