@@ -156,18 +156,19 @@ def feature_matrix(
     factors: Sequence[ReturnSeries | PriceSeries] = (),
     price_field: str = "adjusted_close",
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Stack the index series (column 0) with factor series on one calendar.
+    """Stack the index series (column 0) with factor series on the index's calendar.
 
     Factors may be return series or price series; price series enter as
-    levels of `price_field`. Forward-fill alignment preserves the index's
-    length on mixed holiday calendars.
+    levels of `price_field`. Each factor is forward-filled onto the index's
+    dates, from the first date every series has observed, so column 0 is
+    the index's own returns and a factor date the index lacks adds no row.
     """
     if not factors:
         return index_returns.returns[:, None].copy(), (index_returns.ticker,)
     panel = align_calendars(
         [index_returns, *factors], policy="forward_fill", price_field=price_field
     )
-    return panel.values.copy(), panel.tickers
+    return panel.values[np.isin(panel.dates, index_returns.dates)], panel.tickers
 
 
 def save_windows_csv(ds: WindowedDataset, path: str | Path) -> None:

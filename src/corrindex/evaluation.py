@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -79,14 +79,17 @@ def multi_run(
     test_ds: WindowedDataset,
     cfg: TrainConfig,
     dataset_id: str = "dataset1",
-    max_workers: int = 1,
+    max_workers: int | None = None,
 ) -> RunStats:
     """Train `cfg.runs` fresh models (run r uses seed cfg.seed + r) and
     aggregate their test RMSEs.
 
     Diverged runs are recorded and excluded from the mean; the cell is
-    flagged when more than 10% diverge. Runs are independent, so they may
-    execute on a thread pool; aggregation happens in seed order either way.
+    flagged when more than 10% diverge. Runs are independent: this process
+    trains runs 0, W, 2W, ... and W - 1 forked workers, which inherit the
+    datasets, train the rest, for W = min(max_workers or the CPUs this
+    process may use, runs). Results are gathered in seed order, so they are
+    bit-identical to the serial loop that W = 1 and platforms without fork run.
     """
 
     def one_run(run: int) -> float | None:
@@ -97,17 +100,41 @@ def multi_run(
             return None
         return rmse(predict(model, test_ds), test_ds.y)
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(one_run, range(cfg.runs)))
-    else:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(max_workers or cpus, cfg.runs)
+    if workers > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers <= 1:
         results = [one_run(r) for r in range(cfg.runs)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        fork = multiprocessing.get_context("fork")
+        pool = ProcessPoolExecutor(workers - 1, fork, initializer=_inherit, initargs=(one_run,))
+        try:
+            forked = {r: pool.submit(_run_inherited, r) for r in range(cfg.runs) if r % workers}
+            results = [forked[r].result() if r in forked else one_run(r) for r in range(cfg.runs)]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     completed = [r for r in results if r is not None]
     diverged = len(results) - len(completed)
     if not completed:
         raise RuntimeError(f"all {cfg.runs} runs diverged for {model_spec}/{dataset_id}")
     return RunStats(model_spec, dataset_id, completed, diverged_count=diverged)
+
+
+_inherited_run = None  # set only in a forked worker of `multi_run`: its cell's `one_run`
+
+
+def _inherit(one_run) -> None:
+    global _inherited_run
+    _inherited_run = one_run
+
+
+def _run_inherited(run: int) -> float | None:
+    return _inherited_run(run)
 
 
 def reduction_pct(baseline: float, improved: float) -> float:

@@ -91,12 +91,10 @@ def conv_forward_batch(c: ConvParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
     return out, cache
 
 
-def conv_backward_batch(
-    c: ConvParams, cache: dict, dout: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Gradients through pooling argmax and the rectifier mask.
+def conv_backward_batch(c: ConvParams, cache: dict, dout: np.ndarray) -> list[np.ndarray]:
+    """Gradients through pooling argmax and the rectifier mask: [d_kernels, d_bias].
 
-    Returns ([d_kernels, d_bias], d_input).
+    The convolution is the model's first layer, so no input gradient is formed.
     """
     x = cache["x"]
     pre = cache["pre"]
@@ -111,10 +109,8 @@ def conv_backward_batch(
     d_pre = d_act * (pre > 0)
 
     d_kernels = np.zeros_like(c.kernels)
-    d_x = np.zeros_like(x)
     for d in range(c.width):
         window = x[:, d : d + conv_len, :]
         d_kernels[:, d, :] = np.einsum("btk,btf->kf", d_pre, window)
-        d_x[:, d : d + conv_len, :] += np.einsum("btk,kf->btf", d_pre, c.kernels[:, d, :])
     d_bias = d_pre.sum(axis=(0, 1))
-    return [d_kernels, d_bias], d_x
+    return [d_kernels, d_bias]

@@ -113,11 +113,12 @@ def lstm_forward_batch(
 
 
 def lstm_backward_batch(
-    p: LstmParams, cache: dict, dpred: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
+    p: LstmParams, cache: dict, dpred: np.ndarray, need_dx: bool = True
+) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Exact gradients of a scalar loss given d(loss)/d(prediction).
 
-    Returns (gradients in `arrays()` order, d(loss)/d(input)).
+    Returns (gradients in `arrays()` order, d(loss)/d(input)); the input
+    gradient is skipped, and returned as None, when `need_dx` is false.
     """
     steps = cache["steps"]
     dpred = np.asarray(dpred, dtype=float)
@@ -126,22 +127,28 @@ def lstm_backward_batch(
     wx_t, wh_t = p.wx.transpose(0, 2, 1), p.wh.transpose(0, 2, 1)
     dh = np.outer(dpred, p.w_out)
     dc = np.zeros_like(dh)
-    dx = np.zeros(cache["input_shape"])
+    da = np.empty((4, *dh.shape))  # gate pre-activation gradients, refilled each step
+    da_i, da_f, da_g, da_o = da
+    dx = np.zeros(cache["input_shape"]) if need_dx else None
     for t in range(len(steps) - 1, -1, -1):
         x_t, h_prev, c_prev, gate_i, gate_f, gate_g, gate_o, tanh_c = steps[t]
         dc = dc + dh * gate_o * (1.0 - tanh_c**2)
-        da = np.stack(
-            [
-                (dc * gate_g) * gate_i * (1.0 - gate_i),
-                (dc * c_prev) * gate_f * (1.0 - gate_f),
-                (dc * gate_i) * (1.0 - gate_g**2),
-                dh * tanh_c * gate_o * (1.0 - gate_o),
-            ]
-        )
+        np.multiply(dc, gate_g, out=da_i)
+        da_i *= gate_i
+        da_i *= 1.0 - gate_i
+        np.multiply(dc, c_prev, out=da_f)
+        da_f *= gate_f
+        da_f *= 1.0 - gate_f
+        np.multiply(dc, gate_i, out=da_g)
+        da_g *= 1.0 - gate_g**2
+        np.multiply(dh, tanh_c, out=da_o)
+        da_o *= gate_o
+        da_o *= 1.0 - gate_o
         gwx += x_t.T @ da
         gwh += h_prev.T @ da
         gb += da.sum(axis=1)
-        dx[:, t, :] = (da @ wx_t).sum(axis=0)
+        if need_dx:
+            dx[:, t, :] = (da @ wx_t).sum(axis=0)
         dh = (da @ wh_t).sum(axis=0)
         dc = dc * gate_f
     grads = [gwx, gwh, gb, cache["h_final"].T @ dpred, np.array([dpred.sum()])]

@@ -42,8 +42,8 @@ class Model:
         return pred, {"conv": conv_cache, "lstm": lstm_cache}
 
     def backward_batch(self, cache: dict, dpred: np.ndarray) -> list[np.ndarray]:
-        lstm_grads, d_seq = lstm_backward_batch(self.lstm, cache["lstm"], dpred)
+        # only a convolution front end needs the LSTM's input gradient
+        lstm_grads, d_seq = lstm_backward_batch(self.lstm, cache["lstm"], dpred, self.conv is not None)
         if self.conv is None:
             return lstm_grads
-        conv_grads, _ = conv_backward_batch(self.conv, cache["conv"], d_seq)
-        return conv_grads + lstm_grads
+        return conv_backward_batch(self.conv, cache["conv"], d_seq) + lstm_grads

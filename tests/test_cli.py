@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from corrindex import evaluation
 from corrindex.cli import atomic_write, main
 from corrindex.market_data import generate_synthetic_panel
 
@@ -341,6 +345,62 @@ def test_run_experiment_deterministic_and_report_rebuilds(workspace):
     (out / "report.txt").unlink()
     assert run(config, "report") == 0
     assert (out / "report.txt").read_bytes() == first_report
+
+
+def test_run_experiment_trains_and_predicts_every_cell_in_the_calling_process(workspace, monkeypatch):
+    """The benchmark's trace times `train` and `predict` as children of each
+    cell's `multi_run` span in the process it replays the command in, so the
+    calling process must train and predict at least one run of every cell
+    even when the runs are spread over forked workers."""
+    config = write_config(workspace, out_dir="out_parent_calls")
+    for command in ("select", "allocate", "build-index"):
+        assert run(config, command) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cell, calls = [], []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            if name == "multi_run":
+                cell[:] = [args[0], kwargs["dataset_id"]]
+            calls.append((name, tuple(cell)))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("multi_run", "train", "predict"):
+        monkeypatch.setattr(evaluation, name, counting(name, getattr(evaluation, name)))
+    assert run(config, "run-experiment") == 0
+    for pair in evaluation.CELL_ORDER:
+        assert ("train", pair) in calls and ("predict", pair) in calls
+    # 2 runs per cell on 2 workers: a forked worker trains run 1 of each cell
+    assert calls.count(("train", evaluation.CELL_ORDER[0])) == 1
+
+
+def test_run_experiment_redirected_stdout_prints_each_line_once(workspace, tmp_path):
+    """Lines still buffered when a worker forks must not be written again by it."""
+    config = write_config(workspace, out_dir="out_redirected")
+    for command in ("select", "allocate", "build-index"):
+        assert run(config, command) == 0
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from corrindex.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = Path(evaluation.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}  # block-buffered
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    log = tmp_path / "stdout.txt"
+    with log.open("w") as handle:
+        result = subprocess.run(
+            [sys.executable, "-c", code, "--config", str(config), "run-experiment"],
+            stdout=handle, stderr=subprocess.PIPE, text=True, timeout=300, env=env, cwd=workspace,
+        )
+    assert result.returncode == 0, result.stderr
+    lines = log.read_text().splitlines()
+    for model_id, dataset_id in evaluation.CELL_ORDER:
+        assert sum(line.startswith(f"{model_id}/{dataset_id}: ") for line in lines) == 1
+    assert len(lines) == 4 + 2  # one line per cell, then the two artifacts written
 
 
 def test_run_experiment_missing_factor_fails_before_training(tmp_path, capsys):

@@ -199,6 +199,26 @@ def test_feature_matrix_with_eleven_factors(rng):
     assert len(names) == 12
 
 
+def test_feature_matrix_keeps_the_index_calendar_on_ragged_dates():
+    days = weekdays(10)
+    index = ReturnSeries("INDEX", [d for i, d in enumerate(days) if i != 4], np.arange(1, 10) / 100)
+    factor = ReturnSeries("F00", days, -np.arange(1, 11) / 100)
+    matrix, names = feature_matrix(index, [factor])
+    assert names == ("INDEX", "F00")
+    assert matrix.shape == (9, 2)
+    assert matrix[:, 0].tobytes() == index.returns.tobytes()
+    # the factor's return on the index's missing day is not carried onto any row
+    np.testing.assert_array_equal(matrix[:, 1], np.delete(factor.returns, 4))
+
+
+def test_feature_matrix_drops_index_dates_before_a_factor_starts():
+    days = weekdays(10)
+    index = ReturnSeries("INDEX", days, np.arange(1, 11) / 100)
+    factor = ReturnSeries("F00", days[3:], -np.arange(4, 11) / 100)
+    matrix, _ = feature_matrix(index, [factor])
+    assert matrix[:, 0].tobytes() == index.returns[3:].tobytes()
+
+
 # =============================================================================
 # CSV round-trip
 # =============================================================================

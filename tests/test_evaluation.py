@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrindex import evaluation
 from corrindex.dataset import chronological_split, make_windows
-from corrindex.forecast import TrainConfig
+from corrindex.forecast import TrainConfig, TrainingDiverged
 from corrindex.evaluation import (
     CELL_ORDER,
     RunStats,
@@ -160,6 +167,104 @@ def test_multi_run_threaded_matches_sequential(rng):
     seq = multi_run("lstm", train_ds, test_ds, cfg, max_workers=1)
     par = multi_run("lstm", train_ds, test_ds, cfg, max_workers=3)
     assert seq.rmses == par.rmses
+
+
+@pytest.mark.parametrize("runs", [1, 2, 5])
+def test_multi_run_process_pool_repr_identical_to_serial(runs):
+    train_ds, test_ds = _splits(np.random.default_rng(3))
+    cfg = TrainConfig(epochs=2, runs=runs, batch_size=16, seed=5, hidden_size=4)
+    serial = [repr(v) for v in multi_run("lstm", train_ds, test_ds, cfg, max_workers=1).rmses]
+    for workers in (2, 3):
+        pooled = multi_run("lstm", train_ds, test_ds, cfg, max_workers=workers)
+        assert [repr(v) for v in pooled.rmses] == serial
+
+
+def _fail_run(monkeypatch, run: int, fail) -> list[int]:
+    """Make `evaluation.train` call `fail()` for run `run` (seed 5 + run).
+
+    Returns the seeds this process trains; a forked worker's calls land in its
+    own copy of the list, so they never show here.
+    """
+    real_train, seeds = evaluation.train, []
+
+    def train(model_spec, train_ds, cfg):
+        seeds.append(cfg.seed)
+        if cfg.seed == 5 + run:
+            fail()
+        return real_train(model_spec, train_ds, cfg)
+
+    monkeypatch.setattr(evaluation, "train", train)
+    return seeds
+
+
+def _diverge():
+    raise TrainingDiverged(1, float("nan"))
+
+
+def test_multi_run_worker_divergence_counts_as_serial(rng, monkeypatch):
+    train_ds, test_ds = _splits(rng)
+    cfg = TrainConfig(epochs=2, runs=4, batch_size=16, seed=5, hidden_size=4)
+    seeds = _fail_run(monkeypatch, 1, _diverge)
+    serial = multi_run("lstm", train_ds, test_ds, cfg, max_workers=1)
+    seeds.clear()
+    pooled = multi_run("lstm", train_ds, test_ds, cfg, max_workers=2)
+    assert seeds == [5, 7]  # this process trained runs 0 and 2; a worker diverged on run 1
+    assert pooled == serial
+    assert (pooled.run_count, pooled.diverged_count) == (3, 1)
+
+
+def test_multi_run_worker_exception_reaches_caller(rng, monkeypatch):
+    train_ds, test_ds = _splits(rng)
+    cfg = TrainConfig(epochs=2, runs=2, batch_size=16, seed=5, hidden_size=4)
+
+    def fail():
+        raise ValueError("bad window in run 1")
+
+    seeds = _fail_run(monkeypatch, 1, fail)
+    with pytest.raises(ValueError, match="^bad window in run 1$"):
+        multi_run("lstm", train_ds, test_ds, cfg, max_workers=2)
+    assert seeds == [5]
+
+
+def test_multi_run_dead_worker_fails_instead_of_hanging(rng, monkeypatch):
+    train_ds, test_ds = _splits(rng)
+    cfg = TrainConfig(epochs=2, runs=2, batch_size=16, seed=5, hidden_size=4)
+    parent = os.getpid()
+    _fail_run(monkeypatch, 1, lambda: os.getpid() != parent and os._exit(3))
+    with pytest.raises(BrokenProcessPool):
+        multi_run("lstm", train_ds, test_ds, cfg, max_workers=2)
+
+
+def test_multi_run_one_worker_or_one_run_never_forks(rng, monkeypatch):
+    train_ds, test_ds = _splits(rng)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = TrainConfig(epochs=2, runs=3, batch_size=16, seed=5, hidden_size=4)
+    assert multi_run("lstm", train_ds, test_ds, cfg, max_workers=1).run_count == 3
+    one = replace(cfg, runs=1)
+    assert multi_run("lstm", train_ds, test_ds, one, max_workers=3).run_count == 1
+    assert multi_run("lstm", train_ds, test_ds, one).run_count == 1
+
+
+def test_serial_multi_run_imports_no_process_machinery():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from corrindex import cli, dataset, evaluation\n"
+        "from corrindex.forecast import TrainConfig\n"
+        "ds = dataset.make_windows(np.random.default_rng(0).normal(size=(40, 1)), 5)\n"
+        "train_ds, test_ds = dataset.chronological_split(ds, 0.8)\n"
+        "evaluation.multi_run('lstm', train_ds, test_ds, TrainConfig(epochs=1, runs=1))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    src = Path(evaluation.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 # =============================================================================

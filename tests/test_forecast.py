@@ -192,6 +192,10 @@ def test_lstm_gate_stacked_matches_per_gate_reference_bytes(batch, steps, featur
     assert gb_out.tobytes() == ref["b_out"].tobytes()
     assert dx.tobytes() == ref_dx.tobytes()
 
+    grads, no_dx = lstm_backward_batch(p, cache, dpred, need_dx=False)
+    assert no_dx is None
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in (gwx, gwh, gb, gw_out, gb_out)]
+
 
 def test_lstm_params_has_five_gate_stacked_arrays(rng):
     p = small_lstm(rng, features=3, hidden=5)
