@@ -127,19 +127,18 @@ def cmd_select(cfg: PipelineConfig) -> int:
 
 
 def _read_pairs(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a headerless `ticker,value` file (constituents.csv, weights.csv); skips blank lines."""
+    """Read a headerless `ticker,value` file (constituents.csv, weights.csv)."""
     pairs: dict[str, float] = {}
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        ticker, _, raw = (part.strip() for part in line.partition(","))
+    for number, row in market_data.read_csv(path):
+        ticker = row[0].strip()
         try:
-            value = float(raw)
+            value = float(row[1]) if len(row) == 2 else np.nan
         except ValueError:
             value = np.nan
         _require(
             bool(ticker) and np.isfinite(value),
-            f"{path}: line {number}: expected 'ticker,value' with a finite value, got {line!r}",
+            f"{path}: line {number}: expected 'ticker,value' with a finite value, "
+            f"got {','.join(row)!r}",
         )
         _require(ticker not in pairs, f"{path}: line {number}: repeated ticker {ticker!r}")
         pairs[ticker] = value
@@ -321,7 +320,7 @@ def cmd_run_experiment(cfg: PipelineConfig) -> int:
 
 def cmd_report(cfg: PipelineConfig) -> int:
     runs_path = _require_file(cfg.artifact("runs.csv"), "runs.csv (run run-experiment)")
-    cells, fingerprint = evaluation.parse_runs_csv(runs_path.read_text(encoding="utf-8"))
+    cells, fingerprint = evaluation.parse_runs_csv(runs_path.read_text(encoding="utf-8-sig"))
     report = evaluation.comparison_report(cells, fingerprint)
     text = evaluation.render_report(report)
     atomic_write(cfg.artifact("report.txt"), lambda p: p.write_text(text, encoding="utf-8"))

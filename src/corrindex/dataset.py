@@ -9,7 +9,6 @@ unclipped so error metrics stay honest.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .market_data import PriceSeries, ReturnSeries, _readonly, align_calendars
+from .market_data import PriceSeries, ReturnSeries, _readonly, align_calendars, read_csv, write_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,14 +179,12 @@ def save_windows_csv(ds: WindowedDataset, path: str | Path) -> None:
     reserved = {"sample", "lag", "target"}
     if reserved & set(ds.feature_names):
         raise ValueError(f"feature names collide with reserved columns {sorted(reserved)}")
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["sample", "lag", *ds.feature_names, "target"])
-        for s in range(ds.sample_count):
-            for lag in range(ds.lookback):
-                writer.writerow(
-                    [s, lag, *(repr(float(v)) for v in ds.X[s, lag]), repr(float(ds.y[s]))]
-                )
+    rows = (
+        [s, lag, *values, target]
+        for s, target in enumerate(ds.y.tolist())
+        for lag, values in enumerate(ds.X[s].tolist())
+    )
+    write_csv(path, ["sample", "lag", *ds.feature_names, "target"], rows)
 
 
 def load_windows_csv(path: str | Path) -> WindowedDataset:
@@ -196,27 +193,27 @@ def load_windows_csv(path: str | Path) -> WindowedDataset:
     Row i must be sample i // lookback, lag i % lookback, with as many fields
     as the header; a bad row raises with its 1-based line number.
     """
-    with Path(path).open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[:2] != ["sample", "lag"] or header[-1] != "target":
-            raise ValueError(f"{path}: malformed windowed-dataset header")
-        feature_names = tuple(header[2:-1])
-        rows = list(reader)
-    if not rows:
+    rows = read_csv(path)
+    header = rows[0][1] if rows else None
+    if header is None or header[:2] != ["sample", "lag"] or header[-1] != "target":
+        raise ValueError(f"{path}: malformed windowed-dataset header")
+    feature_names = tuple(header[2:-1])
+    body = rows[1:]
+    if not body:
         raise ValueError(f"{path}: no samples")
+    last_line, last = body[-1]
     try:
-        samples, lookback = int(rows[-1][0]) + 1, int(rows[-1][1]) + 1
+        samples, lookback = int(last[0]) + 1, int(last[1]) + 1
     except (IndexError, ValueError) as err:
-        raise ValueError(f"{path}: line {len(rows) + 1}: {err}") from None
-    if len(rows) != samples * lookback:
-        raise ValueError(f"{path}: expected {samples * lookback} rows, got {len(rows)}")
+        raise ValueError(f"{path}: line {last_line}: {err}") from None
+    if len(body) != samples * lookback:
+        raise ValueError(f"{path}: expected {samples * lookback} rows, got {len(body)}")
     values = []
-    for line, row in enumerate(rows, start=2):
+    for i, (line, row) in enumerate(body):
         try:
             if len(row) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-            sample, lag = divmod(line - 2, lookback)
+            sample, lag = divmod(i, lookback)
             if (int(row[0]), int(row[1])) != (sample, lag):
                 raise ValueError(f"expected sample {sample}, lag {lag}, got {row[0]}, {row[1]}")
             values.append([float(v) for v in row[2:]])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from datetime import date
 from functools import reduce
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -184,47 +184,41 @@ def load_price_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:
     path = Path(path)
     name = ticker if ticker is not None else path.stem
 
-    rows: list[tuple[date, float, float, float]] = []
-    lines: list[int] = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: missing header row")
-        # A repeated header name maps to its last column, as csv.DictReader does.
-        column = {field: i for i, field in enumerate(header)}
-        for key in ("date", "close"):
-            if YAHOO_COLUMNS[key] not in column:
-                raise ValueError(f"{path}: required column {YAHOO_COLUMNS[key]!r} not in header")
-        date_col, close_col = column[YAHOO_COLUMNS["date"]], column[YAHOO_COLUMNS["close"]]
-        adj_col = column.get(YAHOO_COLUMNS["adjusted_close"])
-        div_col = column.get(YAHOO_COLUMNS["dividend"])
-        width = 1 + max(c for c in (date_col, close_col, adj_col, div_col) if c is not None)
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) < width:
-                raise ValueError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
-            raw = row[date_col]
-            try:
-                day = date.fromisoformat(raw.strip())
-            except ValueError:
-                raise ValueError(f"{path}: line {line}: unparseable date {raw!r}") from None
-            close = _parse_float(row[close_col], path, line, "close")
-            adj = row[adj_col].strip() if adj_col is not None else ""
-            div = row[div_col].strip() if div_col is not None else ""
-            adj_close = _parse_float(adj, path, line, "adjusted close") if adj else close
-            dividend = _parse_float(div, path, line, "dividend") if div else 0.0
-            rows.append((day, close, adj_close, dividend))
-            lines.append(line)
+    rows = read_csv(path)
+    if not rows:
+        raise ValueError(f"{path}: missing header row")
+    (_, header), body = rows[0], rows[1:]
+    # A repeated header name maps to its last column, as csv.DictReader does.
+    column = {field: i for i, field in enumerate(header)}
+    for key in ("date", "close"):
+        if YAHOO_COLUMNS[key] not in column:
+            raise ValueError(f"{path}: required column {YAHOO_COLUMNS[key]!r} not in header")
+    date_col, close_col = column[YAHOO_COLUMNS["date"]], column[YAHOO_COLUMNS["close"]]
+    adj_col = column.get(YAHOO_COLUMNS["adjusted_close"])
+    div_col = column.get(YAHOO_COLUMNS["dividend"])
+    width = 1 + max(c for c in (date_col, close_col, adj_col, div_col) if c is not None)
+    bars = []
+    for line, row in body:
+        if len(row) < width:
+            raise ValueError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
+        raw = row[date_col]
+        try:
+            day = date.fromisoformat(raw.strip())
+        except ValueError:
+            raise ValueError(f"{path}: line {line}: unparseable date {raw!r}") from None
+        close = _parse_float(row[close_col], path, line, "close")
+        adj = row[adj_col].strip() if adj_col is not None else ""
+        div = row[div_col].strip() if div_col is not None else ""
+        adj_close = _parse_float(adj, path, line, "adjusted close") if adj else close
+        dividend = _parse_float(div, path, line, "dividend") if div else 0.0
+        bars.append((day, close, adj_close, dividend))
 
-    bars = np.array(rows, dtype=BAR_DTYPE)
-    order = np.argsort(bars["date"], kind="stable")
+    table = np.array(bars, dtype=BAR_DTYPE)
+    order = np.argsort(table["date"], kind="stable")
     try:
-        return PriceSeries(ticker=name, bars=bars[order])
+        return PriceSeries(ticker=name, bars=table[order])
     except _RowError as err:
-        raise ValueError(f"{path}: line {lines[order[err.row]]}: {err.problem}") from None
+        raise ValueError(f"{path}: line {body[order[err.row]][0]}: {err.problem}") from None
 
 
 def _parse_float(raw: str, path: Path, line: int, what: str) -> float:
@@ -334,13 +328,31 @@ def generate_synthetic_panel(
     return AlignedPanel(tickers=tickers, dates=weekdays, values=values)
 
 
-def write_dated_csv(path: str | Path, header: Sequence[str], dates: np.ndarray, values) -> None:
-    """Write a `date` column, then one column per `header` name, values by repr."""
+def read_csv(path: str | Path) -> list[tuple[int, list[str]]]:
+    """Each row of a UTF-8 CSV file (BOM optional, LF or CRLF) with the 1-based
+    line it ends on; lines of nothing but whitespace are skipped."""
+    with Path(path).open(newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        return [(reader.line_num, row) for row in reader if len(row) > 1 or "".join(row).strip()]
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write `header`, then `rows`, as UTF-8 CSV with CRLF row ends.
+
+    A cell is written as its `str`, which for a Python float (`ndarray.tolist()`)
+    is its repr, so the value reads back bit-exactly.
+    """
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["date", *header])
-        for day, row in zip(np.datetime_as_string(dates, unit="D"), np.asarray(values).tolist()):
-            writer.writerow([day, *map(repr, row)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_dated_csv(path: str | Path, header: Sequence[str], dates: np.ndarray, values) -> None:
+    """Write a `date` column, then one column per `header` name, values by repr."""
+    days = np.datetime_as_string(dates, unit="D")
+    rows = np.asarray(values).tolist()
+    write_csv(path, ["date", *header], ([day, *row] for day, row in zip(days, rows)))
 
 
 def read_dated_csv(
@@ -352,29 +364,24 @@ def read_dated_csv(
     names. Dates must be ISO-8601 and strictly increasing; a bad row raises
     with its 1-based line number.
     """
-    with Path(path).open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if columns is not None and header != ["date", *columns]:
-            raise ValueError(f"{path}: expected header '{','.join(['date', *columns])}'")
-        if not header or header[0] != "date":
-            raise ValueError(f"{path}: expected a 'date' header column")
-        days: list[date] = []
-        rows: list[list[float]] = []
-        lines: list[int] = []
-        for row in reader:
-            line = reader.line_num
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {line}: expected {len(header)} fields, got {len(row)}")
-            try:
-                days.append(date.fromisoformat(row[0]))
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as err:
-                raise ValueError(f"{path}: line {line}: {err}") from None
-            lines.append(line)
+    rows = read_csv(path)
+    header = rows[0][1] if rows else None
+    if columns is not None and header != ["date", *columns]:
+        raise ValueError(f"{path}: expected header '{','.join(['date', *columns])}'")
+    if not header or header[0] != "date":
+        raise ValueError(f"{path}: expected a 'date' header column")
+    body, days, values = rows[1:], [], []
+    for line, row in body:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {line}: expected {len(header)} fields, got {len(row)}")
+        try:
+            days.append(date.fromisoformat(row[0]))
+            values.append([float(v) for v in row[1:]])
+        except ValueError as err:
+            raise ValueError(f"{path}: line {line}: {err}") from None
     dates = np.array(days, dtype="datetime64[D]")
     try:
         _check_dates(str(path), dates)
     except _RowError as err:
-        raise ValueError(f"{path}: line {lines[err.row]}: {err.problem}") from None
-    return tuple(header[1:]), dates, np.array(rows).reshape(len(rows), len(header) - 1)
+        raise ValueError(f"{path}: line {body[err.row][0]}: {err.problem}") from None
+    return tuple(header[1:]), dates, np.array(values).reshape(len(values), len(header) - 1)

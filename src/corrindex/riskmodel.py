@@ -8,14 +8,13 @@ nodes n..2n-2 in merge order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .market_data import AlignedPanel, _readonly
+from .market_data import AlignedPanel, _readonly, write_csv
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
@@ -363,21 +362,13 @@ def cluster_aggregates(
     )
 
 
-def matrix_to_csv(
-    tickers: Sequence[str], values: np.ndarray, path: str | Path
-) -> None:
+def matrix_to_csv(tickers: Sequence[str], values: np.ndarray, path: str | Path) -> None:
     """Write a square ticker-labelled matrix as CSV with a header row and column."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["", *tickers])
-        for ticker, row in zip(tickers, values):
-            writer.writerow([ticker, *(repr(float(v)) for v in row)])
+    rows = np.asarray(values, dtype=float).tolist()
+    write_csv(path, ["", *tickers], ([ticker, *row] for ticker, row in zip(tickers, rows)))
 
 
 def linkage_to_csv(link: Linkage, path: str | Path) -> None:
     """Write merge records as a 4-column CSV (left, right, distance, size)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["left", "right", "distance", "size"])
-        for rec in link.merges:
-            writer.writerow([rec.left, rec.right, repr(rec.distance), rec.size])
+    rows = ([rec.left, rec.right, rec.distance, rec.size] for rec in link.merges)
+    write_csv(path, ["left", "right", "distance", "size"], rows)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .market_data import AlignedPanel
+from .market_data import AlignedPanel, read_csv
 
 # The columns of a metric table, in the order of the weights w1..w6. `beta`
 # and `volatility` come from price history; the rest from a fundamentals file.
@@ -97,44 +96,42 @@ def load_metrics_csv(path: str | Path) -> dict[str, dict[str, float]]:
     """
     path = Path(path)
     required = ("ticker", "market_cap", "intl_sales", "total_sales", "capex", "kpi")
+    rows = read_csv(path)
+    if not rows:
+        raise ValueError(f"{path}: missing header row")
+    (_, header), body = rows[0], rows[1:]
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ValueError(f"{path}: missing columns {missing}")
     out: dict[str, dict[str, float]] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: missing header row")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        for row in reader:
-            line = reader.line_num
-            # DictReader files a long row's extra fields under None and fills a short row with None
-            if None in row or None in row.values():
-                raise ValueError(f"{path}: line {line}: expected {len(reader.fieldnames)} fields")
-            ticker = row["ticker"].strip()
-            if not ticker:
-                raise ValueError(f"{path}: line {line}: empty ticker")
-            if ticker in out:
-                raise ValueError(f"{path}: line {line}: duplicate ticker {ticker!r}")
-            try:
-                values = [float(row[c]) for c in required[1:]]
-            except ValueError:
-                raise ValueError(f"{path}: line {line}: unparseable numeric field") from None
-            if not np.isfinite(values).all():
-                raise ValueError(f"{path}: line {line}: non-finite numeric field")
-            market_cap, intl, total, capex, kpi = values
-            if total <= 0:
-                raise ValueError(f"{path}: line {line}: total_sales must be positive")
-            reach = intl / total
-            if not 0.0 <= reach <= 1.0:
-                raise ValueError(
-                    f"{path}: line {line}: intl_sales/total_sales = {reach} outside [0, 1]"
-                )
-            out[ticker] = {
-                "economic_impact": market_cap,
-                "global_reach": reach,
-                "capital_expenditure": capex,
-                "kpi": kpi,
-            }
+    for line, row in body:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {line}: expected {len(header)} fields")
+        # a repeated header name maps to its last column, as csv.DictReader does
+        fields = dict(zip(header, row))
+        ticker = fields["ticker"].strip()
+        if not ticker:
+            raise ValueError(f"{path}: line {line}: empty ticker")
+        if ticker in out:
+            raise ValueError(f"{path}: line {line}: duplicate ticker {ticker!r}")
+        try:
+            values = [float(fields[c]) for c in required[1:]]
+        except ValueError:
+            raise ValueError(f"{path}: line {line}: unparseable numeric field") from None
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: line {line}: non-finite numeric field")
+        market_cap, intl, total, capex, kpi = values
+        if total <= 0:
+            raise ValueError(f"{path}: line {line}: total_sales must be positive")
+        reach = intl / total
+        if not 0.0 <= reach <= 1.0:
+            raise ValueError(f"{path}: line {line}: intl_sales/total_sales = {reach} outside [0, 1]")
+        out[ticker] = {
+            "economic_impact": market_cap,
+            "global_reach": reach,
+            "capital_expenditure": capex,
+            "kpi": kpi,
+        }
     if not out:
         raise ValueError(f"{path}: no data rows")
     return out

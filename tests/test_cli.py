@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import codecs
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -453,6 +455,28 @@ def test_report_names_line_of_bad_runs_row(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["runs.csv"]
 
 
+def _runs_text() -> str:
+    """A hand-written LF runs.csv: two runs for every cell."""
+    rows = [
+        f"{model_id},{dataset_id},{run},{0.1 + 0.01 * (2 * cell + run)!r},cfg=1"
+        for cell, (model_id, dataset_id) in enumerate(evaluation.CELL_ORDER)
+        for run in range(2)
+    ]
+    return "model,dataset,run,rmse,fingerprint\n" + "\n".join(rows) + "\n"
+
+
+def test_report_reads_runs_csv_with_utf8_bom(tmp_path):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "runs.csv").write_text(_runs_text(), encoding="utf-8")
+    assert run(config, "report") == 0
+    clean = (out / "report.txt").read_bytes()
+    (out / "runs.csv").write_text(_runs_text(), encoding="utf-8-sig")
+    assert run(config, "report") == 0
+    assert (out / "report.txt").read_bytes() == clean
+
+
 # =============================================================================
 # config validation
 # =============================================================================
@@ -584,6 +608,15 @@ def test_unknown_config_key_rejected(tmp_path, text, message):
     assert str(err.value).startswith(message)
 
 
+def test_config_with_utf8_bom_loads(tmp_path):
+    from corrindex.config import load_config
+
+    config = write_config(tmp_path)
+    bom = tmp_path / "bom.ini"
+    bom.write_bytes(codecs.BOM_UTF8 + config.read_bytes())
+    assert load_config(bom) == load_config(config)
+
+
 def test_default_section_key_applies_to_sections_that_read_it(tmp_path):
     from corrindex.config import load_config
 
@@ -658,3 +691,113 @@ def test_atomic_write_failure_keeps_old_target(tmp_path):
     # each write gets its own temp file beside the target
     assert temp_paths[0] != temp_paths[1]
     assert {p.parent for p in temp_paths} == {tmp_path}
+
+
+# =============================================================================
+# input-file faults
+# =============================================================================
+
+
+_DATASETS = tuple(f"dataset{i}_{split}.csv" for i in (1, 2) for split in ("train", "test"))
+# input file, the command that reads it, the artifacts that command writes
+_INPUTS = {
+    "price": ("prices/C03.csv", "select", ("constituents.csv",)),
+    "factor": ("factors/F03.csv", "make-dataset", _DATASETS),
+    "metrics": ("metrics.csv", "select", ("constituents.csv",)),
+    "index_csv": ("index.csv", "make-dataset", _DATASETS),
+    "constituents": (
+        "out/constituents.csv",
+        "allocate",
+        ("weights.csv", "covariance.csv", "correlation.csv", "linkage.csv"),
+    ),
+    "weights": ("out/weights.csv", "build-index", ("index_returns.csv",)),
+    "runs": ("out/runs.csv", "report", ("report.txt",)),
+}
+_FAULT_LINE = 3  # the 1-based line the malformed variants break
+
+
+def _break_row(text: str, last_field: str | None) -> str:
+    """Drop the last field of line `_FAULT_LINE`, or replace it with `last_field`."""
+    lines = text.split("\n")
+    head = lines[_FAULT_LINE - 1].rpartition(",")[0]
+    lines[_FAULT_LINE - 1] = head if last_field is None else f"{head},{last_field}"
+    return "\n".join(lines)
+
+
+def _blank_line_after(text: str, line: int) -> str:
+    lines = text.split("\n")
+    return "\n".join([*lines[:line], "", *lines[line:]])
+
+
+_BENIGN = {
+    "bom": lambda text: "\ufeff" + text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "trailing-blank-line": lambda text: text + "\n",
+    "blank-line-mid-file": lambda text: _blank_line_after(text, 2),
+}
+_MALFORMED = {
+    "truncated-row": lambda text: _break_row(text, None),
+    "non-numeric-field": lambda text: _break_row(text, "abc"),
+}
+_FAULTS = [
+    (name, variant)
+    for name in _INPUTS
+    for variant in (("bom", "crlf") if name == "runs" else (*_BENIGN, *_MALFORMED))
+]
+
+
+@pytest.fixture(scope="module")
+def clean_inputs(tmp_path_factory):
+    """A workspace whose inputs are all LF, BOM-less UTF-8, with every artifact
+    the commands write from them; make-dataset reads `[data] index_csv`."""
+    root = tmp_path_factory.mktemp("clean_inputs")
+    build_workspace(root, n_days=80, seed=29)
+    config = write_config(root)
+    config.write_text(config.read_text().replace("[data]\n", "[data]\nindex_csv = index.csv\n"))
+    for command in ("select", "allocate", "build-index"):
+        assert run(config, command) == 0
+    # universal newlines turn the artifact's CRLF rows into LF
+    (root / "index.csv").write_text((root / "out" / "index_returns.csv").read_text())
+    (root / "out" / "runs.csv").write_text(_runs_text())
+    for command in ("make-dataset", "report"):
+        assert run(config, command) == 0
+    return root
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, variant", _FAULTS, ids=[f"{n}-{v}" for n, v in _FAULTS])
+def test_input_file_fault(clean_inputs, tmp_path, capsys, name, variant):
+    """Benign variants rebuild the clean artifacts byte for byte; malformed ones
+    exit 1 or 2 with one stderr line naming the path and line, writing nothing."""
+    root = tmp_path / "ws"
+    shutil.copytree(clean_inputs, root)
+    relative, command, artifacts = _INPUTS[name]
+    path = root / relative
+    text = path.read_text(encoding="utf-8")
+    assert "\r" not in text and not text.startswith("\ufeff")
+    fault = {**_BENIGN, **_MALFORMED}[variant]
+    path.write_bytes(fault(text).encode("utf-8"))
+    out = root / "out"
+    capsys.readouterr()
+
+    if variant in _BENIGN:
+        for artifact in artifacts:
+            (out / artifact).unlink()
+        assert run(root / "pipeline.ini", command) == 0, capsys.readouterr().err
+        expected = _files(clean_inputs / "out")
+        expected.pop(path.name, None)
+        got = _files(out)
+        got.pop(path.name, None)
+        assert got == expected
+    else:
+        before = _files(out)
+        assert run(root / "pipeline.ini", command) in (1, 2)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert f"{path}: line {_FAULT_LINE}: " in err
+        assert _files(out) == before

@@ -257,6 +257,16 @@ def test_windows_csv_row_out_of_order_rejected(tmp_path, rng, line, replace, mes
         load_windows_csv(path)
 
 
+def test_windows_csv_with_trailing_blank_line_loads(tmp_path, rng):
+    ds = make_windows(rng.normal(size=(14, 3)), lookback=4, feature_names=("a", "b", "c"))
+    path = tmp_path / "windows.csv"
+    save_windows_csv(ds, path)
+    path.write_bytes(path.read_bytes() + b"\r\n")
+    back = load_windows_csv(path)
+    assert back.X.tobytes() == ds.X.tobytes()
+    assert back.y.tobytes() == ds.y.tobytes()
+
+
 def test_windows_csv_reserved_names_rejected(tmp_path, rng):
     ds = make_windows(rng.normal(size=(10, 1)), lookback=2, feature_names=("target",))
     with pytest.raises(ValueError, match="reserved"):

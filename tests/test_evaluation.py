@@ -161,7 +161,7 @@ def test_multi_run_mean_permutation_invariant():
     assert a.mean == pytest.approx(b.mean, abs=1e-15)
 
 
-def test_multi_run_threaded_matches_sequential(rng):
+def test_multi_run_process_pool_matches_sequential(rng):
     train_ds, test_ds = _splits(rng)
     cfg = TrainConfig(epochs=2, runs=3, batch_size=16, seed=5, hidden_size=4)
     seq = multi_run("lstm", train_ds, test_ds, cfg, max_workers=1)

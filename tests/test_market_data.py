@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import ast
+import csv
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from corrindex import market_data
 from corrindex.market_data import (
     ALIGN_POLICIES,
     AlignedPanel,
@@ -16,7 +21,9 @@ from corrindex.market_data import (
     compute_returns,
     generate_synthetic_panel,
     load_price_csv,
+    read_csv,
     read_dated_csv,
+    write_csv,
     write_dated_csv,
 )
 from conftest import price_series, weekdays
@@ -408,3 +415,75 @@ def test_panel_rejects_non_finite():
         AlignedPanel(
             tickers=("A",), dates=weekdays(2), values=np.array([[1.0], [np.nan]])
         )
+
+
+# =============================================================================
+# CSV codec
+# =============================================================================
+
+
+def _repr_loop_csv(path: Path, header, rows) -> None:
+    """The per-value `repr(float(v))` writer that the CSV artifacts used before `write_csv`."""
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+_extremes = np.array([[-0.0, 5e-324, 2.2250738585072014e-308, -1e-310, 1e308, -1e308]])
+
+
+@given(
+    table=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 8), st.integers(1, 6)),
+        elements=st.floats(allow_nan=False, width=64),
+    )
+)
+@example(table=_extremes)
+@settings(max_examples=100, deadline=None)
+def test_write_csv_read_csv_round_trip_floats_bit_exact(tmp_path_factory, table):
+    root = tmp_path_factory.mktemp("codec")
+    header = [f"c{j}" for j in range(table.shape[1])]
+    write_csv(root / "new.csv", header, table.tolist())
+    _repr_loop_csv(root / "old.csv", header, table)
+    assert (root / "new.csv").read_bytes() == (root / "old.csv").read_bytes()
+
+    (_, head), *body = read_csv(root / "new.csv")
+    assert head == header
+    back = np.array([[float(v) for v in row] for _, row in body])
+    assert back.tobytes() == table.tobytes()
+
+
+def test_read_csv_names_the_true_line_of_rows_after_blank_lines(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b'\xef\xbb\xbfa,b\r\n\r\n1,2\r\n   \r\n\n3,4\n5,"x\ny"\n\n')
+    assert read_csv(path) == [
+        (1, ["a", "b"]),
+        (3, ["1", "2"]),
+        (6, ["3", "4"]),
+        (8, ["5", "x\ny"]),  # a row is named by the line it ends on
+    ]
+
+
+def test_only_the_two_codecs_use_the_csv_module():
+    """`market_data.py` holds the file codec and `evaluation.py` the runs.csv
+    string codec; no other module may parse or format CSV on its own."""
+    src = Path(market_data.__file__).parent
+    importers, users = set(), set()
+    for path in src.rglob("*.py"):
+        name = path.relative_to(src).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+                importers.add(name)
+            if isinstance(node, ast.ImportFrom) and node.module == "csv":
+                importers.add(name)
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "csv"
+                and node.attr in ("reader", "writer", "DictReader", "DictWriter")
+            ):
+                users.add(name)
+    assert importers == users == {"market_data.py", "evaluation.py"}
