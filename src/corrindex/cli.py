@@ -320,7 +320,11 @@ def cmd_run_experiment(cfg: PipelineConfig) -> int:
 
 def cmd_report(cfg: PipelineConfig) -> int:
     runs_path = _require_file(cfg.artifact("runs.csv"), "runs.csv (run run-experiment)")
-    cells, fingerprint = evaluation.parse_runs_csv(runs_path.read_text(encoding="utf-8-sig"))
+    runs_text = market_data.read_utf8_text(runs_path)
+    try:
+        cells, fingerprint = evaluation.parse_runs_csv(runs_text)
+    except ValueError as err:
+        raise ValueError(f"{runs_path}: {err}") from None
     report = evaluation.comparison_report(cells, fingerprint)
     text = evaluation.render_report(report)
     atomic_write(cfg.artifact("report.txt"), lambda p: p.write_text(text, encoding="utf-8"))

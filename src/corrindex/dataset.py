@@ -16,7 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .market_data import PriceSeries, ReturnSeries, _readonly, align_calendars, read_csv, write_csv
+from .market_data import (
+    PriceSeries,
+    ReturnSeries,
+    _readonly,
+    align_calendars,
+    read_csv,
+    write_float_rows,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,12 +186,12 @@ def save_windows_csv(ds: WindowedDataset, path: str | Path) -> None:
     reserved = {"sample", "lag", "target"}
     if reserved & set(ds.feature_names):
         raise ValueError(f"feature names collide with reserved columns {sorted(reserved)}")
-    rows = (
-        [s, lag, *values, target]
-        for s, target in enumerate(ds.y.tolist())
-        for lag, values in enumerate(ds.X[s].tolist())
-    )
-    write_csv(path, ["sample", "lag", *ds.feature_names, "target"], rows)
+    samples, lookback, features = ds.X.shape
+    lags = [str(lag) for lag in range(lookback)]
+    labels = ((str(s), lag) for s in range(samples) for lag in lags)
+    header = ["sample", "lag", *ds.feature_names, "target"]
+    x_rows = ds.X.reshape(samples * lookback, features)
+    write_float_rows(path, header, labels, x_rows, np.repeat(ds.y, lookback)[:, None])
 
 
 def load_windows_csv(path: str | Path) -> WindowedDataset:

@@ -258,9 +258,10 @@ def runs_csv(report: ComparisonReport) -> str:
 def parse_runs_csv(text: str) -> tuple[list[RunStats], str]:
     """Rebuild cell statistics from the per-run CSV; `nan` rows are diverged runs.
 
-    A malformed row raises ValueError naming its 1-based line.
+    Blank lines are skipped; a malformed row raises ValueError naming its
+    1-based line.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header != ["model", "dataset", "run", "rmse", "fingerprint"]:
         raise ValueError("malformed per-run CSV header")
@@ -268,6 +269,8 @@ def parse_runs_csv(text: str) -> tuple[list[RunStats], str]:
     fingerprints = set()
     for row in reader:
         line = reader.line_num
+        if len(row) <= 1 and not "".join(row).strip():
+            continue
         if len(row) != 5:
             raise ValueError(f"line {line}: expected 5 fields, got {len(row)}")
         model_id, dataset_id, _, value, fingerprint = row

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from datetime import date
 from functools import reduce
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -197,7 +199,7 @@ def load_price_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:
     adj_col = column.get(YAHOO_COLUMNS["adjusted_close"])
     div_col = column.get(YAHOO_COLUMNS["dividend"])
     width = 1 + max(c for c in (date_col, close_col, adj_col, div_col) if c is not None)
-    bars = []
+    days, prices = [], []
     for line, row in body:
         if len(row) < width:
             raise ValueError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
@@ -211,14 +213,29 @@ def load_price_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:
         div = row[div_col].strip() if div_col is not None else ""
         adj_close = _parse_float(adj, path, line, "adjusted close") if adj else close
         dividend = _parse_float(div, path, line, "dividend") if div else 0.0
-        bars.append((day, close, adj_close, dividend))
+        days.append(day)
+        prices.append((close, adj_close, dividend))
 
-    table = np.array(bars, dtype=BAR_DTYPE)
+    table = np.empty(len(days), dtype=BAR_DTYPE)
+    table["date"] = _datetime64_days(days)
+    columns = np.array(prices, dtype=float).reshape(len(days), 3).T
+    table["close"], table["adjusted_close"], table["dividend"] = columns
     order = np.argsort(table["date"], kind="stable")
     try:
         return PriceSeries(ticker=name, bars=table[order])
     except _RowError as err:
         raise ValueError(f"{path}: line {body[order[err.row]][0]}: {err.problem}") from None
+
+
+# `date(1970, 1, 1).toordinal()`: the day number of datetime64's epoch.
+_EPOCH_ORDINAL = 719163
+
+
+def _datetime64_days(days: Sequence[date]) -> np.ndarray:
+    """`np.array(days, dtype="datetime64[D]")`, built from day ordinals, which
+    numpy converts in bulk where it converts `date` objects one at a time."""
+    ordinals = np.fromiter((day.toordinal() for day in days), dtype=np.int64, count=len(days))
+    return (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]")
 
 
 def _parse_float(raw: str, path: Path, line: int, what: str) -> float:
@@ -328,12 +345,30 @@ def generate_synthetic_panel(
     return AlignedPanel(tickers=tickers, dates=weekdays, values=values)
 
 
+def read_utf8_text(path: str | Path) -> str:
+    """The text of a UTF-8 file, less a leading BOM. A byte that is not UTF-8
+    raises ValueError naming the path and the byte's 1-based line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 ({err.reason})") from None
+    return text.removeprefix("\ufeff")
+
+
 def read_csv(path: str | Path) -> list[tuple[int, list[str]]]:
     """Each row of a UTF-8 CSV file (BOM optional, LF or CRLF) with the 1-based
-    line it ends on; lines of nothing but whitespace are skipped."""
-    with Path(path).open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        return [(reader.line_num, row) for row in reader if len(row) > 1 or "".join(row).strip()]
+    line it ends on; lines of nothing but whitespace are skipped. A byte that
+    is not UTF-8 raises ValueError naming the path and its line."""
+    try:
+        with Path(path).open(newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            return [(reader.line_num, row) for row in reader if len(row) > 1 or "".join(row).strip()]
+    except UnicodeDecodeError:
+        # The reader decodes in chunks, so the error's offset is not the file's.
+        read_utf8_text(path)
+        raise
 
 
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
@@ -348,11 +383,67 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> N
         writer.writerows(rows)
 
 
+# Rows per block of `write_float_rows`. Window files repeat most values within
+# a few dozen rows, so a block of this size formats about 6% of its floats; the
+# block's text stays near 0.3 MB, where a whole-file join would hold it all.
+_FLOAT_BLOCK_ROWS = 1000
+# `csv.writer` (excel dialect, minimal quoting) writes a cell of two or more
+# in a row verbatim unless it holds one of these.
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def write_float_rows(
+    path: str | Path, header: Sequence[str], labels: Iterable[Sequence[str]], *matrices
+) -> None:
+    """Write `header`, then one row per row of the float `matrices`: its label
+    cells (a tuple of strings from `labels`), then that row of each matrix in turn.
+
+    The bytes are those of `write_csv` given the rows `[*cells, *floats]`:
+    header and label cells are quoted as `csv.writer` quotes them, and each
+    float is written as its repr, so it reads back bit-exactly. Within each
+    block of `_FLOAT_BLOCK_ROWS` rows, repr runs once per distinct bit pattern
+    (so -0.0 and 0.0 stay apart) rather than once per value.
+    """
+    matrices = [np.asarray(m, dtype=float) for m in matrices]
+    shapes = [m.shape for m in matrices]
+    if not matrices or any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes):
+        raise ValueError(f"expected matrices with equal row counts, got shapes {shapes}")
+    if not sum(s[1] for s in shapes):
+        raise ValueError("expected at least one value column")
+    quoted: dict[str, str] = {}
+
+    def quote(cell: str) -> str:
+        if cell not in quoted:
+            if _CSV_SPECIAL.isdisjoint(cell):
+                quoted[cell] = cell
+            else:
+                # A cell followed by an empty one is written as in any row of
+                # two or more fields; the empty cell adds only ",\r\n".
+                buffer = io.StringIO()
+                csv.writer(buffer).writerow([cell, ""])
+                quoted[cell] = buffer.getvalue()[:-3]
+        return quoted[cell]
+
+    labels = iter(labels)
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerow(header)
+        for start in range(0, shapes[0][0], _FLOAT_BLOCK_ROWS):
+            block = np.hstack([m[start : start + _FLOAT_BLOCK_ROWS] for m in matrices])
+            bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+            texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+            rows = texts[inverse.reshape(block.shape)].tolist()
+            handle.write(
+                "".join(
+                    ",".join([*map(quote, cells), *row]) + "\r\n"
+                    for cells, row in zip(islice(labels, len(rows)), rows, strict=True)
+                )
+            )
+
+
 def write_dated_csv(path: str | Path, header: Sequence[str], dates: np.ndarray, values) -> None:
     """Write a `date` column, then one column per `header` name, values by repr."""
-    days = np.datetime_as_string(dates, unit="D")
-    rows = np.asarray(values).tolist()
-    write_csv(path, ["date", *header], ([day, *row] for day, row in zip(days, rows)))
+    days = np.datetime_as_string(dates, unit="D").tolist()
+    write_float_rows(path, ["date", *header], ((day,) for day in days), values)
 
 
 def read_dated_csv(
@@ -379,7 +470,7 @@ def read_dated_csv(
             values.append([float(v) for v in row[1:]])
         except ValueError as err:
             raise ValueError(f"{path}: line {line}: {err}") from None
-    dates = np.array(days, dtype="datetime64[D]")
+    dates = _datetime64_days(days)
     try:
         _check_dates(str(path), dates)
     except _RowError as err:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .market_data import AlignedPanel, _readonly, write_csv
+from .market_data import AlignedPanel, _readonly, write_csv, write_float_rows
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
@@ -364,8 +364,7 @@ def cluster_aggregates(
 
 def matrix_to_csv(tickers: Sequence[str], values: np.ndarray, path: str | Path) -> None:
     """Write a square ticker-labelled matrix as CSV with a header row and column."""
-    rows = np.asarray(values, dtype=float).tolist()
-    write_csv(path, ["", *tickers], ([ticker, *row] for ticker, row in zip(tickers, rows)))
+    write_float_rows(path, ["", *tickers], ((ticker,) for ticker in tickers), values)
 
 
 def linkage_to_csv(link: Linkage, path: str | Path) -> None:

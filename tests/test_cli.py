@@ -724,6 +724,14 @@ def _break_row(text: str, last_field: str | None) -> str:
     return "\n".join(lines)
 
 
+def _not_utf8(text: str) -> str:
+    """Put a Latin-1 'é' on line `_FAULT_LINE`: the lone surrogate is written
+    as the byte 0xe9 under `surrogateescape`, and that byte is not UTF-8."""
+    lines = text.split("\n")
+    lines[_FAULT_LINE - 1] += "\udce9"
+    return "\n".join(lines)
+
+
 def _blank_line_after(text: str, line: int) -> str:
     lines = text.split("\n")
     return "\n".join([*lines[:line], "", *lines[line:]])
@@ -738,11 +746,15 @@ _BENIGN = {
 _MALFORMED = {
     "truncated-row": lambda text: _break_row(text, None),
     "non-numeric-field": lambda text: _break_row(text, "abc"),
+    "latin-1-byte": _not_utf8,
 }
+# runs.csv's last field is the fingerprint, which must agree across the file
+# rather than parse as a number.
 _FAULTS = [
     (name, variant)
     for name in _INPUTS
-    for variant in (("bom", "crlf") if name == "runs" else (*_BENIGN, *_MALFORMED))
+    for variant in (*_BENIGN, *_MALFORMED)
+    if (name, variant) != ("runs", "non-numeric-field")
 ]
 
 
@@ -780,7 +792,7 @@ def test_input_file_fault(clean_inputs, tmp_path, capsys, name, variant):
     text = path.read_text(encoding="utf-8")
     assert "\r" not in text and not text.startswith("\ufeff")
     fault = {**_BENIGN, **_MALFORMED}[variant]
-    path.write_bytes(fault(text).encode("utf-8"))
+    path.write_bytes(fault(text).encode("utf-8", "surrogateescape"))
     out = root / "out"
     capsys.readouterr()
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from corrindex.dataset import (
+    WindowedDataset,
     chronological_split,
     feature_matrix,
     fit_scaler,
@@ -14,7 +17,7 @@ from corrindex.dataset import (
     make_windows,
     save_windows_csv,
 )
-from corrindex.market_data import ReturnSeries
+from corrindex.market_data import ReturnSeries, write_csv
 from conftest import weekdays
 
 
@@ -265,6 +268,50 @@ def test_windows_csv_with_trailing_blank_line_loads(tmp_path, rng):
     back = load_windows_csv(path)
     assert back.X.tobytes() == ds.X.tobytes()
     assert back.y.tobytes() == ds.y.tobytes()
+
+
+def _save_windows_reference(ds, path) -> None:
+    """The row-at-a-time writer `save_windows_csv` had before the bulk float writer."""
+    rows = (
+        [s, lag, *values, target]
+        for s, target in enumerate(ds.y.tolist())
+        for lag, values in enumerate(ds.X[s].tolist())
+    )
+    write_csv(path, ["sample", "lag", *ds.feature_names, "target"], rows)
+
+
+def _windows_cases(rng):
+    """A scaled train split of real windows, and windows with no shifted-row
+    structure; both span several blocks of the float writer."""
+    walk = np.cumsum(rng.normal(size=(260, 3)), axis=0)
+    train, _ = chronological_split(make_windows(walk, lookback=10), 0.8)
+    unshifted = WindowedDataset(
+        X=rng.normal(size=(150, 9, 2)), y=rng.normal(size=150), feature_names=("u", "v")
+    )
+    return {"make_windows": train, "random": unshifted}
+
+
+@pytest.mark.parametrize("case", ["make_windows", "random"])
+def test_save_windows_csv_bytes_equal_row_at_a_time_writer(tmp_path, rng, case):
+    ds = _windows_cases(rng)[case]
+    assert ds.sample_count * ds.lookback > 1000
+    save_windows_csv(ds, tmp_path / "new.csv")
+    _save_windows_reference(ds, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_save_windows_csv_peak_memory_below_the_windows(tmp_path, rng):
+    """Paper shapes: the writer works in blocks, so it never holds the file's
+    text or a copy of X (a whole-file join peaks at over 20 MB)."""
+    ds = make_windows(rng.normal(size=(1603, 12)), lookback=20)
+    assert ds.X.shape == (1583, 20, 12)
+    tracemalloc.start()
+    try:
+        save_windows_csv(ds, tmp_path / "windows.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.X.nbytes
 
 
 def test_windows_csv_reserved_names_rejected(tmp_path, rng):

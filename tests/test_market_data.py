@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import ast
 import csv
+import re
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from corrindex.market_data import (
     read_dated_csv,
     write_csv,
     write_dated_csv,
+    write_float_rows,
 )
 from conftest import price_series, weekdays
 
@@ -454,6 +457,87 @@ def test_write_csv_read_csv_round_trip_floats_bit_exact(tmp_path_factory, table)
     assert head == header
     back = np.array([[float(v) for v in row] for _, row in body])
     assert back.tobytes() == table.tobytes()
+
+
+def _csv_writer_reference(path: Path, header, labels, table) -> None:
+    """`csv.writer` given each row's label cells and the repr of each float."""
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([*cells, *map(repr, row)] for cells, row in zip(labels, table.tolist()))
+
+
+_cells = st.text(st.characters(exclude_categories=["Cs"]), max_size=4) | st.sampled_from(
+    ["", 'a"b', "a,b", "a\r\nb", " "]
+)
+_special_floats = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, np.inf, np.nan]
+)
+
+
+@st.composite
+def _labelled_tables(draw):
+    rows, width = draw(st.integers(0, 12)), draw(st.integers(1, 4))
+    elements = st.floats(width=64) | _special_floats
+    table = draw(arrays(np.float64, (rows, width), elements=elements))
+    n_labels = draw(st.integers(0, 2))
+    labels = draw(st.lists(st.tuples(*[_cells] * n_labels), min_size=rows, max_size=rows))
+    header = draw(st.lists(_cells, min_size=n_labels + width, max_size=n_labels + width))
+    return header, labels, table, draw(st.integers(0, width)), draw(st.integers(1, 5))
+
+
+@given(case=_labelled_tables())
+@settings(max_examples=150, deadline=None)
+def test_write_float_rows_matches_csv_writer(tmp_path_factory, case):
+    """Same bytes as `csv.writer` writing labels and reprs, across blocks of
+    any size and with the columns split over two matrices."""
+    header, labels, table, split, block_rows = case
+    root = tmp_path_factory.mktemp("float_rows")
+    with mock.patch.object(market_data, "_FLOAT_BLOCK_ROWS", block_rows):
+        write_float_rows(root / "new.csv", header, labels, table[:, :split], table[:, split:])
+    _csv_writer_reference(root / "old.csv", header, labels, table)
+    assert (root / "new.csv").read_bytes() == (root / "old.csv").read_bytes()
+
+
+def test_write_float_rows_spans_blocks_of_mixed_zeros_and_extremes(tmp_path, rng):
+    pool = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, -0.1])
+    table = pool[rng.integers(0, len(pool), size=(2 * market_data._FLOAT_BLOCK_ROWS + 7, 5))]
+    labels = [(str(i), ("a\"b", "a,b", "")[i % 3]) for i in range(len(table))]
+    header = ["", "lab\"el", *(f"c{j}" for j in range(5))]
+    write_float_rows(tmp_path / "new.csv", header, labels, table)
+    _csv_writer_reference(tmp_path / "old.csv", header, labels, table)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    body = [row[2:] for _, row in read_csv(tmp_path / "new.csv")[1:]]
+    assert np.array(body, dtype=float).tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize(
+    "labels, matrices, message",
+    [
+        ([("a",)], [np.zeros((2, 1))], "zip"),
+        ([("a",), ("b",)], [np.zeros((2, 1)), np.zeros((3, 1))], "equal row counts"),
+        ([("a",)], [np.zeros(1)], "equal row counts"),
+        ([("a",)], [np.zeros((1, 0))], "at least one value column"),
+    ],
+    ids=["labels-short", "row-counts-differ", "not-a-matrix", "no-columns"],
+)
+def test_write_float_rows_rejects_mismatched_shapes(tmp_path, labels, matrices, message):
+    with pytest.raises(ValueError, match=message):
+        write_float_rows(tmp_path / "bad.csv", ["x", "y"], labels, *matrices)
+
+
+def test_read_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,b\r\n1,2\r\n3,caf\xe9\r\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: not UTF-8"):
+        read_csv(path)
+
+
+@given(days=st.lists(st.dates(date(1, 1, 1), date(9999, 12, 31)), max_size=20))
+def test_datetime64_days_equals_numpy_conversion_of_dates(days):
+    expected = np.array(days, dtype="datetime64[D]")
+    got = market_data._datetime64_days(days)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_read_csv_names_the_true_line_of_rows_after_blank_lines(tmp_path):
