@@ -10,13 +10,14 @@ over both.
 from __future__ import annotations
 
 import configparser
+import io
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .forecast import TrainConfig
-from .market_data import ALIGN_POLICIES, PRICE_FIELDS, RETURN_MODES
+from .market_data import ALIGN_POLICIES, PRICE_FIELDS, RETURN_MODES, read_utf8_text
 from .riskmodel import DISTANCE_CONVENTIONS, LINKAGE_METHODS
 from .selection import METRICS
 
@@ -123,9 +124,13 @@ def load_config(
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = read_utf8_text(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path, encoding="utf-8-sig")
+        parser.read_file(io.StringIO(text, newline=None), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 

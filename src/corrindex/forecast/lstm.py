@@ -12,10 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 @dataclass
 class LstmParams:
     """Gate-stacked input / recurrent weights and biases, plus the readout.
@@ -76,6 +72,11 @@ class LstmParams:
         return cls(wx, wh, b, w_out, uniform((1,), hidden_size))
 
 
+# The forward pass runs the gates in the order i, f, o, g, so the three
+# sigmoid gates form one contiguous slice. The permutation is its own inverse.
+KERNEL_ORDER = [0, 1, 3, 2]
+
+
 def lstm_forward_batch(
     p: LstmParams, x: np.ndarray, keep_steps: bool = True
 ) -> tuple[np.ndarray, dict]:
@@ -83,9 +84,12 @@ def lstm_forward_batch(
 
     Hidden and cell states start at zero. The prediction is the dense readout
     of the final hidden state. Returns (predictions, cache) where the cache
-    holds everything the backward pass needs. Forward-only callers pass
-    `keep_steps=False`: the per-step states are then dropped as the loop
-    goes, and the cache cannot be used for a backward pass.
+    holds everything the backward pass needs: the input, the gate activations
+    (steps, 4, batch, hidden) in `KERNEL_ORDER`, tanh of each new cell state,
+    and the hidden and cell states (steps + 1, batch, hidden), state t being
+    the one before step t. Forward-only callers pass `keep_steps=False`: the
+    loop then reuses one gate slot and two state slots, and the cache cannot
+    be used for a backward pass.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[2] != p.input_size:
@@ -93,23 +97,36 @@ def lstm_forward_batch(
             f"input shape {x.shape} incompatible with input size {p.input_size}"
         )
     batch, steps, _ = x.shape
-    h = np.zeros((batch, p.hidden_size))
-    c = np.zeros((batch, p.hidden_size))
-    bias = p.b[:, None, :]
-    step_cache = []
+    hidden = p.hidden_size
+    wx = p.wx.take(KERNEL_ORDER, axis=0)
+    wh = p.wh.take(KERNEL_ORDER, axis=0)
+    bias = p.b.take(KERNEL_ORDER, axis=0)[:, None, :]
+    slots = steps if keep_steps else 1
+    gates = np.empty((slots, 4, batch, hidden))
+    tanh_c = np.empty((slots, batch, hidden))
+    h = np.zeros((slots + 1, batch, hidden))
+    c = np.zeros((slots + 1, batch, hidden))
+    h_wh = np.empty((4, batch, hidden))
+    i_g = np.empty((batch, hidden))
     for t in range(steps):
-        x_t = x[:, t, :]
-        a = x_t @ p.wx + h @ p.wh + bias
-        gate_i, gate_f, gate_o = sigmoid(a[[0, 1, 3]])
-        gate_g = np.tanh(a[2])
-        c_next = gate_f * c + gate_i * gate_g
-        tanh_c = np.tanh(c_next)
-        h_next = gate_o * tanh_c
-        if keep_steps:
-            step_cache.append((x_t, h, c, gate_i, gate_f, gate_g, gate_o, tanh_c))
-        h, c = h_next, c_next
-    pred = h @ p.w_out + p.b_out[0]
-    return pred, {"steps": step_cache, "h_final": h, "input_shape": x.shape}
+        a, tanh_c_t = gates[t % slots], tanh_c[t % slots]
+        h_prev, c_prev = h[t % (slots + 1)], c[t % (slots + 1)]
+        h_next, c_next = h[(t + 1) % (slots + 1)], c[(t + 1) % (slots + 1)]
+        np.matmul(x[:, t, :], wx, out=a)
+        a += np.matmul(h_prev, wh, out=h_wh)
+        a += bias
+        sig, gate_g = a[:3], a[3]
+        np.negative(sig, out=sig)  # 1 / (1 + exp(-a)), in place
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
+        np.tanh(gate_g, out=gate_g)
+        np.multiply(a[1], c_prev, out=c_next)  # c = f * c + i * g
+        c_next += np.multiply(a[0], gate_g, out=i_g)
+        np.tanh(c_next, out=tanh_c_t)
+        np.multiply(a[2], tanh_c_t, out=h_next)  # h = o * tanh(c)
+    pred = h[steps % (slots + 1)] @ p.w_out + p.b_out[0]
+    return pred, {"x": x, "gates": gates, "tanh_c": tanh_c, "h": h, "c": c}
 
 
 def lstm_backward_batch(
@@ -120,36 +137,47 @@ def lstm_backward_batch(
     Returns (gradients in `arrays()` order, d(loss)/d(input)); the input
     gradient is skipped, and returned as None, when `need_dx` is false.
     """
-    steps = cache["steps"]
+    x, gates, tanh_c, h, c = (cache[k] for k in ("x", "gates", "tanh_c", "h", "c"))
     dpred = np.asarray(dpred, dtype=float)
+    steps = x.shape[1]
+    gate_i, gate_f, gate_o, gate_g = gates.swapaxes(0, 1)
+    # Step-independent factors for all steps at once, in stored gate order:
+    # 1 - i, 1 - f, 1 - g^2, 1 - o. The loop multiplies each step's slice, in
+    # place, into that step's pre-activation gradients.
+    da = gates.take(KERNEL_ORDER, axis=1)
+    np.square(da[:, 2], out=da[:, 2])
+    np.subtract(1.0, da, out=da)
+    d_tanh_c = 1.0 - tanh_c**2
 
-    gwx, gwh, gb = np.zeros_like(p.wx), np.zeros_like(p.wh), np.zeros_like(p.b)
+    gwx, gwh = np.zeros(p.wx.shape), np.zeros(p.wh.shape)
     wx_t, wh_t = p.wx.transpose(0, 2, 1), p.wh.transpose(0, 2, 1)
-    dh = np.outer(dpred, p.w_out)
-    dc = np.zeros_like(dh)
-    da = np.empty((4, *dh.shape))  # gate pre-activation gradients, refilled each step
-    da_i, da_f, da_g, da_o = da
-    dx = np.zeros(cache["input_shape"]) if need_dx else None
-    for t in range(len(steps) - 1, -1, -1):
-        x_t, h_prev, c_prev, gate_i, gate_f, gate_g, gate_o, tanh_c = steps[t]
-        dc = dc + dh * gate_o * (1.0 - tanh_c**2)
-        np.multiply(dc, gate_g, out=da_i)
-        da_i *= gate_i
-        da_i *= 1.0 - gate_i
-        np.multiply(dc, c_prev, out=da_f)
-        da_f *= gate_f
-        da_f *= 1.0 - gate_f
-        np.multiply(dc, gate_i, out=da_g)
-        da_g *= 1.0 - gate_g**2
-        np.multiply(dh, tanh_c, out=da_o)
-        da_o *= gate_o
-        da_o *= 1.0 - gate_o
-        gwx += x_t.T @ da
-        gwh += h_prev.T @ da
-        gb += da.sum(axis=1)
+    dh = dpred[:, None] * p.w_out
+    dc = np.zeros(dh.shape)
+    dc_o = np.empty(dh.shape)
+    # d(loss)/d(gate activation), times the activation for the sigmoid gates
+    up = np.empty((4, *dh.shape))
+    up_i, up_f, up_g, up_o = up
+    up_if, gate_if = up[:2], gates[:, :2]
+    dx = np.zeros(x.shape) if need_dx else None
+    for t in range(steps - 1, -1, -1):
+        np.multiply(dh, gate_o[t], out=dc_o)
+        dc_o *= d_tanh_c[t]
+        dc += dc_o
+        np.multiply(dc, gate_g[t], out=up_i)
+        np.multiply(dc, c[t], out=up_f)
+        up_if *= gate_if[t]
+        np.multiply(dc, gate_i[t], out=up_g)
+        np.multiply(dh, tanh_c[t], out=up_o)
+        up_o *= gate_o[t]
+        da_t = da[t]
+        da_t *= up
+        gwx += x[:, t, :].T @ da_t
+        gwh += h[t].T @ da_t
         if need_dx:
-            dx[:, t, :] = (da @ wx_t).sum(axis=0)
-        dh = (da @ wh_t).sum(axis=0)
-        dc = dc * gate_f
-    grads = [gwx, gwh, gb, cache["h_final"].T @ dpred, np.array([dpred.sum()])]
+            np.add.reduce(da_t @ wx_t, axis=0, out=dx[:, t, :])
+        np.add.reduce(da_t @ wh_t, axis=0, out=dh)
+        dc *= gate_f[t]
+    # the bias gradient sums each step's batch sum, latest step first
+    gb = np.add.reduce(np.add.reduce(da, axis=2)[::-1], axis=0)
+    grads = [gwx, gwh, gb, h[steps].T @ dpred, np.array([dpred.sum()])]
     return grads, dx

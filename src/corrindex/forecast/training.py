@@ -60,12 +60,23 @@ class TrainingDiverged(RuntimeError):
 
 
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
+    """First/second moment accumulators for all parameter arrays, kept flat.
+
+    `step` runs each update ufunc once over the concatenated gradients, with
+    the same float operations per element as a per-array Adam.
+    """
 
     def __init__(self, arrays: list[np.ndarray]):
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        sizes = [a.size for a in arrays]
+        self.m = np.zeros(sum(sizes))
+        self.v = np.zeros_like(self.m)
         self.t = 0
+        self._scratch = np.empty_like(self.m)
+        self._update = np.empty_like(self.m)
+        ends = np.cumsum(sizes)
+        self._updates = [
+            self._update[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)
+        ]
 
     def step(
         self, arrays: list[np.ndarray], grads: list[np.ndarray], learning_rate: float
@@ -73,12 +84,22 @@ class AdamState:
         self.t += 1
         correct1 = 1.0 - ADAM_BETA1**self.t
         correct2 = 1.0 - ADAM_BETA2**self.t
-        for array, grad, m, v in zip(arrays, grads, self.m, self.v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * grad
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * grad**2
-            array -= learning_rate * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+        m, v, g, u = self.m, self.v, self._scratch, self._update
+        np.concatenate(grads, axis=None, out=g)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=u)
+        v *= ADAM_BETA2
+        np.square(g, out=g)
+        g *= 1.0 - ADAM_BETA2
+        v += g
+        np.divide(v, correct2, out=g)  # g becomes the denominator
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        np.divide(m, correct1, out=u)
+        u *= learning_rate
+        u /= g
+        for array, update in zip(arrays, self._updates):
+            array -= update
 
 
 def build_model(model_spec: str, n_features: int, cfg: TrainConfig, rng) -> Model:

@@ -216,6 +216,8 @@ def load_price_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:
         days.append(day)
         prices.append((close, adj_close, dividend))
 
+    if len(days) < 2:
+        raise ValueError(f"{path}: need at least 2 bars, got {len(days)}")
     table = np.empty(len(days), dtype=BAR_DTYPE)
     table["date"] = _datetime64_days(days)
     columns = np.array(prices, dtype=float).reshape(len(days), 3).T
@@ -452,8 +454,8 @@ def read_dated_csv(
     """Read a file `write_dated_csv` wrote: (column names, dates, values matrix).
 
     If `columns` is given, the header must be `date` followed by exactly those
-    names. Dates must be ISO-8601 and strictly increasing; a bad row raises
-    with its 1-based line number.
+    names. There must be at least one row. Dates must be ISO-8601 and strictly
+    increasing, and values finite; a bad row raises with its 1-based line number.
     """
     rows = read_csv(path)
     header = rows[0][1] if rows else None
@@ -462,6 +464,8 @@ def read_dated_csv(
     if not header or header[0] != "date":
         raise ValueError(f"{path}: expected a 'date' header column")
     body, days, values = rows[1:], [], []
+    if not body:
+        raise ValueError(f"{path}: no rows after the header")
     for line, row in body:
         if len(row) != len(header):
             raise ValueError(f"{path}: line {line}: expected {len(header)} fields, got {len(row)}")
@@ -475,4 +479,9 @@ def read_dated_csv(
         _check_dates(str(path), dates)
     except _RowError as err:
         raise ValueError(f"{path}: line {body[err.row][0]}: {err.problem}") from None
-    return tuple(header[1:]), dates, np.array(values).reshape(len(values), len(header) - 1)
+    matrix = np.array(values).reshape(len(values), len(header) - 1)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"{path}: line {body[row][0]}: non-finite value")
+    return tuple(header[1:]), dates, matrix

@@ -617,6 +617,23 @@ def test_config_with_utf8_bom_loads(tmp_path):
     assert load_config(bom) == load_config(config)
 
 
+def test_config_with_crlf_loads(tmp_path):
+    from corrindex.config import load_config
+
+    config = write_config(tmp_path)
+    crlf = tmp_path / "crlf.ini"
+    crlf.write_bytes(config.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_config(crlf) == load_config(config)
+
+
+def test_config_not_utf8_names_file_and_line(tmp_path, capsys):
+    config = write_config(tmp_path)
+    config.write_bytes(b"; caf\xe9\n" + config.read_bytes())
+    assert run(config, "select") == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {config}: line 1: not UTF-8 ")
+
+
 def test_default_section_key_applies_to_sections_that_read_it(tmp_path):
     from corrindex.config import load_config
 
@@ -746,15 +763,20 @@ _BENIGN = {
 _MALFORMED = {
     "truncated-row": lambda text: _break_row(text, None),
     "non-numeric-field": lambda text: _break_row(text, "abc"),
+    "non-finite-value": lambda text: _break_row(text, "nan"),
     "latin-1-byte": _not_utf8,
+    "header-only": lambda text: text.split("\n")[0] + "\n",
 }
-# runs.csv's last field is the fingerprint, which must agree across the file
-# rather than parse as a number.
+# The last two variants apply to the dated-series inputs only. runs.csv's last
+# field is the fingerprint, which must agree across the file rather than parse
+# as a number.
+_SERIES_ONLY = ("non-finite-value", "header-only")
 _FAULTS = [
     (name, variant)
     for name in _INPUTS
     for variant in (*_BENIGN, *_MALFORMED)
     if (name, variant) != ("runs", "non-numeric-field")
+    and (variant not in _SERIES_ONLY or name in ("price", "factor", "index_csv"))
 ]
 
 
@@ -784,7 +806,8 @@ def _files(directory: Path) -> dict[str, bytes]:
 @pytest.mark.parametrize("name, variant", _FAULTS, ids=[f"{n}-{v}" for n, v in _FAULTS])
 def test_input_file_fault(clean_inputs, tmp_path, capsys, name, variant):
     """Benign variants rebuild the clean artifacts byte for byte; malformed ones
-    exit 1 or 2 with one stderr line naming the path and line, writing nothing."""
+    exit 1 or 2 with one stderr line naming the path (and the line, if the file
+    has a bad one), writing nothing."""
     root = tmp_path / "ws"
     shutil.copytree(clean_inputs, root)
     relative, command, artifacts = _INPUTS[name]
@@ -811,5 +834,5 @@ def test_input_file_fault(clean_inputs, tmp_path, capsys, name, variant):
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
-        assert f"{path}: line {_FAULT_LINE}: " in err
+        assert (f"{path}: " if variant == "header-only" else f"{path}: line {_FAULT_LINE}: ") in err
         assert _files(out) == before

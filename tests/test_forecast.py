@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrindex.dataset import make_windows
+from corrindex.forecast.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from corrindex.forecast import (
     AdamState,
     ConvParams,
@@ -19,6 +20,7 @@ from corrindex.forecast import (
     backward_and_step,
     batch_loss,
     build_model,
+    conv_backward_batch,
     conv_forward_batch,
     load_model,
     lstm_backward_batch,
@@ -100,6 +102,51 @@ def _reference_lstm_backward_batch(
     return grads, dx
 
 
+def _reference_adam_step(arrays, grads, ms, vs, t, learning_rate) -> None:
+    """Per-array Adam step `t` (1-based), the oracle for the flat `AdamState`."""
+    correct1 = 1.0 - ADAM_BETA1**t
+    correct2 = 1.0 - ADAM_BETA2**t
+    for array, grad, m, v in zip(arrays, grads, ms, vs):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad**2
+        array -= learning_rate * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+
+
+def _reference_train(model_spec, ds, cfg) -> tuple[Model, list[float]]:
+    """`train` rebuilt from the per-gate LSTM oracles and the per-array Adam."""
+    rng = np.random.default_rng(cfg.seed)
+    model = build_model(model_spec, ds.feature_count, cfg, rng)
+    p = model.lstm
+    ms = [np.zeros_like(a) for a in model.arrays()]
+    vs = [np.zeros_like(a) for a in model.arrays()]
+    losses, t = [], 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(ds.sample_count)
+        epoch_loss = 0.0
+        for start in range(0, ds.sample_count, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            x, y = ds.X[idx], ds.y[idx]
+            conv_cache = None
+            if model.conv is not None:
+                x, conv_cache = conv_forward_batch(model.conv, x)
+            pred, cache = _reference_lstm_forward_batch(p, x)
+            diff = pred - y
+            loss = float(np.mean(diff**2))
+            dpred = 2.0 * diff / y.shape[0]
+            ref, dx = _reference_lstm_backward_batch(p, cache, dpred)
+            grads = [np.stack([ref[f"{name}_{gate}"] for gate in "ifgo"]) for name in ("wx", "wh", "b")]
+            grads += [ref["w_out"], ref["b_out"]]
+            if model.conv is not None:
+                grads = conv_backward_batch(model.conv, conv_cache, dx) + grads
+            t += 1
+            _reference_adam_step(model.arrays(), grads, ms, vs, t, cfg.learning_rate)
+            epoch_loss += loss * idx.shape[0]
+        losses.append(epoch_loss / ds.sample_count)
+    return model, losses
+
+
 # =============================================================================
 # lstm forward
 # =============================================================================
@@ -158,7 +205,7 @@ def test_lstm_gate_ranges(rng):
     p = small_lstm(rng)
     x = rng.normal(0, 5, size=(8, 2))
     _, cache = lstm_forward_batch(p, x[None])
-    for _, _, _, gate_i, gate_f, gate_g, gate_o, _ in cache["steps"]:
+    for gate_i, gate_f, gate_o, gate_g in cache["gates"]:  # kernel order i, f, o, g
         for gate in (gate_i, gate_f, gate_o):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
         assert np.all(gate_g > -1.0) and np.all(gate_g < 1.0)
@@ -195,6 +242,24 @@ def test_lstm_gate_stacked_matches_per_gate_reference_bytes(batch, steps, featur
     grads, no_dx = lstm_backward_batch(p, cache, dpred, need_dx=False)
     assert no_dx is None
     assert [g.tobytes() for g in grads] == [g.tobytes() for g in (gwx, gwh, gb, gw_out, gb_out)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lstm_saturated_g_gate_raises_no_warning(rng):
+    """exp runs on the i, f and o pre-activations only, so a g pre-activation
+    of magnitude 1e3 cannot overflow it."""
+    p = small_lstm(rng, features=3, hidden=6)
+    p.b[2] = np.where(np.arange(6) % 2, 1e3, -1e3)
+    x = rng.normal(size=(5, 7, 3))
+    dpred = rng.normal(size=5)
+    pred, cache = lstm_forward_batch(p, x)
+    ref_pred, ref_cache = _reference_lstm_forward_batch(p, x)
+    assert pred.tobytes() == ref_pred.tobytes()
+    assert np.all(np.abs(cache["gates"][:, 3]) == 1.0)
+    (gwx, gwh, gb, _, _), dx = lstm_backward_batch(p, cache, dpred)
+    ref, ref_dx = _reference_lstm_backward_batch(p, ref_cache, dpred)
+    assert gb[2].tobytes() == ref["b_g"].tobytes()
+    assert dx.tobytes() == ref_dx.tobytes()
 
 
 def test_lstm_params_has_five_gate_stacked_arrays(rng):
@@ -268,7 +333,7 @@ def test_cnn_lstm_forward_composes(rng):
     x = rng.normal(size=(20, 2))
     pred, cache = Model(lstm, conv).forward_batch(x[None])
     assert np.isfinite(pred)
-    assert len(cache["lstm"]["steps"]) == 9
+    assert len(cache["lstm"]["gates"]) == 9
 
 
 # =============================================================================
@@ -320,6 +385,51 @@ def test_cnn_lstm_gradients_match_finite_differences(rng):
     x = rng.normal(size=(4, 12, 2))
     y = rng.normal(size=4)
     assert finite_difference_check(model, x, y, rng) < 1e-4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(
+    shapes=st.lists(
+        st.lists(st.integers(1, 5), max_size=3).map(tuple), min_size=1, max_size=7
+    ),
+    steps=st.integers(1, 4),
+    learning_rate=st.sampled_from([1e-3, 0.5, 0.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_adam_flat_step_matches_per_array_reference_bytes(shapes, steps, learning_rate, seed):
+    rng = np.random.default_rng(seed)
+
+    def signed_zeros(a):
+        """Set about a third of the entries to 0.0 and a third to -0.0."""
+        pick = rng.integers(0, 3, size=a.shape)
+        return np.where(pick == 0, 0.0, np.where(pick == 1, -0.0, a))
+
+    arrays = [signed_zeros(rng.normal(size=shape)) for shape in shapes]
+    ref_arrays = [a.copy() for a in arrays]
+    ms = [np.zeros_like(a) for a in arrays]
+    vs = [np.zeros_like(a) for a in arrays]
+    adam = AdamState(arrays)
+    for t in range(1, steps + 1):
+        grads = [signed_zeros(rng.normal(size=shape)) for shape in shapes]
+        adam.step(arrays, grads, learning_rate)
+        _reference_adam_step(ref_arrays, grads, ms, vs, t, learning_rate)
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in ref_arrays]
+    assert adam.m.tobytes() == np.concatenate([m.ravel() for m in ms]).tobytes()
+    assert adam.v.tobytes() == np.concatenate([v.ravel() for v in vs]).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec, features", [("lstm", 2), ("cnn_lstm", 3)])
+def test_train_matches_reference_trainer_bytes(spec, features):
+    rng = np.random.default_rng(17)
+    ds = make_windows(rng.normal(size=(51, features)), lookback=9)  # 42 samples
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=5, hidden_size=5, kernels=3)
+    assert ds.sample_count % cfg.batch_size != 0
+    model, losses = train(spec, ds, cfg)
+    ref_model, ref_losses = _reference_train(spec, ds, cfg)
+    assert losses == ref_losses
+    assert [a.tobytes() for a in model.arrays()] == [a.tobytes() for a in ref_model.arrays()]
 
 
 def test_zero_learning_rate_leaves_params_unchanged(rng):
