@@ -10,6 +10,7 @@ Pipeline stages, each usable on its own:
 * `dataset`: scaling, windowing, chronological splits
 * `forecast`: from-scratch LSTM and CNN-LSTM with exact BPTT
 * `evaluation`: RMSE, multi-run statistics, the 2x2 comparison report
+* `parallel`: `fork_map`, independent work spread over forked processes
 * `cli`: file-driven pipeline commands
 """
 
@@ -20,6 +21,7 @@ from . import (
     forecast,
     index_builder,
     market_data,
+    parallel,
     riskmodel,
     selection,
 )
@@ -33,6 +35,7 @@ __all__ = [
     "forecast",
     "index_builder",
     "market_data",
+    "parallel",
     "riskmodel",
     "selection",
     "__version__",

@@ -22,12 +22,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import allocation, dataset, evaluation, index_builder, market_data, riskmodel, selection
+from . import allocation, dataset, evaluation, index_builder, market_data, parallel, riskmodel, selection
 from .config import STRATEGIES, ConfigError, PipelineConfig, load_config
 from .forecast import MODEL_KINDS
 from .market_data import PriceSeries, ReturnSeries
 
 WEIGHT_LOAD_TOL = 1e-3
+# Price files are read on every CPU only once they total this many bytes. On a
+# 2-vCPU VM, a fresh process and one forked worker read 131 KiB of them (10
+# files of 260 rows) in 1.24x the one-process time, 243-361 KiB in 0.97-0.99x
+# and 480 KiB in 0.80x (medians of 21 interleaved pairs).
+PARALLEL_READ_BYTES = 512 * 1024
 
 
 def atomic_write(target: Path, writer) -> None:
@@ -68,9 +73,15 @@ def _price_path(cfg: PipelineConfig, ticker: str, factors: bool = False) -> Path
 
 
 def _load_prices(cfg: PipelineConfig, tickers: tuple[str, ...], factors: bool = False):
-    """Check every price file exists before reading any, then read them."""
+    """Check every price file exists before reading any, then read them: on
+    every CPU once they total `PARALLEL_READ_BYTES`, else in this process."""
     paths = [_price_path(cfg, ticker, factors) for ticker in tickers]
-    return [market_data.load_price_csv(path, ticker=t) for t, path in zip(tickers, paths)]
+    small = sum(path.stat().st_size for path in paths) < PARALLEL_READ_BYTES
+    return parallel.fork_map(
+        lambda pair: market_data.load_price_csv(pair[1], ticker=pair[0]),
+        list(zip(tickers, paths)),
+        max_workers=1 if small else None,
+    )
 
 
 def _load_returns(cfg: PipelineConfig, tickers: tuple[str, ...], factors: bool = False):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from .dataset import WindowedDataset
 from .forecast import MODEL_KINDS, TrainConfig, TrainingDiverged, predict, train
+from .parallel import fork_map
 
 DATASET_IDS = ("dataset1", "dataset2")
 CELL_ORDER = (
@@ -85,11 +85,11 @@ def multi_run(
     aggregate their test RMSEs.
 
     Diverged runs are recorded and excluded from the mean; the cell is
-    flagged when more than 10% diverge. Runs are independent: this process
-    trains runs 0, W, 2W, ... and W - 1 forked workers, which inherit the
-    datasets, train the rest, for W = min(max_workers or the CPUs this
-    process may use, runs). Results are gathered in seed order, so they are
-    bit-identical to the serial loop that W = 1 and platforms without fork run.
+    flagged when more than 10% diverge. The runs are independent and go
+    through `parallel.fork_map`: for W = min(max_workers or the CPUs this
+    process may use, runs), this process trains runs 0, W, 2W, ... and W - 1
+    forked workers, which inherit the datasets, train the rest. The RMSEs are
+    bit-identical to those of the serial loop.
     """
 
     def one_run(run: int) -> float | None:
@@ -100,41 +100,12 @@ def multi_run(
             return None
         return rmse(predict(model, test_ds), test_ds.y)
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(max_workers or cpus, cfg.runs)
-    if workers > 1:
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers <= 1:
-        results = [one_run(r) for r in range(cfg.runs)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        fork = multiprocessing.get_context("fork")
-        pool = ProcessPoolExecutor(workers - 1, fork, initializer=_inherit, initargs=(one_run,))
-        try:
-            forked = {r: pool.submit(_run_inherited, r) for r in range(cfg.runs) if r % workers}
-            results = [forked[r].result() if r in forked else one_run(r) for r in range(cfg.runs)]
-        finally:
-            pool.shutdown(cancel_futures=True)
-
+    results = fork_map(one_run, range(cfg.runs), max_workers)
     completed = [r for r in results if r is not None]
     diverged = len(results) - len(completed)
     if not completed:
         raise RuntimeError(f"all {cfg.runs} runs diverged for {model_spec}/{dataset_id}")
     return RunStats(model_spec, dataset_id, completed, diverged_count=diverged)
-
-
-_inherited_run = None  # set only in a forked worker of `multi_run`: its cell's `one_run`
-
-
-def _inherit(one_run) -> None:
-    global _inherited_run
-    _inherited_run = one_run
-
-
-def _run_inherited(run: int) -> float | None:
-    return _inherited_run(run)
 
 
 def reduction_pct(baseline: float, improved: float) -> float:
@@ -258,8 +229,9 @@ def runs_csv(report: ComparisonReport) -> str:
 def parse_runs_csv(text: str) -> tuple[list[RunStats], str]:
     """Rebuild cell statistics from the per-run CSV; `nan` rows are diverged runs.
 
-    Blank lines are skipped; a malformed row raises ValueError naming its
-    1-based line.
+    Blank lines are skipped. Each cell's runs must be numbered 0, 1, 2, ...
+    in file order, as `runs_csv` writes them, so a repeated row is rejected.
+    A malformed row raises ValueError naming its 1-based line.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
@@ -273,13 +245,19 @@ def parse_runs_csv(text: str) -> tuple[list[RunStats], str]:
             continue
         if len(row) != 5:
             raise ValueError(f"line {line}: expected 5 fields, got {len(row)}")
-        model_id, dataset_id, _, value, fingerprint = row
+        model_id, dataset_id, run, value, fingerprint = row
         if (model_id, dataset_id) not in CELL_ORDER:
             raise ValueError(f"line {line}: unknown cell ({model_id!r}, {dataset_id!r})")
         try:
-            grouped.setdefault((model_id, dataset_id), []).append(float(value))
+            rmse_value = float(value)
         except ValueError:
             raise ValueError(f"line {line}: rmse {value!r} is not a number") from None
+        values = grouped.setdefault((model_id, dataset_id), [])
+        if run != str(len(values)):
+            raise ValueError(
+                f"line {line}: expected run {len(values)} of {model_id}/{dataset_id}, got {run!r}"
+            )
+        values.append(rmse_value)
         fingerprints.add(fingerprint)
     if not grouped:
         raise ValueError("per-run CSV has no rows")

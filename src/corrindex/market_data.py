@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from functools import reduce
 from itertools import islice
@@ -37,6 +37,12 @@ def _readonly(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _reduce_through_init(self):
+    """`__reduce__` of the series classes: unpickling (and `copy`) goes through
+    the constructor, so arrays come back read-only and checked."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 class _RowError(ValueError):
@@ -75,6 +81,7 @@ class PriceSeries:
 
     ticker: str
     bars: np.recarray
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self):
         raw = self.bars if isinstance(self.bars, np.ndarray) else list(self.bars)
@@ -120,6 +127,7 @@ class ReturnSeries:
     ticker: str
     dates: np.ndarray
     returns: np.ndarray
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self):
         object.__setattr__(self, "dates", _readonly(self.dates, "datetime64[D]"))
@@ -144,6 +152,7 @@ class AlignedPanel:
     tickers: tuple[str, ...]
     dates: np.ndarray
     values: np.ndarray
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self):
         object.__setattr__(self, "tickers", tuple(self.tickers))

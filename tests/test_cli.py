@@ -1,18 +1,21 @@
 from __future__ import annotations
 
 import codecs
+import contextlib
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from corrindex import evaluation
+from corrindex import cli, evaluation, market_data
 from corrindex.cli import atomic_write, main
 from corrindex.market_data import generate_synthetic_panel
 
@@ -749,6 +752,19 @@ def _not_utf8(text: str) -> str:
     return "\n".join(lines)
 
 
+def _extra_field(text: str) -> str:
+    """Append one more cell to line `_FAULT_LINE`."""
+    lines = text.split("\n")
+    lines[_FAULT_LINE - 1] += ",0"
+    return "\n".join(lines)
+
+
+def _repeat_row(text: str) -> str:
+    """Insert a copy of line `_FAULT_LINE` after it."""
+    lines = text.split("\n")
+    return "\n".join([*lines[:_FAULT_LINE], *lines[_FAULT_LINE - 1 :]])
+
+
 def _blank_line_after(text: str, line: int) -> str:
     lines = text.split("\n")
     return "\n".join([*lines[:line], "", *lines[line:]])
@@ -766,7 +782,12 @@ _MALFORMED = {
     "non-finite-value": lambda text: _break_row(text, "nan"),
     "latin-1-byte": _not_utf8,
     "header-only": lambda text: text.split("\n")[0] + "\n",
+    "extra-field": _extra_field,
+    "repeated-row": _repeat_row,
 }
+# A price or factor row may hold cells past the header's columns; the reader
+# ignores them, so these inputs rebuild the clean artifacts.
+_EXTRA_CELLS_IGNORED = ("price", "factor")
 # The last two variants apply to the dated-series inputs only. runs.csv's last
 # field is the fingerprint, which must agree across the file rather than parse
 # as a number.
@@ -802,13 +823,12 @@ def _files(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("name, variant", _FAULTS, ids=[f"{n}-{v}" for n, v in _FAULTS])
-def test_input_file_fault(clean_inputs, tmp_path, capsys, name, variant):
-    """Benign variants rebuild the clean artifacts byte for byte; malformed ones
-    exit 1 or 2 with one stderr line naming the path (and the line, if the file
-    has a bad one), writing nothing."""
-    root = tmp_path / "ws"
+def _check_fault(clean_inputs: Path, root: Path, capsys, name: str, variant: str) -> tuple[int, str]:
+    """Copy the clean workspace to `root`, apply `variant` to input `name` and
+    run the command that reads it. Benign variants must rebuild the clean
+    artifacts byte for byte; malformed ones must exit 1 or 2 with one stderr
+    line naming the path (and the bad line, if there is one), writing nothing.
+    Returns the exit code and stderr, with `root` written as `<ws>`."""
     shutil.copytree(clean_inputs, root)
     relative, command, artifacts = _INPUTS[name]
     path = root / relative
@@ -819,10 +839,12 @@ def test_input_file_fault(clean_inputs, tmp_path, capsys, name, variant):
     out = root / "out"
     capsys.readouterr()
 
-    if variant in _BENIGN:
+    if variant in _BENIGN or (variant == "extra-field" and name in _EXTRA_CELLS_IGNORED):
         for artifact in artifacts:
             (out / artifact).unlink()
-        assert run(root / "pipeline.ini", command) == 0, capsys.readouterr().err
+        code = run(root / "pipeline.ini", command)
+        err = capsys.readouterr().err
+        assert code == 0, err
         expected = _files(clean_inputs / "out")
         expected.pop(path.name, None)
         got = _files(out)
@@ -830,9 +852,115 @@ def test_input_file_fault(clean_inputs, tmp_path, capsys, name, variant):
         assert got == expected
     else:
         before = _files(out)
-        assert run(root / "pipeline.ini", command) in (1, 2)
+        code = run(root / "pipeline.ini", command)
+        assert code in (1, 2)
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
-        assert (f"{path}: " if variant == "header-only" else f"{path}: line {_FAULT_LINE}: ") in err
+        # a repeated row is reported at its second copy
+        line = _FAULT_LINE + 1 if variant == "repeated-row" else _FAULT_LINE
+        assert (f"{path}: " if variant == "header-only" else f"{path}: line {line}: ") in err
         assert _files(out) == before
+    return code, err.replace(str(root), "<ws>")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, variant", _FAULTS, ids=[f"{n}-{v}" for n, v in _FAULTS])
+def test_input_file_fault(clean_inputs, tmp_path, capsys, name, variant):
+    _check_fault(clean_inputs, tmp_path / "ws", capsys, name, variant)
+
+
+_FORKED_FAULTS = [(name, variant) for name, variant in _FAULTS if name in ("price", "factor")]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """This process sees CPUs {0, 1}; the CPUs it may really use are restored
+    afterwards, since the fork map pins it and restores what it saw."""
+    real = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    yield
+    if real is not None:
+        os.sched_setaffinity(0, real)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, variant", _FORKED_FAULTS, ids=[f"{n}-{v}" for n, v in _FORKED_FAULTS])
+def test_input_file_fault_read_by_forked_worker(clean_inputs, tmp_path, capsys, monkeypatch, two_cpus, name, variant):
+    """With two CPUs and no size floor, the price and factor files are read
+    by `fork_map`, and the faulted file (index 3 of 10 or 11) by the forked
+    worker: exit code, stderr and artifacts are those of the serial read."""
+    serial = _check_fault(clean_inputs, tmp_path / "serial", capsys, name, variant)  # under the floor
+    monkeypatch.setattr(cli, "PARALLEL_READ_BYTES", 0)
+    read_here = []
+    load = market_data.load_price_csv
+    monkeypatch.setattr(
+        market_data, "load_price_csv", lambda path, **kw: read_here.append(path.name) or load(path, **kw)
+    )
+    assert _check_fault(clean_inputs, tmp_path / "forked", capsys, name, variant) == serial
+    faulted = Path(_INPUTS[name][0]).name
+    assert read_here and faulted not in read_here
+
+
+def test_inputs_under_the_size_floor_are_read_without_forking(tmp_path, monkeypatch, two_cpus):
+    """The test fixture's price and factor files total less than
+    `PARALLEL_READ_BYTES`, so even with two CPUs every command reads them in
+    its own process."""
+    build_workspace(tmp_path)
+    config = write_config(tmp_path)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for command in ("select", "allocate", "build-index", "make-dataset"):
+        assert run(config, command) == 0
+
+
+def _process_group(pgid: int) -> list[int]:
+    """The live or unreaped processes of group `pgid`, read from /proc."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()  # state, ppid, pgrp, ...
+        except (OSError, IndexError):
+            continue
+        if int(fields[2]) == pgid:
+            members.append(int(stat.parent.name))
+    return members
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process groups from /proc")
+def test_ctrl_c_during_run_experiment_leaves_no_process(tmp_path):
+    """SIGINT to the command's process group while a forked worker trains:
+    the command exits within 10 s and leaves no process of its group behind."""
+    build_workspace(tmp_path)
+    config = write_config(tmp_path)
+    for command in ("select", "allocate", "build-index"):
+        assert run(config, command) == 0
+    config.write_text(config.read_text().replace("epochs = 3", "epochs = 100000"))
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from corrindex.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = Path(evaluation.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "--config", str(config), "run-experiment"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env, cwd=tmp_path, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while len(_process_group(proc.pid)) < 2:
+            assert proc.poll() is None, "run-experiment ended before it forked"
+            assert time.monotonic() < deadline, "run-experiment did not fork"
+            time.sleep(0.005)
+        os.killpg(proc.pid, signal.SIGINT)
+        proc.wait(timeout=10)
+        assert _process_group(proc.pid) == []
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import pickle
 import re
 from datetime import date, timedelta
 from pathlib import Path
@@ -195,6 +196,25 @@ def test_dates_are_readonly_datetime64():
     for days in (prices.dates, returns.dates, panel.dates):
         assert days.dtype == np.dtype("datetime64[D]")
         assert not days.flags.writeable
+
+
+def test_series_unpickle_through_their_constructors_read_only_and_bit_exact():
+    prices = price_series("X", [1.0, 2.5, 3.0], dividends=[0.0, 0.25, 0.0])
+    returns = compute_returns(prices)
+    panel = align_calendars([returns, compute_returns(price_series("Y", [4.0, 3.0, 5.0]))])
+    for original, arrays in (
+        (prices, ("bars",)),
+        (returns, ("dates", "returns")),
+        (panel, ("dates", "values")),
+    ):
+        copy = pickle.loads(pickle.dumps(original))
+        assert type(copy) is type(original)
+        for name in arrays:
+            got, want = getattr(copy, name), getattr(original, name)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+            assert got.flags.writeable is False
+    assert pickle.loads(pickle.dumps(prices)).dates.flags.writeable is False
+    assert pickle.loads(pickle.dumps(panel)).tickers == ("X", "Y")
 
 
 def test_return_series_validates_lengths():
