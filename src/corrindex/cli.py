@@ -29,9 +29,9 @@ from .market_data import PriceSeries, ReturnSeries
 
 WEIGHT_LOAD_TOL = 1e-3
 # Price files are read on every CPU only once they total this many bytes. On a
-# 2-vCPU VM, a fresh process and one forked worker read 131 KiB of them (10
-# files of 260 rows) in 1.24x the one-process time, 243-361 KiB in 0.97-0.99x
-# and 480 KiB in 0.80x (medians of 21 interleaved pairs).
+# 2-vCPU VM, a fresh process and one forked worker read 131 KiB of them (10 files
+# of 260 rows) in 1.42x the one-process time, 361 KiB in 1.17x, 421 KiB in 1.01x,
+# 480-540 KiB in 0.89-0.92x and 1.1-6 MiB in 0.68-0.76x (medians of 21-31 pairs).
 PARALLEL_READ_BYTES = 512 * 1024
 
 

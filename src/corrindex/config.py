@@ -80,11 +80,11 @@ def _tickers(section, key: str) -> tuple[str, ...]:
     return tickers
 
 
-def _selection_weights(raw: str) -> tuple[float, ...]:
+def _selection_weights(section) -> tuple[float, ...]:
     """`[selection] weights`: finite, nonnegative w1..w6 summing to 1; equal when unset."""
-    if not raw:
+    if not section.get("weights"):
         return (1.0 / len(METRICS),) * len(METRICS)
-    weights = tuple(float(v) for v in raw.split(","))
+    weights = _value(section, "weights", lambda text: tuple(float(v) for v in text.split(",")), "")
     if len(weights) != len(METRICS):
         raise ConfigError(f"[selection] weights needs {len(METRICS)} values, got {len(weights)}")
     if not all(math.isfinite(w) for w in weights):
@@ -101,6 +101,16 @@ def _selection_weights(raw: str) -> tuple[float, ...]:
             f"[selection] weights invalid: selection weights must sum to 1, got {total!r}"
         )
     return weights
+
+
+def _value(section, key: str, parse, default: str):
+    """`[section] key`, or `default` when it is unset, read by `parse` (`int`,
+    `float`, ...). A value `parse` cannot read raises ConfigError naming the key."""
+    text = section.get(key, default)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {key}: {exc}") from None
 
 
 def _get_enum(section, key: str, valid: tuple[str, ...], default: str) -> str:
@@ -163,7 +173,7 @@ def load_config(
     out = parser["output"] if parser.has_section("output") else parser["DEFAULT"]
 
     try:
-        selection_weights = _selection_weights(sel.get("weights", "").strip())
+        selection_weights = _selection_weights(sel)
         seed = seed_override
         if seed is None and os.environ.get(ENV_SEED):
             try:
@@ -171,18 +181,19 @@ def load_config(
             except ValueError as exc:
                 raise ConfigError(f"{ENV_SEED} must be an integer") from exc
         if seed is None:
-            seed = train_sec.getint("seed", 0)
+            seed = _value(train_sec, "seed", int, "0")
 
+        train_args = dict(
+            epochs=_value(train_sec, "epochs", int, "100"),
+            runs=_value(train_sec, "runs", int, "30"),
+            learning_rate=_value(train_sec, "learning_rate", float, "1e-3"),
+            batch_size=_value(train_sec, "batch_size", int, "32"),
+            seed=seed,
+            hidden_size=_value(train_sec, "hidden_size", int, "32"),
+            kernels=_value(train_sec, "kernels", int, "16"),
+        )
         try:
-            train_cfg = TrainConfig(
-                epochs=train_sec.getint("epochs", 100),
-                runs=train_sec.getint("runs", 30),
-                learning_rate=train_sec.getfloat("learning_rate", 1e-3),
-                batch_size=train_sec.getint("batch_size", 32),
-                seed=seed,
-                hidden_size=train_sec.getint("hidden_size", 32),
-                kernels=train_sec.getint("kernels", 16),
-            )
+            train_cfg = TrainConfig(**train_args)
         except ValueError as exc:
             raise ConfigError(f"[train] invalid: {exc}") from exc
 
@@ -191,13 +202,13 @@ def load_config(
         if not output_path.is_absolute():
             output_path = base / output_path
 
-        split_fraction = ds.getfloat("split_fraction", 0.8)
+        split_fraction = _value(ds, "split_fraction", float, "0.8")
         if not 0.0 < split_fraction < 1.0:
             raise ConfigError(f"[dataset] split_fraction must be in (0, 1), got {split_fraction}")
-        lookback = ds.getint("lookback", 20)
+        lookback = _value(ds, "lookback", int, "20")
         if lookback < 1:
             raise ConfigError(f"[dataset] lookback must be positive, got {lookback}")
-        k = sel.getint("k", 8)
+        k = _value(sel, "k", int, "8")
         if k < 1:
             raise ConfigError(f"[selection] k must be positive, got {k}")
 

@@ -191,10 +191,56 @@ def load_price_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:
     dividend cell means dividend 0; a missing adjusted-close column or empty
     cell falls back to close. Rows may come in any date order and are sorted.
     Malformed rows and invalid values raise with the 1-based line number.
+
+    A file of plain cells is parsed by numpy's C tokenizer; any other file,
+    and any file that fails a check there, is read by the row parser
+    `_load_price_rows`, which defines what loads and words every error.
     """
     path = Path(path)
     name = ticker if ticker is not None else path.stem
+    series = _load_price_columns(path, name)
+    return series if series is not None else _load_price_rows(path, name)
 
+
+def _load_price_columns(path: Path, name: str) -> PriceSeries | None:
+    """`_load_price_rows(path, name)` for a file of plain cells, or None.
+
+    Plain means: no quote, no CR but in CRLF, the header on line 1, a row
+    after it, only empty lines between rows, and every date cell exactly
+    `YYYY-MM-DD`. The date column is read as 11 characters, one more than
+    that, so a longer cell cannot pass the check by being cut short.
+    """
+    text = read_utf8_text(path)
+    if '"' in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
+        return None
+    header, _, body = text.partition("\n")
+    column = {field: i for i, field in enumerate(header.removesuffix("\r").split(","))}
+    found = {key: column[label] for key, label in YAHOO_COLUMNS.items() if label in column}
+    # Declined before `loadtxt`, which warns when it finds no data.
+    if "date" not in found or "close" not in found or not body or body.isspace():
+        return None
+    try:
+        dtype = [(key, "U11" if key == "date" else float) for key in found]
+        cells = np.loadtxt(io.StringIO(body), dtype, delimiter=",", comments=None, quotechar=None,
+                           usecols=list(found.values()), ndmin=1)
+        days = cells["date"].astype("datetime64[D]")
+    except ValueError:
+        return None
+    # `datetime.date`'s range: numpy also reads and writes back `0000-01-01`, `-001-01-01`, `10000-01-01`
+    in_range = (days >= np.datetime64("0001-01-01")) & (days <= np.datetime64("9999-12-31"))
+    if not (in_range & (np.datetime_as_string(days, unit="D") == cells["date"])).all():
+        return None
+    adjusted = cells["adjusted_close" if "adjusted_close" in found else "close"]
+    dividends = cells["dividend"] if "dividend" in found else np.zeros(len(days))
+    table = np.rec.fromarrays([days, cells["close"], adjusted, dividends], dtype=BAR_DTYPE)
+    try:
+        return PriceSeries(ticker=name, bars=table[np.argsort(days, kind="stable")])
+    except ValueError:
+        return None
+
+
+def _load_price_rows(path: Path, name: str) -> PriceSeries:
+    """`load_price_csv` one row at a time over `read_csv`."""
     rows = read_csv(path)
     if not rows:
         raise ValueError(f"{path}: missing header row")

@@ -611,6 +611,36 @@ def test_unknown_config_key_rejected(tmp_path, text, message):
     assert str(err.value).startswith(message)
 
 
+_INT_KEYS = (
+    ("dataset", "lookback"),
+    ("selection", "k"),
+    *(("train", key) for key in ("seed", "epochs", "runs", "batch_size", "hidden_size", "kernels")),
+)
+_FLOAT_KEYS = (("dataset", "split_fraction"), ("selection", "weights"), ("train", "learning_rate"))
+_UNREADABLE = [(*key, "x") for key in (*_INT_KEYS, *_FLOAT_KEYS)] + [(*key, "1.5") for key in _INT_KEYS]
+# The command that reads each section's numbers
+_READER = {"dataset": "make-dataset", "selection": "select", "train": "run-experiment"}
+
+
+@pytest.mark.parametrize(
+    "section, key, value", _UNREADABLE, ids=[f"{s}.{k}={v}" for s, k, v in _UNREADABLE]
+)
+def test_unreadable_number_names_section_and_key(clean_inputs, tmp_path, capsys, monkeypatch, section, key, value):
+    monkeypatch.delenv("CORRINDEX_SEED", raising=False)
+    root = tmp_path / "ws"
+    shutil.copytree(clean_inputs, root)
+    config = root / "pipeline.ini"
+    text = re.sub(rf"^{key} = .*\n", "", config.read_text(), flags=re.MULTILINE)
+    config.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+    before = _files(root / "out")
+    capsys.readouterr()
+    assert run(config, _READER[section]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"[{section}] {key}: " in err
+    assert _files(root / "out") == before
+
+
 def test_config_with_utf8_bom_loads(tmp_path):
     from corrindex.config import load_config
 
@@ -864,8 +894,21 @@ def _check_fault(clean_inputs: Path, root: Path, capsys, name: str, variant: str
     return code, err.replace(str(root), "<ws>")
 
 
+# numpy's tokenizer reads price and factor files too, so on their rows any
+# warning raised while reading is an error.
+_FAULT_PARAMS = [
+    pytest.param(
+        name,
+        variant,
+        id=f"{name}-{variant}",
+        marks=[pytest.mark.filterwarnings("error")] if name in ("price", "factor") else [],
+    )
+    for name, variant in _FAULTS
+]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("name, variant", _FAULTS, ids=[f"{n}-{v}" for n, v in _FAULTS])
+@pytest.mark.parametrize("name, variant", _FAULT_PARAMS)
 def test_input_file_fault(clean_inputs, tmp_path, capsys, name, variant):
     _check_fault(clean_inputs, tmp_path / "ws", capsys, name, variant)
 
@@ -884,6 +927,7 @@ def two_cpus(monkeypatch):
         os.sched_setaffinity(0, real)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name, variant", _FORKED_FAULTS, ids=[f"{n}-{v}" for n, v in _FORKED_FAULTS])
 def test_input_file_fault_read_by_forked_worker(clean_inputs, tmp_path, capsys, monkeypatch, two_cpus, name, variant):

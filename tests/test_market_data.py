@@ -4,6 +4,7 @@ import ast
 import csv
 import pickle
 import re
+import warnings
 from datetime import date, timedelta
 from pathlib import Path
 from unittest import mock
@@ -136,6 +137,144 @@ def test_load_shuffled_repr_csv_round_trips_bit_exact(tmp_path_factory, rows, se
         [series.prices("close"), series.prices("adjusted_close"), series.dividends()]
     )
     assert got.tobytes() == np.array([row[1:] for row in rows]).tobytes()
+
+
+def _outcome(load, path: Path):
+    """The bars `load(path)` reads, or the type and message of what it raises."""
+    try:
+        return load(path).bars.tobytes()
+    except Exception as err:  # the two readers must fail alike, whatever fails
+        return type(err).__name__, str(err)
+
+
+_HEADER = ["Date", "Close", "Adj Close", "Dividends"]
+# Cells that one reader or the other may take differently from a clean one.
+_ODD_CELLS = [
+    " 2010-01-04", "2010-01-04 ", "2010-01-04T00:00", "today", "NaT", "2010-01", "20100104",
+    "0000-01-01", "10000-01-01", "2010-02-30", "2010-1-4", "1_000", "inf", "-inf", "nan",
+    "", " ", " 1.5 ", "1.5\x0b", "0", "-1", "1e999", "0x10", "١", '"1.5"', '"2010-01-04"',
+    '"a,b"', "Date", "Close",
+]
+_TEXT_MUTATIONS = ("crlf", "lone-cr", "bom", "blank-line", "leading-blank-line", "no-final-newline")
+_TABLE_MUTATIONS = (
+    "odd-cell", "quote-cell", "reorder", "drop-adj", "drop-div", "repeat-name", "extra-cells", "short-row",
+    "repeat-date",
+)
+
+
+@st.composite
+def _price_texts(draw):
+    """A price file's text: clean repr-written rows (none for a header-only
+    file), then up to four mutations of its cells, columns or lines."""
+    offsets = draw(st.lists(st.integers(0, 5000), max_size=6, unique=True))
+    price = st.floats(1e-3, 1e4).map(repr)
+    rows = [
+        [(date(2005, 1, 3) + timedelta(days=d)).isoformat(), draw(price), draw(price),
+         draw(st.sampled_from(["0.0", "0.25", "1.5"]))]
+        for d in offsets
+    ]
+    table = [list(_HEADER), *rows]
+    mutations = draw(st.lists(st.sampled_from(_TABLE_MUTATIONS + _TEXT_MUTATIONS), max_size=4))
+    for mutation in mutations:
+        width = len(table[0])
+        row = draw(st.integers(0, len(table) - 1))
+        col = draw(st.integers(0, width - 1))
+        if mutation == "odd-cell" and col < len(table[row]):
+            table[row][col] = draw(st.sampled_from(_ODD_CELLS))
+        elif mutation == "quote-cell" and col < len(table[row]):
+            table[row][col] = f'"{table[row][col]}"'
+        elif mutation == "reorder":
+            order = draw(st.permutations(range(width)))
+            table = [[r[i] for i in order if i < len(r)] for r in table]
+        elif mutation in ("drop-adj", "drop-div") and _HEADER[2 + (mutation == "drop-div")] in table[0]:
+            drop = table[0].index(_HEADER[2 + (mutation == "drop-div")])
+            table = [r[:drop] + r[drop + 1 :] for r in table]
+        elif mutation == "repeat-name":
+            # a second column under an existing name; the later one is read
+            table[0].insert(col, draw(st.sampled_from(_HEADER)))
+            for r in table[1:]:
+                r.insert(col, draw(price | st.sampled_from(_ODD_CELLS)))
+        elif mutation == "extra-cells":
+            table[row] += draw(st.lists(price | st.sampled_from(_ODD_CELLS), min_size=1, max_size=2))
+        elif mutation == "short-row" and row:
+            table[row] = table[row][:col]
+        elif mutation == "repeat-date" and len(table) > 2 and "Date" in table[0]:
+            column = table[0].index("Date")
+            if column < min(len(table[1]), len(table[row])):
+                table[row][column] = table[1][column]
+    lines = [",".join(cells) for cells in table]
+    end = "\n"
+    for mutation in mutations:
+        if mutation == "crlf":
+            end = "\r\n"
+        elif mutation == "lone-cr" and len(lines) > 1:
+            at = draw(st.integers(0, len(lines) - 2))
+            lines[at : at + 2] = [lines[at] + "\r" + lines[at + 1]]
+        elif mutation == "blank-line":
+            lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " ", "\t", " \t "])))
+        elif mutation == "leading-blank-line":
+            lines.insert(0, draw(st.sampled_from(["", "  "])))
+    text = end.join(lines) + ("" if "no-final-newline" in mutations else end)
+    return ("\ufeff" if "bom" in mutations else "") + text
+
+
+@given(text=_price_texts())
+@example(text="Date,Close,Adj Close,Dividends\n")
+@example(text="Date,Close\n2010-01-04,1.5\n2010-01-05,1_000\n")
+@example(text="Date,Close\n2010-01-04,1.5\nNaT,2\n")
+@example(text="Date,Close\n2010-01-04,1.5\n20100105,2\n")
+@example(text="Date,Close\ntoday,1.5\n2010-01-05,2\n")
+@example(text="Date,Close\n2010-01,1.5\n2010-01-05,2\n")
+@example(text="Date,Close\n0000-01-01,1.5\n2010-01-05,2\n")
+@example(text="Date,Close\n2010-01-04,1.5\n10000-01-05,2\n")
+@example(text="Date,Close\n2010-01-04T00:00,1.5\n2010-01-05,2\n")
+@example(text="Date,Close,Adj Close\r2010-01-04,1,1\n2010-01-05,2,2\n2010-01-06,3,3\n")
+@example(text="Date,A,B,Close\n2010-01-04,\"x,y\",7,100\n2010-01-05,1,2,3\n")
+@settings(max_examples=300, deadline=None)
+def test_load_price_csv_matches_the_row_parser(tmp_path_factory, text):
+    """Whatever path reads a file, `load_price_csv` gives the row parser's
+    bars bit for bit, or raises its exception with its message. Any warning
+    is an error; the filter is set here rather than by a mark, which would
+    also turn warnings inside hypothesis's failure report into errors."""
+    path = tmp_path_factory.mktemp("differential") / "P.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(load_price_csv, path)
+        expected = _outcome(lambda p: market_data._load_price_rows(p, p.stem), path)
+    assert got == expected
+
+
+def _generated_price_text() -> str:
+    """A price file written as the benchmark workspaces write theirs: repr
+    floats, an adjusted close below the close, a few dividends."""
+    panel = generate_synthetic_panel(1, 260, daily_vol=0.01, seed=5)
+    closes = (100.0 * np.cumprod(1.0 + panel.values[:, 0])).tolist()
+    days = np.datetime_as_string(panel.dates, unit="D").tolist()
+    lines = ["Date,Close,Adj Close,Dividends"]
+    for i, (day, close) in enumerate(zip(days, closes)):
+        dividend = 0.35 if i % 63 == 5 else 0.0
+        lines.append(f"{day},{close!r},{close * 0.97!r},{dividend!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [str, lambda text: "\ufeff" + text, lambda text: text.replace("\n", "\r\n"), lambda text: text + "\n"],
+    ids=["lf", "bom", "crlf", "trailing-blank-line"],
+)
+def test_plain_price_files_are_read_without_the_row_parser(tmp_path, monkeypatch, variant):
+    """A clean file goes through numpy's tokenizer alone; every other test
+    would pass as well with the fast path turned off."""
+    path = tmp_path / "P.csv"
+    path.write_bytes(variant(_generated_price_text()).encode("utf-8"))
+    expected = market_data._load_price_rows(path, "P").bars.tobytes()
+
+    def no_row_parser(path, name):
+        raise AssertionError("row parser called")
+
+    monkeypatch.setattr(market_data, "_load_price_rows", no_row_parser)
+    assert load_price_csv(path).bars.tobytes() == expected
 
 
 # =============================================================================
