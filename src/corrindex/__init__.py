@@ -12,19 +12,11 @@ Pipeline stages, each usable on its own:
 * `evaluation`: RMSE, multi-run statistics, the 2x2 comparison report
 * `parallel`: `fork_map`, independent work spread over forked processes
 * `cli`: file-driven pipeline commands
+
+Importing the package loads none of them: each is imported on first use.
 """
 
-from . import (
-    allocation,
-    dataset,
-    evaluation,
-    forecast,
-    index_builder,
-    market_data,
-    parallel,
-    riskmodel,
-    selection,
-)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -40,3 +32,10 @@ __all__ = [
     "selection",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import a stage module the first time it is used (PEP 562)."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module(f"{__name__}.{name}")

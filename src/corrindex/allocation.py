@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .market_data import _readonly
-from .riskmodel import CovarianceMatrix, Linkage
+
+if TYPE_CHECKING:
+    from .riskmodel import CovarianceMatrix, Linkage
 
 WEIGHT_SUM_TOL = 1e-12
 NODE_VALUE_FLOOR = 1e-12

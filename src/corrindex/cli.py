@@ -10,7 +10,8 @@
 
 Every command validates its full configuration and inputs before producing
 any output, and all files are written atomically (temp + rename). Exit codes:
-0 success, 1 validation error, 2 runtime error.
+0 success, 1 validation error, 2 runtime error. Each command imports only the
+stage modules it runs, and calls them as `module.function`.
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import allocation, dataset, evaluation, index_builder, market_data, parallel, riskmodel, selection
+from . import market_data, parallel
 from .config import STRATEGIES, ConfigError, PipelineConfig, load_config
-from .forecast import MODEL_KINDS
 from .market_data import PriceSeries, ReturnSeries
+
+if TYPE_CHECKING:
+    from . import allocation
 
 WEIGHT_LOAD_TOL = 1e-3
 # Price files are read on every CPU only once they total this many bytes. On a
@@ -102,6 +106,8 @@ def _load_panel(cfg: PipelineConfig, tickers: tuple[str, ...], policy: str):
 
 
 def cmd_select(cfg: PipelineConfig) -> int:
+    from . import selection
+
     _require(len(cfg.tickers) >= 2, "[data] tickers must list at least 2 companies")
     _require(
         cfg.k <= len(cfg.tickers),
@@ -169,6 +175,8 @@ def _read_constituents(cfg: PipelineConfig) -> tuple[str, ...]:
 
 
 def _allocate_weights(cfg: PipelineConfig, cov, link) -> allocation.Weights:
+    from . import allocation
+
     if cfg.strategy == "hrp_walk":
         return allocation.hrp_dendrogram_walk(cov, link)
     if cfg.strategy == "hrp_bisection":
@@ -181,6 +189,8 @@ def _allocate_weights(cfg: PipelineConfig, cov, link) -> allocation.Weights:
 
 
 def cmd_allocate(cfg: PipelineConfig) -> int:
+    from . import riskmodel
+
     panel = _load_panel(cfg, _read_constituents(cfg), cfg.align_policy)
     cov = riskmodel.covariance_matrix(panel)
     corr = riskmodel.correlation_matrix(cov)
@@ -211,6 +221,8 @@ def cmd_allocate(cfg: PipelineConfig) -> int:
 
 def _load_weights_csv(path: Path) -> allocation.Weights:
     """Read a two-column weights file; renormalizes display rounding away."""
+    from . import allocation
+
     tickers, vec = _read_pairs(path)
     total = vec.sum()
     _require(
@@ -227,6 +239,8 @@ def _load_weights_csv(path: Path) -> allocation.Weights:
 
 
 def cmd_build_index(cfg: PipelineConfig) -> int:
+    from . import index_builder
+
     weights_path = _require_file(cfg.artifact("weights.csv"), "weights.csv (run allocate)")
     weights = _load_weights_csv(weights_path)
     panel = _load_panel(cfg, weights.tickers, cfg.align_policy)
@@ -244,6 +258,8 @@ def cmd_build_index(cfg: PipelineConfig) -> int:
 
 
 def _load_index_series(cfg: PipelineConfig) -> ReturnSeries:
+    from . import index_builder
+
     if cfg.index_csv is not None:
         return index_builder.index_from_csv(_require_file(cfg.index_csv, "[data] index_csv"))
     artifact = cfg.artifact("index_returns.csv")
@@ -262,18 +278,34 @@ def _load_factor_series(cfg: PipelineConfig) -> list[ReturnSeries | PriceSeries]
 
 
 def _build_datasets(cfg: PipelineConfig, index: ReturnSeries, factors) -> dict[str, tuple]:
-    out = {}
-    matrix1, names1 = dataset.feature_matrix(index)
-    ds1 = dataset.make_windows(matrix1, cfg.lookback, feature_names=names1)
-    out["dataset1"] = dataset.chronological_split(ds1, cfg.split_fraction)
+    """Each dataset's windows, split chronologically. A lookback or split
+    fraction that leaves a dataset no window, or an empty split, is a config error."""
+    from . import dataset
+
+    def split(matrix: np.ndarray, names: tuple[str, ...]):
+        rows = f"the {len(matrix)} index returns"
+        if len(matrix) < len(index):
+            rows += f" on dates every factor has (the index has {len(index)})"
+        windows = len(matrix) - cfg.lookback
+        _require(windows >= 1, f"[dataset] lookback = {cfg.lookback} must be less than {rows}")
+        n_train = dataset.train_size(windows, cfg.split_fraction)
+        _require(
+            0 < n_train < windows,
+            f"[dataset] lookback = {cfg.lookback} and split_fraction = {cfg.split_fraction} split "
+            f"{rows} into {n_train} train and {windows - n_train} test windows; each needs at least 1",
+        )
+        ds = dataset.make_windows(matrix, cfg.lookback, feature_names=names)
+        return dataset.chronological_split(ds, cfg.split_fraction)
+
+    out = {"dataset1": split(*dataset.feature_matrix(index))}
     if factors:
-        matrix2, names2 = dataset.feature_matrix(index, factors, price_field=cfg.price_field)
-        ds2 = dataset.make_windows(matrix2, cfg.lookback, feature_names=names2)
-        out["dataset2"] = dataset.chronological_split(ds2, cfg.split_fraction)
+        out["dataset2"] = split(*dataset.feature_matrix(index, factors, price_field=cfg.price_field))
     return out
 
 
 def cmd_make_dataset(cfg: PipelineConfig) -> int:
+    from . import dataset
+
     index = _load_index_series(cfg)
     factors = _load_factor_series(cfg) if cfg.factor_tickers else []
     splits = _build_datasets(cfg, index, factors)
@@ -286,6 +318,9 @@ def cmd_make_dataset(cfg: PipelineConfig) -> int:
 
 
 def cmd_run_experiment(cfg: PipelineConfig) -> int:
+    from . import evaluation
+    from .forecast import MODEL_KINDS
+
     _require(
         len(cfg.factor_tickers) > 0,
         "[data] factor_tickers must be set: the experiment compares the "
@@ -330,6 +365,8 @@ def cmd_run_experiment(cfg: PipelineConfig) -> int:
 
 
 def cmd_report(cfg: PipelineConfig) -> int:
+    from . import evaluation
+
     runs_path = _require_file(cfg.artifact("runs.csv"), "runs.csv (run run-experiment)")
     runs_text = market_data.read_utf8_text(runs_path)
     try:

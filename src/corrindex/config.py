@@ -1,5 +1,9 @@
 """Pipeline configuration: one INI-style file drives every command.
 
+The names validated against (`TrainConfig`, `LINKAGE_METHODS`, `METRICS`, ...)
+live here, and this module imports only `market_data`, so loading a config
+loads no stage.
+
 Paths are resolved relative to the config file so a run is reproducible from
 the file alone. Unknown sections and keys are rejected, so a misspelt key
 cannot silently fall back to its default. Only two environment overrides exist
@@ -16,16 +20,18 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .forecast import TrainConfig
 from .market_data import ALIGN_POLICIES, PRICE_FIELDS, RETURN_MODES, read_utf8_text
-from .riskmodel import DISTANCE_CONVENTIONS, LINKAGE_METHODS
-from .selection import METRICS
 
 ENV_OUTPUT_DIR = "CORRINDEX_OUTPUT_DIR"
 ENV_SEED = "CORRINDEX_SEED"
 
 STRATEGIES = ("hrp_walk", "hrp_bisection", "equal_weight", "min_variance")
 FEATURE_MODES = ("returns", "levels")
+LINKAGE_METHODS = ("single", "complete", "ward")
+DISTANCE_CONVENTIONS = ("correlation", "euclidean")
+# The columns of a metric table, in the order of the weights w1..w6. `beta`
+# and `volatility` come from price history; the rest from a fundamentals file.
+METRICS = ("economic_impact", "global_reach", "capital_expenditure", "beta", "kpi", "volatility")
 WEIGHT_SUM_TOL = 1e-12
 
 # The keys each section reads; any other key is rejected rather than ignored.
@@ -43,6 +49,42 @@ SECTION_KEYS = {
 
 class ConfigError(ValueError):
     """Invalid or incomplete configuration; commands exit 1 on this."""
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Knobs for one training run and for multi-run protocols.
+
+    `runs` only matters to multi-run evaluation; a single `train` call uses
+    `seed` for init and batch order. Architecture sizes live here too so one
+    object fingerprints a whole experiment.
+    """
+
+    epochs: int = 100
+    runs: int = 30
+    learning_rate: float = 1e-3
+    batch_size: int = 32
+    seed: int = 0
+    hidden_size: int = 32
+    kernels: int = 16
+    kernel_width: int = 3
+    pool_width: int = 2
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
+        if self.runs < 1:
+            raise ValueError("runs must be at least 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.hidden_size < 1:
+            raise ValueError(f"hidden_size must be at least 1, got {self.hidden_size}")
+        if self.kernels < 1:
+            raise ValueError(f"kernels must be at least 1, got {self.kernels}")
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,11 @@ def make_windows(
     return WindowedDataset(X=x, y=y, feature_names=tuple(feature_names), scaler=None)
 
 
+def train_size(sample_count: int, train_fraction: float) -> int:
+    """floor(fraction * N): the samples `chronological_split` puts in training."""
+    return math.floor(train_fraction * sample_count)
+
+
 def chronological_split(
     ds: WindowedDataset, train_fraction: float
 ) -> tuple[WindowedDataset, WindowedDataset]:
@@ -136,7 +141,7 @@ def chronological_split(
     if ds.scaler is not None:
         raise ValueError("dataset is already scaled; split the unscaled dataset")
     n = ds.sample_count
-    n_train = math.floor(train_fraction * n)
+    n_train = train_size(n, train_fraction)
     if n_train < 1 or n_train >= n:
         raise ValueError(
             f"train fraction {train_fraction} gives empty split ({n_train}/{n - n_train})"

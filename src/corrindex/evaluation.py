@@ -12,13 +12,15 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .dataset import WindowedDataset
 from .forecast import MODEL_KINDS, TrainConfig, TrainingDiverged, predict, train
 from .parallel import fork_map
+
+if TYPE_CHECKING:
+    from .dataset import WindowedDataset
 
 DATASET_IDS = ("dataset1", "dataset2")
 CELL_ORDER = (

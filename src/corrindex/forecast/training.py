@@ -2,52 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..dataset import WindowedDataset
+from ..config import TrainConfig
 from .conv import ConvParams
 from .lstm import LstmParams
 from .models import MODEL_KINDS, Model
 
+if TYPE_CHECKING:
+    from ..dataset import WindowedDataset
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Knobs for one training run and for multi-run protocols.
-
-    `runs` only matters to multi-run evaluation; a single `train` call uses
-    `seed` for init and batch order. Architecture sizes live here too so one
-    object fingerprints a whole experiment.
-    """
-
-    epochs: int = 100
-    runs: int = 30
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    seed: int = 0
-    hidden_size: int = 32
-    kernels: int = 16
-    kernel_width: int = 3
-    pool_width: int = 2
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.hidden_size < 1 or self.kernels < 1:
-            raise ValueError("hidden size and kernel count must be positive")
 
 
 class TrainingDiverged(RuntimeError):

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .allocation import Weights
 from .market_data import AlignedPanel, ReturnSeries, read_dated_csv, write_dated_csv
+
+if TYPE_CHECKING:
+    from .allocation import Weights
 
 
 def build_index(weights: Weights, panel: AlignedPanel) -> ReturnSeries:

@@ -26,7 +26,7 @@ ALIGN_POLICIES = ("intersect", "forward_fill")
 PRICE_FIELDS = ("adjusted_close", "close")
 
 
-# One row per trading day; `PriceSeries.bars` is a read-only record array of these.
+# One row per trading day; `PriceSeries.bars` is a read-only structured array of these.
 BAR_DTYPE = np.dtype(
     [("date", "datetime64[D]"), ("close", float), ("adjusted_close", float), ("dividend", float)]
 )
@@ -72,20 +72,20 @@ def _check_dates(name: str, days: np.ndarray) -> None:
 class PriceSeries:
     """Daily bars for one ticker: at least two, strictly increasing dates.
 
-    `bars` is a read-only record array of `BAR_DTYPE` (date, close,
-    adjusted_close, dividend), one row per day. The constructor also accepts
-    a sequence of `(date, close, adjusted_close, dividend)` tuples. Closes and
-    adjusted closes must be finite and positive, dividends finite and
-    nonnegative.
+    `bars` is a read-only structured array of `BAR_DTYPE` (date, close,
+    adjusted_close, dividend), one row per day, read by field name
+    (`bars["close"]`). The constructor also accepts a sequence of
+    `(date, close, adjusted_close, dividend)` tuples. Closes and adjusted
+    closes must be finite and positive, dividends finite and nonnegative.
     """
 
     ticker: str
-    bars: np.recarray
+    bars: np.ndarray
     __reduce__ = _reduce_through_init
 
     def __post_init__(self):
         raw = self.bars if isinstance(self.bars, np.ndarray) else list(self.bars)
-        bars = _readonly(raw, BAR_DTYPE).view(np.recarray)
+        bars = _readonly(raw, BAR_DTYPE)
         object.__setattr__(self, "bars", bars)
         if len(bars) < 2:
             raise ValueError(f"{self.ticker}: need at least 2 bars, got {len(bars)}")

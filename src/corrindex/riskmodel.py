@@ -14,12 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import DISTANCE_CONVENTIONS, LINKAGE_METHODS
 from .market_data import AlignedPanel, _readonly, write_csv, write_float_rows
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
-LINKAGE_METHODS = ("single", "complete", "ward")
-DISTANCE_CONVENTIONS = ("correlation", "euclidean")
 
 
 def _check_square(values: np.ndarray, tickers: tuple[str, ...], what: str) -> None:

@@ -7,11 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import METRICS
 from .market_data import AlignedPanel, read_csv
 
-# The columns of a metric table, in the order of the weights w1..w6. `beta`
-# and `volatility` come from price history; the rest from a fundamentals file.
-METRICS = ("economic_impact", "global_reach", "capital_expenditure", "beta", "kpi", "volatility")
 _BETA = METRICS.index("beta")
 
 

@@ -544,6 +544,16 @@ def test_negative_seed_rejected_before_any_work(tmp_path, capsys, monkeypatch, s
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [("hidden_size", "0"), ("kernels", "-2")])
+def test_non_positive_model_size_names_its_key(tmp_path, capsys, key, value):
+    build_workspace(tmp_path, n_days=80, seed=13)
+    config = write_config(tmp_path)
+    config.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", config.read_text(), flags=re.M))
+    assert run(config, "select") == 1
+    assert capsys.readouterr().err == f"error: [train] invalid: {key} must be at least 1, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["tickers", "factor_tickers"])
 def test_repeated_ticker_rejected(tmp_path, capsys, key):
     build_workspace(tmp_path, n_days=80, seed=13)
@@ -638,6 +648,52 @@ def test_unreadable_number_names_section_and_key(clean_inputs, tmp_path, capsys,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert f"[{section}] {key}: " in err
+    assert _files(root / "out") == before
+
+
+# The clean workspace's index has 79 returns. `lookback = 78` leaves one window,
+# which a 0.8 split puts all in test; 79 and more leave none. The short-factor
+# case drops F03's first 39 days, so dataset2 has 40 rows and lookback 39 leaves
+# it one window while dataset1 keeps 40.
+_LOOKBACK_FAULTS = [
+    (
+        "78",
+        None,
+        "lookback = 78 and split_fraction = 0.8 split the 79 index returns "
+        "into 0 train and 1 test windows; each needs at least 1",
+    ),
+    ("79", None, "lookback = 79 must be less than the 79 index returns"),
+    ("1000", None, "lookback = 1000 must be less than the 79 index returns"),
+    (
+        "39",
+        "F03",
+        "lookback = 39 and split_fraction = 0.8 split the 40 index returns on dates every "
+        "factor has (the index has 79) into 0 train and 1 test windows; each needs at least 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("command", ["make-dataset", "run-experiment"])
+@pytest.mark.parametrize(
+    "lookback, late_factor, message", _LOOKBACK_FAULTS, ids=["empty-split", "equal", "longer", "short-factor"]
+)
+def test_lookback_the_index_cannot_fill_exits_1_naming_the_key(
+    clean_inputs, tmp_path, capsys, command, lookback, late_factor, message
+):
+    root = tmp_path / "ws"
+    shutil.copytree(clean_inputs, root)
+    config = root / "pipeline.ini"
+    config.write_text(config.read_text().replace("lookback = 10", f"lookback = {lookback}"))
+    if late_factor is not None:
+        path = root / "factors" / f"{late_factor}.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + "".join(lines[40:]))
+    before = _files(root / "out")
+    capsys.readouterr()
+    assert run(config, command) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: [dataset] {message}"]
+    assert "RMSE" not in captured.out
     assert _files(root / "out") == before
 
 
@@ -1008,3 +1064,88 @@ def test_ctrl_c_during_run_experiment_leaves_no_process(tmp_path):
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
+
+
+# =============================================================================
+# import graph
+# =============================================================================
+
+
+# The stage modules each command must not load, in a fresh interpreter
+_NOT_LOADED = {
+    "select": {"riskmodel", "allocation", "index_builder", "dataset", "evaluation", "forecast"},
+    "allocate": {"selection", "index_builder", "dataset", "evaluation", "forecast"},
+    "build-index": {"riskmodel", "selection", "dataset", "evaluation", "forecast"},
+    "make-dataset": {"riskmodel", "allocation", "selection", "evaluation", "forecast"},
+    "run-experiment": {"riskmodel", "allocation", "selection"},
+    "report": {"riskmodel", "allocation", "selection", "index_builder", "dataset"},
+}
+
+
+def test_each_command_loads_only_the_stages_it_runs(tmp_path):
+    """Each command in its own interpreter, with bytecode caching off as the
+    benchmark runs it: the `corrindex` modules it loaded miss every stage it
+    does not run, and the command still succeeds."""
+    build_workspace(tmp_path, n_days=80, seed=31)
+    config = write_config(tmp_path)
+    code = (
+        "import sys\n"
+        "from corrindex.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('corrindex.')))\n"
+        "sys.exit(code)\n"
+    )
+    src = Path(evaluation.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    for command, absent in _NOT_LOADED.items():
+        result = subprocess.run(
+            [sys.executable, "-c", code, "--config", str(config), command],
+            capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = {name.split(".")[1] for name in result.stdout.splitlines()[-1].split()}
+        assert loaded & absent == set(), command
+        assert {"cli", "config", "market_data"} <= loaded
+
+
+def test_package_imports_stage_modules_on_first_use():
+    code = (
+        "import sys\n"
+        "import corrindex\n"
+        "assert [m for m in sys.modules if m.startswith('corrindex.')] == []\n"
+        "assert corrindex.riskmodel.__name__ == 'corrindex.riskmodel'\n"
+        "assert corrindex.forecast.__name__ == 'corrindex.forecast'\n"
+        "assert 'corrindex.selection' not in sys.modules\n"
+    )
+    src = Path(evaluation.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+
+
+def test_star_import_binds_every_public_name():
+    import corrindex
+
+    namespace: dict = {}
+    exec("from corrindex import *", namespace)
+    assert set(corrindex.__all__) <= set(namespace)
+    assert namespace["forecast"] is sys.modules["corrindex.forecast"]
+    assert namespace["__version__"] == corrindex.__version__
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    import corrindex
+
+    with pytest.raises(AttributeError, match="no attribute 'pipeline'"):
+        corrindex.pipeline
+
+
+def test_names_moved_to_config_are_the_same_objects():
+    from corrindex import config, forecast, riskmodel, selection
+    from corrindex.forecast import training
+
+    assert forecast.TrainConfig is training.TrainConfig is config.TrainConfig
+    assert riskmodel.LINKAGE_METHODS is config.LINKAGE_METHODS
+    assert riskmodel.DISTANCE_CONVENTIONS is config.DISTANCE_CONVENTIONS
+    assert selection.METRICS is config.METRICS

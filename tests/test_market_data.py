@@ -50,7 +50,7 @@ def test_load_three_row_csv(tmp_path):
     series = load_price_csv(path)
     assert series.ticker == "ABC"
     assert len(series.bars) == 3
-    assert [b.close for b in series.bars] == [100.0, 101.0, 99.0]
+    assert [b["close"] for b in series.bars] == [100.0, 101.0, 99.0]
     assert series.dates.tolist() == [date(2020, 1, 2), date(2020, 1, 3), date(2020, 1, 6)]
 
 
@@ -58,9 +58,9 @@ def test_load_missing_dividend_column_defaults_zero(tmp_path):
     path = tmp_path / "ABC.csv"
     path.write_text("Date,Close\n2020-01-02,100\n2020-01-03,101\n")
     series = load_price_csv(path)
-    assert all(b.dividend == 0.0 for b in series.bars)
+    assert all(b["dividend"] == 0.0 for b in series.bars)
     # adjusted close falls back to close when the column is absent
-    assert all(b.adjusted_close == b.close for b in series.bars)
+    assert all(b["adjusted_close"] == b["close"] for b in series.bars)
 
 
 def test_load_unparseable_close_names_line(tmp_path):
