@@ -9,9 +9,10 @@
     corrindex report         -> report.txt rebuilt from runs.csv
 
 Every command validates its full configuration and inputs before producing
-any output, and all files are written atomically (temp + rename). Exit codes:
-0 success, 1 validation error, 2 runtime error. Each command imports only the
-stage modules it runs, and calls them as `module.function`.
+any output, then returns its artifacts, and `main` writes them in one `commit`:
+every temp file first, then every rename. Exit codes: 0 success, 1 validation
+error, 2 runtime error. Each command imports only the stage modules it runs,
+and calls them as `module.function`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -38,21 +40,36 @@ WEIGHT_LOAD_TOL = 1e-3
 # 480-540 KiB in 0.89-0.92x and 1.1-6 MiB in 0.68-0.76x (medians of 21-31 pairs).
 PARALLEL_READ_BYTES = 512 * 1024
 
+# A command's artifacts in write order: name -> its text, or a `writer(path)`
+# that streams it to `path`.
+Outputs = dict[str, str | Callable[[Path], None]]
 
-def atomic_write(target: Path, writer) -> None:
-    """Call `writer(tmp)` on a new temp path beside `target`, then rename it into place.
 
-    Each call picks its own temp name, so commands writing to one directory
-    never share a temp file. If anything fails, the temp file is removed and
-    the previous `target` is left untouched.
+def commit(directory: Path, outputs: Outputs) -> None:
+    """Write every output to its own temp file in `directory`, then rename them
+    all into place and print one `wrote <path>` line per artifact.
+
+    Temp names are unique (`.<name>.<random hex>.tmp`), so commands writing to
+    one directory never share a temp file. If any output fails, every temp file
+    is removed and no target changes. A crash or a failed rename between two
+    renames can still leave some targets replaced and others not.
     """
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    directory.mkdir(parents=True, exist_ok=True)
+    staged = []
     try:
-        writer(tmp)
-        os.replace(tmp, target)
+        for name, output in outputs.items():
+            tmp = directory / f".{name}.{os.urandom(8).hex()}.tmp"
+            staged.append((tmp, directory / name))
+            if isinstance(output, str):
+                tmp.write_text(output, encoding="utf-8")
+            else:
+                output(tmp)
+        for tmp, target in staged:
+            os.replace(tmp, target)
+            print(f"wrote {target}")
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -105,7 +122,7 @@ def _load_panel(cfg: PipelineConfig, tickers: tuple[str, ...], policy: str):
 # =============================================================================
 
 
-def cmd_select(cfg: PipelineConfig) -> int:
+def cmd_select(cfg: PipelineConfig) -> Outputs:
     from . import selection
 
     _require(len(cfg.tickers) >= 2, "[data] tickers must list at least 2 companies")
@@ -136,11 +153,7 @@ def cmd_select(cfg: PipelineConfig) -> int:
     scored = list(zip(cfg.tickers, scores.tolist()))
     ranked = selection.rank_universe(scored, cfg.k)
     by_ticker = dict(scored)
-    lines = [f"{ticker},{by_ticker[ticker]!r}" for ticker in ranked]
-    text = "\n".join(lines) + "\n"
-    atomic_write(cfg.artifact("constituents.csv"), lambda p: p.write_text(text, encoding="utf-8"))
-    print(f"wrote {cfg.artifact('constituents.csv')} ({len(ranked)} constituents)")
-    return 0
+    return {"constituents.csv": "".join(f"{ticker},{by_ticker[ticker]!r}\n" for ticker in ranked)}
 
 
 def _read_pairs(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -188,7 +201,7 @@ def _allocate_weights(cfg: PipelineConfig, cov, link) -> allocation.Weights:
     raise ConfigError(f"unknown strategy {cfg.strategy!r}; valid: {', '.join(STRATEGIES)}")
 
 
-def cmd_allocate(cfg: PipelineConfig) -> int:
+def cmd_allocate(cfg: PipelineConfig) -> Outputs:
     from . import riskmodel
 
     panel = _load_panel(cfg, _read_constituents(cfg), cfg.align_policy)
@@ -198,25 +211,15 @@ def cmd_allocate(cfg: PipelineConfig) -> int:
     link = riskmodel.linkage(dist, method=cfg.linkage_method)
     weights = _allocate_weights(cfg, cov, link)
 
-    lines = [f"{t},{w:.4f}" for t, w in zip(weights.tickers, weights.values)]
-    text = "\n".join(lines) + "\n"
-    atomic_write(cfg.artifact("weights.csv"), lambda p: p.write_text(text, encoding="utf-8"))
-
-    atomic_write(
-        cfg.artifact("covariance.csv"),
-        lambda p: riskmodel.matrix_to_csv(cov.tickers, cov.values, p),
-    )
-    atomic_write(
-        cfg.artifact("correlation.csv"),
-        lambda p: riskmodel.matrix_to_csv(corr.tickers, corr.values, p),
-    )
-    atomic_write(cfg.artifact("linkage.csv"), lambda p: riskmodel.linkage_to_csv(link, p))
-
     print(f"strategy {cfg.strategy}")
     for ticker, weight in zip(weights.tickers, weights.values):
         print(f"  {ticker:<8} {weight:.4f}")
-    print(f"wrote {cfg.artifact('weights.csv')}")
-    return 0
+    return {
+        "weights.csv": "".join(f"{t},{w:.4f}\n" for t, w in zip(weights.tickers, weights.values)),
+        "covariance.csv": lambda p: riskmodel.matrix_to_csv(cov.tickers, cov.values, p),
+        "correlation.csv": lambda p: riskmodel.matrix_to_csv(corr.tickers, corr.values, p),
+        "linkage.csv": lambda p: riskmodel.linkage_to_csv(link, p),
+    }
 
 
 def _load_weights_csv(path: Path) -> allocation.Weights:
@@ -238,18 +241,14 @@ def _load_weights_csv(path: Path) -> allocation.Weights:
 # =============================================================================
 
 
-def cmd_build_index(cfg: PipelineConfig) -> int:
+def cmd_build_index(cfg: PipelineConfig) -> Outputs:
     from . import index_builder
 
     weights_path = _require_file(cfg.artifact("weights.csv"), "weights.csv (run allocate)")
     weights = _load_weights_csv(weights_path)
     panel = _load_panel(cfg, weights.tickers, cfg.align_policy)
     index = index_builder.build_index(weights, panel)
-
-    target = cfg.artifact("index_returns.csv")
-    atomic_write(target, lambda p: index_builder.index_to_csv(index, p))
-    print(f"wrote {target} ({len(index)} days)")
-    return 0
+    return {"index_returns.csv": lambda p: index_builder.index_to_csv(index, p)}
 
 
 # =============================================================================
@@ -303,21 +302,19 @@ def _build_datasets(cfg: PipelineConfig, index: ReturnSeries, factors) -> dict[s
     return out
 
 
-def cmd_make_dataset(cfg: PipelineConfig) -> int:
+def cmd_make_dataset(cfg: PipelineConfig) -> Outputs:
     from . import dataset
 
     index = _load_index_series(cfg)
     factors = _load_factor_series(cfg) if cfg.factor_tickers else []
-    splits = _build_datasets(cfg, index, factors)
-    for name, (train_ds, test_ds) in splits.items():
-        for split_name, split in (("train", train_ds), ("test", test_ds)):
-            target = cfg.artifact(f"{name}_{split_name}.csv")
-            atomic_write(target, lambda p, s=split: dataset.save_windows_csv(s, p))
-            print(f"wrote {target} ({split.sample_count} samples, {split.feature_count} features)")
-    return 0
+    return {
+        f"{name}_{split_name}.csv": lambda p, s=split: dataset.save_windows_csv(s, p)
+        for name, splits in _build_datasets(cfg, index, factors).items()
+        for split_name, split in zip(("train", "test"), splits)
+    }
 
 
-def cmd_run_experiment(cfg: PipelineConfig) -> int:
+def cmd_run_experiment(cfg: PipelineConfig) -> Outputs:
     from . import evaluation
     from .forecast import MODEL_KINDS
 
@@ -356,15 +353,10 @@ def cmd_run_experiment(cfg: PipelineConfig) -> int:
             cells.append(stats)
 
     report = evaluation.comparison_report(cells, evaluation.config_fingerprint(cfg.train))
-    runs_text, report_text = evaluation.runs_csv(report), evaluation.render_report(report)
-    atomic_write(cfg.artifact("runs.csv"), lambda p: p.write_text(runs_text, encoding="utf-8"))
-    atomic_write(cfg.artifact("report.txt"), lambda p: p.write_text(report_text, encoding="utf-8"))
-    print(f"wrote {cfg.artifact('runs.csv')}")
-    print(f"wrote {cfg.artifact('report.txt')}")
-    return 0
+    return {"runs.csv": evaluation.runs_csv(report), "report.txt": evaluation.render_report(report)}
 
 
-def cmd_report(cfg: PipelineConfig) -> int:
+def cmd_report(cfg: PipelineConfig) -> Outputs:
     from . import evaluation
 
     runs_path = _require_file(cfg.artifact("runs.csv"), "runs.csv (run run-experiment)")
@@ -375,9 +367,8 @@ def cmd_report(cfg: PipelineConfig) -> int:
         raise ValueError(f"{runs_path}: {err}") from None
     report = evaluation.comparison_report(cells, fingerprint)
     text = evaluation.render_report(report)
-    atomic_write(cfg.artifact("report.txt"), lambda p: p.write_text(text, encoding="utf-8"))
     print(text, end="")
-    return 0
+    return {"report.txt": text}
 
 
 # =============================================================================
@@ -412,7 +403,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed_override=args.seed, output_override=args.output_dir)
-        return COMMANDS[args.command](cfg)
+        commit(cfg.output_dir, COMMANDS[args.command](cfg))
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

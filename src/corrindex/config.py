@@ -126,7 +126,7 @@ def _selection_weights(section) -> tuple[float, ...]:
     """`[selection] weights`: finite, nonnegative w1..w6 summing to 1; equal when unset."""
     if not section.get("weights"):
         return (1.0 / len(METRICS),) * len(METRICS)
-    weights = _value(section, "weights", lambda text: tuple(float(v) for v in text.split(",")), "")
+    weights = _value(section, "weights", lambda text: tuple(float(v) for v in text.split(",")), None)
     if len(weights) != len(METRICS):
         raise ConfigError(f"[selection] weights needs {len(METRICS)} values, got {len(weights)}")
     if not all(math.isfinite(w) for w in weights):
@@ -145,10 +145,12 @@ def _selection_weights(section) -> tuple[float, ...]:
     return weights
 
 
-def _value(section, key: str, parse, default: str):
-    """`[section] key`, or `default` when it is unset, read by `parse` (`int`,
-    `float`, ...). A value `parse` cannot read raises ConfigError naming the key."""
-    text = section.get(key, default)
+def _value(section, key: str, parse, default):
+    """`[section] key` read by `parse` (`int`, `float`, ...), or `default` when
+    it is unset. A value `parse` cannot read raises ConfigError naming the key."""
+    text = section.get(key)
+    if text is None:
+        return default
     try:
         return parse(text)
     except ValueError as exc:
@@ -222,17 +224,18 @@ def load_config(
                 seed = int(os.environ[ENV_SEED])
             except ValueError as exc:
                 raise ConfigError(f"{ENV_SEED} must be an integer") from exc
+        default = TrainConfig()
         if seed is None:
-            seed = _value(train_sec, "seed", int, "0")
+            seed = _value(train_sec, "seed", int, default.seed)
 
         train_args = dict(
-            epochs=_value(train_sec, "epochs", int, "100"),
-            runs=_value(train_sec, "runs", int, "30"),
-            learning_rate=_value(train_sec, "learning_rate", float, "1e-3"),
-            batch_size=_value(train_sec, "batch_size", int, "32"),
+            epochs=_value(train_sec, "epochs", int, default.epochs),
+            runs=_value(train_sec, "runs", int, default.runs),
+            learning_rate=_value(train_sec, "learning_rate", float, default.learning_rate),
+            batch_size=_value(train_sec, "batch_size", int, default.batch_size),
             seed=seed,
-            hidden_size=_value(train_sec, "hidden_size", int, "32"),
-            kernels=_value(train_sec, "kernels", int, "16"),
+            hidden_size=_value(train_sec, "hidden_size", int, default.hidden_size),
+            kernels=_value(train_sec, "kernels", int, default.kernels),
         )
         try:
             train_cfg = TrainConfig(**train_args)
@@ -244,13 +247,13 @@ def load_config(
         if not output_path.is_absolute():
             output_path = base / output_path
 
-        split_fraction = _value(ds, "split_fraction", float, "0.8")
+        split_fraction = _value(ds, "split_fraction", float, 0.8)
         if not 0.0 < split_fraction < 1.0:
             raise ConfigError(f"[dataset] split_fraction must be in (0, 1), got {split_fraction}")
-        lookback = _value(ds, "lookback", int, "20")
+        lookback = _value(ds, "lookback", int, 20)
         if lookback < 1:
             raise ConfigError(f"[dataset] lookback must be positive, got {lookback}")
-        k = _value(sel, "k", int, "8")
+        k = _value(sel, "k", int, 8)
         if k < 1:
             raise ConfigError(f"[selection] k must be positive, got {k}")
 

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrindex import cli, evaluation, market_data
-from corrindex.cli import atomic_write, main
+from corrindex import cli, dataset, evaluation, market_data, riskmodel
+from corrindex.cli import commit, main
 from corrindex.market_data import generate_synthetic_panel
 
 from conftest import weekdays
@@ -730,9 +730,10 @@ def test_default_section_key_applies_to_sections_that_read_it(tmp_path):
     assert load_config(tmp_path / "ok.ini").k == 5
 
 
-def test_readme_config_loads_with_documented_defaults(tmp_path):
-    from corrindex.config import load_config
+def test_readme_config_loads_with_documented_defaults(tmp_path, monkeypatch):
+    from corrindex.config import TrainConfig, load_config
 
+    monkeypatch.delenv("CORRINDEX_SEED", raising=False)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
     (tmp_path / "readme.ini").write_text(block, encoding="utf-8")
@@ -742,6 +743,7 @@ def test_readme_config_loads_with_documented_defaults(tmp_path):
     # "All keys below show their defaults", apart from the example data paths
     data = ("prices_dir", "metrics_csv", "tickers", "factors_dir", "factor_tickers")
     assert replace(cfg, **{key: getattr(defaults, key) for key in data}) == defaults
+    assert defaults.train == TrainConfig()
 
 
 def test_seed_overrides_flag_beats_env_beats_file(tmp_path, monkeypatch):
@@ -776,27 +778,52 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert run(config, "select") == 1
 
 
-def test_atomic_write_failure_keeps_old_target(tmp_path):
-    target = tmp_path / "weights.csv"
-    target.write_text("old\n")
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt], ids=["OSError", "KeyboardInterrupt"])
+def test_commit_failure_keeps_old_targets(tmp_path, capsys, error):
+    targets = [tmp_path / "weights.csv", tmp_path / "linkage.csv"]
+    for target in targets:
+        target.write_text(f"old {target.name}\n")
+    old = _files(tmp_path)
     temp_paths = []
 
     def writer(path, fail):
         temp_paths.append(path)
         path.write_text("new\n")
         if fail:
-            raise OSError("disk full")
+            raise error("disk full")
 
-    with pytest.raises(OSError, match="disk full"):
-        atomic_write(target, lambda p: writer(p, fail=True))
-    assert target.read_text() == "old\n"
-    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+    with pytest.raises(error, match="disk full"):
+        commit(tmp_path, {"weights.csv": lambda p: writer(p, fail=True)})
+    assert _files(tmp_path) == old  # the old target survives, and no .tmp file is left
+    # the second output fails after the first is written: neither target changes
+    with pytest.raises(error, match="disk full"):
+        commit(tmp_path, {"weights.csv": "new\n", "linkage.csv": lambda p: writer(p, fail=True)})
+    assert _files(tmp_path) == old
+    assert capsys.readouterr().out == ""
 
-    atomic_write(target, lambda p: writer(p, fail=False))
-    assert target.read_text() == "new\n"
+    commit(tmp_path, {"weights.csv": lambda p: writer(p, fail=False), "linkage.csv": "new\n"})
+    assert _files(tmp_path) == {target.name: b"new\n" for target in targets}
+    assert capsys.readouterr().out == "".join(f"wrote {target}\n" for target in targets)
     # each write gets its own temp file beside the target
-    assert temp_paths[0] != temp_paths[1]
+    assert len(set(temp_paths)) == len(temp_paths) == 3
     assert {p.parent for p in temp_paths} == {tmp_path}
+
+
+def test_wrote_lines_name_exactly_the_files_each_command_replaced(workspace, capsys):
+    config = write_config(workspace, out_dir="out_wrote")
+    out = workspace / "out_wrote"
+
+    def identities() -> dict[Path, tuple[int, int]]:
+        return {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in out.glob("*")}
+
+    for command in ("select", "allocate", "build-index", "make-dataset", "run-experiment", "report"):
+        before = identities()
+        capsys.readouterr()
+        assert run(config, command) == 0
+        lines = capsys.readouterr().out.splitlines()
+        wrote = [Path(line.removeprefix("wrote ")) for line in lines if line.startswith("wrote ")]
+        replaced = [path for path, identity in identities().items() if before.get(path) != identity]
+        assert sorted(wrote) == sorted(replaced), command
 
 
 # =============================================================================
@@ -907,6 +934,47 @@ def clean_inputs(tmp_path_factory):
 
 def _files(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+# A rerun with a different config, whose output number `call` of `module.function` fails
+_FAILED_OUTPUTS = {
+    "allocate": (
+        riskmodel, "linkage_to_csv", 1,
+        {"strategy = hrp_walk": "strategy = equal_weight", "linkage = single": "linkage = ward"},
+    ),
+    "make-dataset": (dataset, "save_windows_csv", 3, {"lookback = 10": "lookback = 12"}),
+}
+
+
+@pytest.mark.parametrize("command", _FAILED_OUTPUTS)
+def test_failed_output_leaves_every_artifact_unchanged(clean_inputs, tmp_path, capsys, monkeypatch, command):
+    """The config edits make every output written before the failing one
+    differ from its artifact in out/, yet none of them replaces it."""
+    module, function, call, edits = _FAILED_OUTPUTS[command]
+    root = tmp_path / "ws"
+    shutil.copytree(clean_inputs, root)
+    config = root / "pipeline.ini"
+    text = config.read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    config.write_text(text)
+    before = _files(root / "out")
+    calls = []
+    write = getattr(module, function)
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == call:
+            raise OSError("disk full")
+        return write(*args)
+
+    monkeypatch.setattr(module, function, failing)
+    capsys.readouterr()
+    assert run(config, command) == 2
+    assert capsys.readouterr().err.splitlines() == ["runtime error: disk full"]
+    assert len(calls) == call
+    assert _files(root / "out") == before
 
 
 def _check_fault(clean_inputs: Path, root: Path, capsys, name: str, variant: str) -> tuple[int, str]:
