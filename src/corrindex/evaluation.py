@@ -46,33 +46,41 @@ def rmse(pred: np.ndarray, target: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RunStats:
-    """Per-run test RMSEs for one (model, dataset) cell plus their aggregates.
+    """Test RMSEs of one (model, dataset) cell, one entry per run, plus their aggregates.
 
-    `mean`, `std` (ddof=1, 0.0 for a single run) and `run_count` are computed
-    once from `rmses`.
+    `runs[r]` is the test RMSE of run r (seed `cfg.seed + r`), or None where
+    run r diverged. `rmses` (the completed values, in run order),
+    `diverged_count`, `mean`, `std` (ddof=1, 0.0 for a single completed run)
+    and `run_count` (completed runs) are computed once from `runs`.
     """
 
     model_id: str
     dataset_id: str
-    rmses: tuple[float, ...]
-    diverged_count: int = 0
+    runs: tuple[float | None, ...]
+    rmses: tuple[float, ...] = field(init=False)
+    diverged_count: int = field(init=False)
     mean: float = field(init=False)
     std: float = field(init=False)
     run_count: int = field(init=False)
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.rmses)
+        runs = tuple(None if v is None else float(v) for v in self.runs)
+        values = tuple(v for v in runs if v is not None)
         if not values:
-            raise ValueError("a cell needs at least one completed run")
+            raise ValueError(
+                f"{self.model_id}/{self.dataset_id} needs at least one completed run, "
+                f"got 0 of {len(runs)}"
+            )
+        object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "rmses", values)
+        object.__setattr__(self, "diverged_count", len(runs) - len(values))
         object.__setattr__(self, "mean", float(np.mean(values)))
         object.__setattr__(self, "std", float(np.std(values, ddof=1)) if len(values) > 1 else 0.0)
         object.__setattr__(self, "run_count", len(values))
 
     @property
     def divergence_flagged(self) -> bool:
-        total = self.run_count + self.diverged_count
-        return self.diverged_count > DIVERGENCE_FLAG_RATIO * total
+        return self.diverged_count > DIVERGENCE_FLAG_RATIO * len(self.runs)
 
 
 def multi_run(
@@ -83,14 +91,14 @@ def multi_run(
     dataset_id: str = "dataset1",
     max_workers: int | None = None,
 ) -> RunStats:
-    """Train `cfg.runs` fresh models (run r uses seed cfg.seed + r) and
-    aggregate their test RMSEs.
+    """Train `cfg.runs` fresh models (run r uses seed cfg.seed + r) and keep
+    each one's test RMSE, or None if it diverged, at its run index.
 
-    Diverged runs are recorded and excluded from the mean; the cell is
-    flagged when more than 10% diverge. The runs are independent and go
-    through `parallel.fork_map`: for W = min(max_workers or the CPUs this
-    process may use, runs), this process trains runs 0, W, 2W, ... and W - 1
-    forked workers, which inherit the datasets, train the rest. The RMSEs are
+    Diverged runs are excluded from the mean; the cell is flagged when more
+    than 10% diverge. The runs are independent and go through
+    `parallel.fork_map`: for W = min(max_workers or the CPUs this process may
+    use, runs), this process trains runs 0, W, 2W, ... and W - 1 forked
+    workers, which inherit the datasets, train the rest. The RMSEs are
     bit-identical to those of the serial loop.
     """
 
@@ -102,12 +110,7 @@ def multi_run(
             return None
         return rmse(predict(model, test_ds), test_ds.y)
 
-    results = fork_map(one_run, range(cfg.runs), max_workers)
-    completed = [r for r in results if r is not None]
-    diverged = len(results) - len(completed)
-    if not completed:
-        raise RuntimeError(f"all {cfg.runs} runs diverged for {model_spec}/{dataset_id}")
-    return RunStats(model_spec, dataset_id, completed, diverged_count=diverged)
+    return RunStats(model_spec, dataset_id, fork_map(one_run, range(cfg.runs), max_workers))
 
 
 def reduction_pct(baseline: float, improved: float) -> float:
@@ -195,10 +198,7 @@ def render_report(report: ComparisonReport) -> str:
         lines.append(f"{prefix}.std_rmse = {stats.std!r}")
         lines.append(f"{prefix}.rmses = {','.join(repr(v) for v in stats.rmses)}")
         if stats.divergence_flagged:
-            lines.append(
-                f"{prefix}.warning = {stats.diverged_count} of "
-                f"{stats.run_count + stats.diverged_count} runs diverged"
-            )
+            lines.append(f"{prefix}.warning = {stats.diverged_count} of {len(stats.runs)} runs diverged")
     for base, improved, pct in report.reductions():
         lines.append(f"reduction.{base}.to.{improved} = {pct!r}")
     lines.append("")
@@ -215,16 +215,16 @@ def render_report(report: ComparisonReport) -> str:
 def runs_csv(report: ComparisonReport) -> str:
     """Per-run RMSE table; every row carries the config fingerprint.
 
-    Each cell lists its completed runs, then one row per diverged run with
-    rmse `nan`, numbered after the completed ones.
+    Row r of a cell is run r (seed `cfg.seed + r`): its RMSE, or `nan` where
+    it diverged.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["model", "dataset", "run", "rmse", "fingerprint"])
     for stats in report.cells:
-        values = [repr(v) for v in stats.rmses] + ["nan"] * stats.diverged_count
-        for run, value in enumerate(values):
-            writer.writerow([stats.model_id, stats.dataset_id, run, value, report.fingerprint])
+        for run, value in enumerate(stats.runs):
+            text = "nan" if value is None else repr(value)
+            writer.writerow([stats.model_id, stats.dataset_id, run, text, report.fingerprint])
     return buffer.getvalue()
 
 
@@ -233,13 +233,14 @@ def parse_runs_csv(text: str) -> tuple[list[RunStats], str]:
 
     Blank lines are skipped. Each cell's runs must be numbered 0, 1, 2, ...
     in file order, as `runs_csv` writes them, so a repeated row is rejected.
-    A malformed row raises ValueError naming its 1-based line.
+    An RMSE must be `nan` or a finite positive number. A malformed row raises
+    ValueError naming its 1-based line.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header != ["model", "dataset", "run", "rmse", "fingerprint"]:
         raise ValueError("malformed per-run CSV header")
-    grouped: dict[tuple[str, str], list[float]] = {}
+    grouped: dict[tuple[str, str], list[float | None]] = {}
     fingerprints = set()
     for row in reader:
         line = reader.line_num
@@ -254,24 +255,18 @@ def parse_runs_csv(text: str) -> tuple[list[RunStats], str]:
             rmse_value = float(value)
         except ValueError:
             raise ValueError(f"line {line}: rmse {value!r} is not a number") from None
+        if not (math.isnan(rmse_value) or 0 < rmse_value < math.inf):
+            raise ValueError(f"line {line}: rmse {value!r} is not nan or a finite positive number")
         values = grouped.setdefault((model_id, dataset_id), [])
         if run != str(len(values)):
             raise ValueError(
                 f"line {line}: expected run {len(values)} of {model_id}/{dataset_id}, got {run!r}"
             )
-        values.append(rmse_value)
+        values.append(None if math.isnan(rmse_value) else rmse_value)
         fingerprints.add(fingerprint)
     if not grouped:
         raise ValueError("per-run CSV has no rows")
     if len(fingerprints) != 1:
         raise ValueError(f"per-run CSV mixes fingerprints: {sorted(fingerprints)}")
-    cells = [
-        RunStats(
-            model_id,
-            dataset_id,
-            [v for v in values if not math.isnan(v)],
-            diverged_count=sum(map(math.isnan, values)),
-        )
-        for (model_id, dataset_id), values in grouped.items()
-    ]
+    cells = [RunStats(*cell, values) for cell, values in grouped.items()]
     return cells, fingerprints.pop()

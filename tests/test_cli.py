@@ -381,6 +381,39 @@ def test_run_experiment_trains_and_predicts_every_cell_in_the_calling_process(wo
     assert calls.count(("train", evaluation.CELL_ORDER[0])) == 1
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["serial", "pooled"])
+def test_run_experiment_keeps_diverged_run_at_its_index(workspace, monkeypatch, cpus):
+    """Run 1 of lstm/dataset1 diverges (in a forked worker when pooled): its
+    `nan` row is run 1, not listed after runs 0 and 2, and `report` rebuilds
+    report.txt from runs.csv byte for byte."""
+    out_dir = f"out_diverged_{len(cpus)}"
+    config = write_config(workspace, out_dir=out_dir)
+    config.write_text(config.read_text().replace("runs = 2", "runs = 3"))
+    for command in ("select", "allocate", "build-index"):
+        assert run(config, command) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    real_train = evaluation.train
+
+    def train(model_spec, train_ds, cfg):
+        if (model_spec, train_ds.X.shape[2], cfg.seed) == ("lstm", 1, 1):
+            raise evaluation.TrainingDiverged(2, float("nan"))
+        return real_train(model_spec, train_ds, cfg)
+
+    monkeypatch.setattr(evaluation, "train", train)
+    assert run(config, "run-experiment") == 0
+    out = workspace / out_dir
+    fingerprint = evaluation.config_fingerprint(cli.load_config(str(config)).train)
+    cell = [row for row in (out / "runs.csv").read_text().splitlines() if row.startswith("lstm,dataset1,")]
+    assert [row.split(",")[2] for row in cell] == ["0", "1", "2"]
+    assert cell[1] == f"lstm,dataset1,1,nan,{fingerprint}"
+    assert "nan" not in cell[0] + cell[2]
+    written = (out / "report.txt").read_bytes()
+    assert b"cell.lstm.dataset1.diverged_count = 1" in written
+    (out / "report.txt").unlink()
+    assert run(config, "report") == 0
+    assert (out / "report.txt").read_bytes() == written
+
+
 def test_run_experiment_redirected_stdout_prints_each_line_once(workspace, tmp_path):
     """Lines still buffered when a worker forks must not be written again by it."""
     config = write_config(workspace, out_dir="out_redirected")
@@ -455,6 +488,18 @@ def test_report_names_line_of_bad_runs_row(tmp_path, capsys):
     )
     assert run(config, "report") == 2
     assert "line 3: expected 5 fields, got 3" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["runs.csv"]
+
+
+def test_report_names_line_of_infinite_rmse(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "runs.csv").write_text(_runs_text().replace("lstm,dataset1,1,0.11,", "lstm,dataset1,1,inf,"))
+    assert run(config, "report") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"runtime error: {out / 'runs.csv'}: line 3: rmse 'inf' is not nan or a finite positive number"
+    ]
     assert sorted(p.name for p in out.iterdir()) == ["runs.csv"]
 
 

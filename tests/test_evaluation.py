@@ -115,13 +115,13 @@ def test_run_stats_invariants():
     assert stats.mean == pytest.approx(0.3, abs=1e-15)
     assert stats.run_count == 2
     with pytest.raises(ValueError, match="at least one completed run"):
-        RunStats("lstm", "dataset1", [], diverged_count=3)
+        RunStats("lstm", "dataset1", [None] * 3)
 
 
 def test_run_stats_divergence_flag():
-    ok = RunStats("lstm", "dataset1", [0.1] * 29, diverged_count=1)
+    ok = RunStats("lstm", "dataset1", [0.1] * 29 + [None])
     assert not ok.divergence_flagged
-    flagged = RunStats("lstm", "dataset1", [0.1] * 25, diverged_count=5)
+    flagged = RunStats("lstm", "dataset1", [0.1] * 25 + [None] * 5)
     assert flagged.divergence_flagged
 
 
@@ -211,6 +211,16 @@ def test_multi_run_worker_divergence_counts_as_serial(rng, monkeypatch):
     assert seeds == [5, 7]  # this process trained runs 0 and 2; a worker diverged on run 1
     assert pooled == serial
     assert (pooled.run_count, pooled.diverged_count) == (3, 1)
+    assert pooled.runs[1] is None and None not in pooled.runs[::2]
+
+
+def test_multi_run_with_every_run_diverged_names_cell_and_run_count(rng, monkeypatch):
+    train_ds, test_ds = _splits(rng)
+    cfg = TrainConfig(epochs=2, runs=3, batch_size=16, seed=5, hidden_size=4)
+    monkeypatch.setattr(evaluation, "train", lambda *args: _diverge())
+    message = "lstm/dataset2 needs at least one completed run, got 0 of 3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        multi_run("lstm", train_ds, test_ds, cfg, dataset_id="dataset2", max_workers=2)
 
 
 def test_multi_run_worker_exception_reaches_caller(rng, monkeypatch):
@@ -315,7 +325,7 @@ def test_report_renders_reductions_and_table():
 
 def test_report_flags_divergence():
     cells = _cells()
-    cells[0] = RunStats("lstm", "dataset1", [0.1] * 4, diverged_count=2)
+    cells[0] = RunStats("lstm", "dataset1", [0.1] * 4 + [None] * 2)
     text = render_report(comparison_report(cells, "cfg=1"))
     assert "warning" in text
     assert "diverged" in text
@@ -333,15 +343,30 @@ def test_runs_csv_round_trip():
 
 def test_runs_csv_keeps_diverged_runs_so_report_rebuilds_byte_for_byte():
     cells = _cells()
-    cells[0] = RunStats("lstm", "dataset1", [0.1, 0.12, 0.11], diverged_count=2)
-    cells[3] = RunStats("cnn_lstm", "dataset2", [0.03] * 19 + [0.031], diverged_count=1)
+    cells[0] = RunStats("lstm", "dataset1", [0.1, None, 0.12, None, 0.11])
+    cells[3] = RunStats("cnn_lstm", "dataset2", [0.03] * 10 + [None] + [0.03] * 9 + [0.031])
     report = comparison_report(cells, "cfg=1")
     text = runs_csv(report)
     rows = text.splitlines()
-    assert rows[4:6] == ["lstm,dataset1,3,nan,cfg=1", "lstm,dataset1,4,nan,cfg=1"]
-    assert rows[-1] == "cnn_lstm,dataset2,20,nan,cfg=1"
+    assert rows[2] == "lstm,dataset1,1,nan,cfg=1"
+    assert rows[4] == "lstm,dataset1,3,nan,cfg=1"
+    assert rows[-11] == "cnn_lstm,dataset2,10,nan,cfg=1"
     parsed, fingerprint = parse_runs_csv(text)
     assert [c.diverged_count for c in parsed] == [2, 0, 0, 1]
+    assert [c.runs for c in parsed] == [c.runs for c in cells]
+    assert render_report(comparison_report(parsed, fingerprint)) == render_report(report)
+
+
+def test_runs_csv_with_diverged_rows_last_rebuilds_the_same_report():
+    """A runs.csv that lists a cell's `nan` rows after its completed runs, as
+    older versions wrote it, still gives the same report.txt."""
+    cells = _cells()
+    cells[0] = RunStats("lstm", "dataset1", [0.1, None, 0.12, None, 0.11])
+    report = comparison_report(cells, "cfg=1")
+    rows = runs_csv(report).splitlines()
+    values = ["0.1", "0.12", "0.11", "nan", "nan"]
+    rows[1:6] = [f"lstm,dataset1,{run},{value},cfg=1" for run, value in enumerate(values)]
+    parsed, fingerprint = parse_runs_csv("\n".join(rows) + "\n")
     assert render_report(comparison_report(parsed, fingerprint)) == render_report(report)
 
 
@@ -351,8 +376,11 @@ def test_runs_csv_keeps_diverged_runs_so_report_rebuilds_byte_for_byte():
         ("lstm,dataset1,5", "line 3: expected 5 fields, got 3"),
         ("lstm,dataset1,5,abc,cfg=1", "line 3: rmse 'abc' is not a number"),
         ("gru,dataset1,0,0.1,cfg=1", "line 3: unknown cell ('gru', 'dataset1')"),
+        ("lstm,dataset1,1,inf,cfg=1", "line 3: rmse 'inf' is not nan or a finite positive number"),
+        ("lstm,dataset1,1,-0.1,cfg=1", "line 3: rmse '-0.1' is not nan or a finite positive number"),
+        ("lstm,dataset1,1,0,cfg=1", "line 3: rmse '0' is not nan or a finite positive number"),
     ],
-    ids=["short-row", "non-numeric-rmse", "unknown-cell"],
+    ids=["short-row", "non-numeric-rmse", "unknown-cell", "infinite-rmse", "negative-rmse", "zero-rmse"],
 )
 def test_parse_runs_csv_names_line_of_bad_row(row, message):
     lines = runs_csv(comparison_report(_cells(), "cfg=1")).splitlines()
