@@ -85,11 +85,11 @@ def _require_file(path: Path | None, what: str) -> Path:
 
 
 def _price_path(cfg: PipelineConfig, ticker: str, factors: bool = False) -> Path:
+    key = "factors_dir" if factors else "prices_dir"
     root = cfg.factors_dir if factors else cfg.prices_dir
-    kind = "factor" if factors else "price"
-    _require(root is not None, f"[data] {'factors_dir' if factors else 'prices_dir'} is not set")
+    _require(root is not None, f"[data] {key} is not set")
     path = root / f"{ticker}.csv"
-    _require(path.is_file(), f"{kind} file for {ticker!r} not found: {path}")
+    _require(path.is_file(), f"[data] {key}: file for {ticker!r} not found: {path}")
     return path
 
 

@@ -1,14 +1,15 @@
 """Pipeline configuration: one INI-style file drives every command.
 
-The names validated against (`TrainConfig`, `LINKAGE_METHODS`, `METRICS`, ...)
-live here, and this module imports only `market_data`, so loading a config
-loads no stage.
+`SECTION_KEYS` declares each key once, with its field, reader and default, and
+`load_config` reads every key of the file through it. The names validated
+against (`TrainConfig`, `LINKAGE_METHODS`, `METRICS`, ...) live here, and this
+module imports only `market_data`, so loading a config loads no stage.
 
 Paths are resolved relative to the config file so a run is reproducible from
 the file alone. Unknown sections and keys are rejected, so a misspelt key
 cannot silently fall back to its default. Only two environment overrides exist
 (CORRINDEX_OUTPUT_DIR and CORRINDEX_SEED); command-line flags take precedence
-over both.
+over both, and a key they replace must still be valid in the file.
 """
 
 from __future__ import annotations
@@ -33,18 +34,6 @@ DISTANCE_CONVENTIONS = ("correlation", "euclidean")
 # and `volatility` come from price history; the rest from a fundamentals file.
 METRICS = ("economic_impact", "global_reach", "capital_expenditure", "beta", "kpi", "volatility")
 WEIGHT_SUM_TOL = 1e-12
-
-# The keys each section reads; any other key is rejected rather than ignored.
-SECTION_KEYS = {
-    "data": ("prices_dir", "metrics_csv", "tickers", "factors_dir", "factor_tickers",
-             "price_field", "dividend_mode", "index_csv"),
-    "selection": ("weights", "k"),
-    "risk": ("linkage", "distance", "align"),
-    "allocation": ("strategy",),
-    "dataset": ("split_fraction", "lookback", "feature_mode"),
-    "train": ("seed", "epochs", "runs", "learning_rate", "batch_size", "hidden_size", "kernels"),
-    "output": ("dir",),
-}
 
 
 class ConfigError(ValueError):
@@ -89,7 +78,6 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    config_dir: Path
     prices_dir: Path | None
     metrics_csv: Path | None
     tickers: tuple[str, ...]
@@ -114,54 +102,113 @@ class PipelineConfig:
         return self.output_dir / name
 
 
-def _tickers(section, key: str) -> tuple[str, ...]:
-    tickers = tuple(part.strip() for part in section.get(key, "").split(",") if part.strip())
+# A reader turns a key's text into its value. A ValueError from parsing (int,
+# float) is shown after `[section] key: `; a reader's own check raises
+# ConfigError with the text that follows `[section] key `.
+
+
+def _path(text: str) -> Path | None:
+    """A path, resolved against the config file's directory; empty is unset."""
+    return Path(text.strip()) if text.strip() else None
+
+
+def _tickers(text: str) -> tuple[str, ...]:
+    tickers = tuple(part.strip() for part in text.split(",") if part.strip())
     for i, ticker in enumerate(tickers):
         if ticker in tickers[:i]:
-            raise ConfigError(f"[data] {key} lists {ticker!r} more than once")
+            raise ConfigError(f"lists {ticker!r} more than once")
     return tickers
 
 
-def _selection_weights(section) -> tuple[float, ...]:
-    """`[selection] weights`: finite, nonnegative w1..w6 summing to 1; equal when unset."""
-    if not section.get("weights"):
-        return (1.0 / len(METRICS),) * len(METRICS)
-    weights = _value(section, "weights", lambda text: tuple(float(v) for v in text.split(",")), None)
+def _choice(valid: tuple[str, ...]):
+    def read(text: str) -> str:
+        value = text.strip()
+        if value not in valid:
+            raise ConfigError(f"= {value!r}; valid values: {', '.join(valid)}")
+        return value
+
+    return read
+
+
+def _checked(parse, ok, requirement: str):
+    """`parse`, then refuse a value `ok` rejects: `must be <requirement>, got <value>`."""
+
+    def read(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ConfigError(f"must be {requirement}, got {value}")
+        return value
+
+    return read
+
+
+_EQUAL_WEIGHTS = (1.0 / len(METRICS),) * len(METRICS)
+
+
+def _weights(text: str) -> tuple[float, ...]:
+    """Finite, nonnegative w1..w6 summing to 1; equal when empty."""
+    if not text.strip():
+        return _EQUAL_WEIGHTS
+    weights = tuple(float(v) for v in text.split(","))
     if len(weights) != len(METRICS):
-        raise ConfigError(f"[selection] weights needs {len(METRICS)} values, got {len(weights)}")
+        raise ConfigError(f"needs {len(METRICS)} values, got {len(weights)}")
     if not all(math.isfinite(w) for w in weights):
-        raise ConfigError(
-            f"[selection] weights invalid: selection weights must be finite, got {weights}"
-        )
+        raise ConfigError(f"invalid: selection weights must be finite, got {weights}")
     if any(w < 0 for w in weights):
-        raise ConfigError(
-            f"[selection] weights invalid: selection weights must be nonnegative, got {weights}"
-        )
+        raise ConfigError(f"invalid: selection weights must be nonnegative, got {weights}")
     total = sum(weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ConfigError(
-            f"[selection] weights invalid: selection weights must sum to 1, got {total!r}"
-        )
+        raise ConfigError(f"invalid: selection weights must sum to 1, got {total!r}")
     return weights
 
 
-def _value(section, key: str, parse, default):
-    """`[section] key` read by `parse` (`int`, `float`, ...), or `default` when
-    it is unset. A value `parse` cannot read raises ConfigError naming the key."""
-    text = section.get(key)
-    if text is None:
-        return default
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {key}: {exc}") from None
-
-
-def _get_enum(section, key: str, valid: tuple[str, ...], default: str) -> str:
-    value = section.get(key, default).strip()
-    if value not in valid:
-        raise ConfigError(f"[{section.name}] {key} = {value!r}; valid values: {', '.join(valid)}")
-    return value
+# Every key of every section: {section: {key: (field, read, default)}}. `field`
+# names a `PipelineConfig` field, or a `TrainConfig` field for [train]. An unset
+# key takes its default as is; a key not listed here is rejected.
+SECTION_KEYS = {
+    "data": {
+        "prices_dir": ("prices_dir", _path, None),
+        "metrics_csv": ("metrics_csv", _path, None),
+        "tickers": ("tickers", _tickers, ()),
+        "factors_dir": ("factors_dir", _path, None),
+        "factor_tickers": ("factor_tickers", _tickers, ()),
+        "price_field": ("price_field", _choice(PRICE_FIELDS), "adjusted_close"),
+        "dividend_mode": ("dividend_mode", _choice(RETURN_MODES), "simple_with_dividends"),
+        "index_csv": ("index_csv", _path, None),
+    },
+    "selection": {
+        "weights": ("selection_weights", _weights, _EQUAL_WEIGHTS),
+        "k": ("k", _checked(int, lambda k: k >= 2, "at least 2"), 8),
+    },
+    "risk": {
+        "linkage": ("linkage_method", _choice(LINKAGE_METHODS), "single"),
+        "distance": ("distance_convention", _choice(DISTANCE_CONVENTIONS), "correlation"),
+        "align": ("align_policy", _choice(ALIGN_POLICIES), "intersect"),
+    },
+    "allocation": {
+        "strategy": ("strategy", _choice(STRATEGIES), "hrp_walk"),
+    },
+    "dataset": {
+        "split_fraction": (
+            "split_fraction", _checked(float, lambda f: 0 < f < 1, "in (0, 1)"), 0.8
+        ),
+        "lookback": ("lookback", _checked(int, lambda n: n >= 1, "positive"), 20),
+        "feature_mode": ("feature_mode", _choice(FEATURE_MODES), "returns"),
+    },
+    "train": {
+        "seed": ("seed", int, TrainConfig.seed),
+        "epochs": ("epochs", int, TrainConfig.epochs),
+        "runs": ("runs", int, TrainConfig.runs),
+        "learning_rate": ("learning_rate", float, TrainConfig.learning_rate),
+        "batch_size": ("batch_size", int, TrainConfig.batch_size),
+        "hidden_size": ("hidden_size", int, TrainConfig.hidden_size),
+        "kernels": ("kernels", int, TrainConfig.kernels),
+    },
+    "output": {
+        # empty is the config file's own directory
+        "dir": ("output_dir", Path, Path("out")),
+    },
+}
 
 
 def _check_keys(section: str, keys: set[str], valid) -> None:
@@ -188,14 +235,6 @@ def load_config(
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-    base = path.parent
-
-    def resolve(raw: str | None) -> Path | None:
-        if raw is None or not raw.strip():
-            return None
-        p = Path(raw.strip())
-        return p if p.is_absolute() else base / p
-
     # configparser copies [DEFAULT] keys into every section, so a [DEFAULT] key
     # need only be one that some section reads, and a section is checked for
     # the keys it sets itself.
@@ -208,78 +247,33 @@ def load_config(
         own = {key for key, value in parser.items(section) if defaults.get(key) != value}
         _check_keys(section, own, SECTION_KEYS[section])
 
-    data = parser["data"] if parser.has_section("data") else parser["DEFAULT"]
-    sel = parser["selection"] if parser.has_section("selection") else parser["DEFAULT"]
-    risk = parser["risk"] if parser.has_section("risk") else parser["DEFAULT"]
-    alloc = parser["allocation"] if parser.has_section("allocation") else parser["DEFAULT"]
-    ds = parser["dataset"] if parser.has_section("dataset") else parser["DEFAULT"]
-    train_sec = parser["train"] if parser.has_section("train") else parser["DEFAULT"]
-    out = parser["output"] if parser.has_section("output") else parser["DEFAULT"]
-
-    try:
-        selection_weights = _selection_weights(sel)
-        seed = seed_override
-        if seed is None and os.environ.get(ENV_SEED):
+    values = {}
+    for section, keys in SECTION_KEYS.items():
+        source = parser[section] if parser.has_section(section) else parser["DEFAULT"]
+        for key, (field, read, default) in keys.items():
+            text = source.get(key)
             try:
-                seed = int(os.environ[ENV_SEED])
+                values[field] = default if text is None else read(text)
+            except ConfigError as exc:
+                raise ConfigError(f"[{section}] {key} {exc}") from None
             except ValueError as exc:
-                raise ConfigError(f"{ENV_SEED} must be an integer") from exc
-        default = TrainConfig()
-        if seed is None:
-            seed = _value(train_sec, "seed", int, default.seed)
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
 
-        train_args = dict(
-            epochs=_value(train_sec, "epochs", int, default.epochs),
-            runs=_value(train_sec, "runs", int, default.runs),
-            learning_rate=_value(train_sec, "learning_rate", float, default.learning_rate),
-            batch_size=_value(train_sec, "batch_size", int, default.batch_size),
-            seed=seed,
-            hidden_size=_value(train_sec, "hidden_size", int, default.hidden_size),
-            kernels=_value(train_sec, "kernels", int, default.kernels),
-        )
+    if seed_override is not None:
+        values["seed"] = seed_override
+    elif os.environ.get(ENV_SEED):
         try:
-            train_cfg = TrainConfig(**train_args)
+            values["seed"] = int(os.environ[ENV_SEED])
         except ValueError as exc:
-            raise ConfigError(f"[train] invalid: {exc}") from exc
-
-        output_dir = output_override or os.environ.get(ENV_OUTPUT_DIR) or out.get("dir", "out")
-        output_path = Path(output_dir)
-        if not output_path.is_absolute():
-            output_path = base / output_path
-
-        split_fraction = _value(ds, "split_fraction", float, 0.8)
-        if not 0.0 < split_fraction < 1.0:
-            raise ConfigError(f"[dataset] split_fraction must be in (0, 1), got {split_fraction}")
-        lookback = _value(ds, "lookback", int, 20)
-        if lookback < 1:
-            raise ConfigError(f"[dataset] lookback must be positive, got {lookback}")
-        k = _value(sel, "k", int, 8)
-        if k < 1:
-            raise ConfigError(f"[selection] k must be positive, got {k}")
-
-        return PipelineConfig(
-            config_dir=base,
-            prices_dir=resolve(data.get("prices_dir")),
-            metrics_csv=resolve(data.get("metrics_csv")),
-            tickers=_tickers(data, "tickers"),
-            factors_dir=resolve(data.get("factors_dir")),
-            factor_tickers=_tickers(data, "factor_tickers"),
-            price_field=_get_enum(data, "price_field", PRICE_FIELDS, "adjusted_close"),
-            dividend_mode=_get_enum(data, "dividend_mode", RETURN_MODES, "simple_with_dividends"),
-            index_csv=resolve(data.get("index_csv")),
-            k=k,
-            selection_weights=selection_weights,
-            linkage_method=_get_enum(risk, "linkage", LINKAGE_METHODS, "single"),
-            distance_convention=_get_enum(risk, "distance", DISTANCE_CONVENTIONS, "correlation"),
-            align_policy=_get_enum(risk, "align", ALIGN_POLICIES, "intersect"),
-            strategy=_get_enum(alloc, "strategy", STRATEGIES, "hrp_walk"),
-            lookback=lookback,
-            split_fraction=split_fraction,
-            feature_mode=_get_enum(ds, "feature_mode", FEATURE_MODES, "returns"),
-            train=train_cfg,
-            output_dir=output_path,
-        )
-    except ConfigError:
-        raise
+            raise ConfigError(f"{ENV_SEED} must be an integer") from exc
+    train = {field: values.pop(field) for field, _, _ in SECTION_KEYS["train"].values()}
+    try:
+        values["train"] = TrainConfig(**train)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"[train] invalid: {exc}") from exc
+    output = output_override or os.environ.get(ENV_OUTPUT_DIR)
+    if output:
+        values["output_dir"] = Path(output)
+    # joining an absolute path onto the config's directory keeps it as it is
+    base = path.parent
+    return PipelineConfig(**{f: base / v if isinstance(v, Path) else v for f, v in values.items()})

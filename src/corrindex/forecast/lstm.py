@@ -108,23 +108,24 @@ def lstm_forward_batch(
     c = np.zeros((slots + 1, batch, hidden))
     h_wh = np.empty((4, batch, hidden))
     i_g = np.empty((batch, hidden))
-    for t in range(steps):
-        a, tanh_c_t = gates[t % slots], tanh_c[t % slots]
-        h_prev, c_prev = h[t % (slots + 1)], c[t % (slots + 1)]
-        h_next, c_next = h[(t + 1) % (slots + 1)], c[(t + 1) % (slots + 1)]
-        np.matmul(x[:, t, :], wx, out=a)
-        a += np.matmul(h_prev, wh, out=h_wh)
-        a += bias
-        sig, gate_g = a[:3], a[3]
-        np.negative(sig, out=sig)  # 1 / (1 + exp(-a)), in place
-        np.exp(sig, out=sig)
-        sig += 1.0
-        np.divide(1.0, sig, out=sig)
-        np.tanh(gate_g, out=gate_g)
-        np.multiply(a[1], c_prev, out=c_next)  # c = f * c + i * g
-        c_next += np.multiply(a[0], gate_g, out=i_g)
-        np.tanh(c_next, out=tanh_c_t)
-        np.multiply(a[2], tanh_c_t, out=h_next)  # h = o * tanh(c)
+    with np.errstate(over="ignore"):  # exp(-a) overflows to inf: the sigmoid's exact 0
+        for t in range(steps):
+            a, tanh_c_t = gates[t % slots], tanh_c[t % slots]
+            h_prev, c_prev = h[t % (slots + 1)], c[t % (slots + 1)]
+            h_next, c_next = h[(t + 1) % (slots + 1)], c[(t + 1) % (slots + 1)]
+            np.matmul(x[:, t, :], wx, out=a)
+            a += np.matmul(h_prev, wh, out=h_wh)
+            a += bias
+            sig, gate_g = a[:3], a[3]
+            np.negative(sig, out=sig)  # 1 / (1 + exp(-a)), in place
+            np.exp(sig, out=sig)
+            sig += 1.0
+            np.divide(1.0, sig, out=sig)
+            np.tanh(gate_g, out=gate_g)
+            np.multiply(a[1], c_prev, out=c_next)  # c = f * c + i * g
+            c_next += np.multiply(a[0], gate_g, out=i_g)
+            np.tanh(c_next, out=tanh_c_t)
+            np.multiply(a[2], tanh_c_t, out=h_next)  # h = o * tanh(c)
     pred = h[steps % (slots + 1)] @ p.w_out + p.b_out[0]
     return pred, {"x": x, "gates": gates, "tanh_c": tanh_c, "h": h, "c": c}
 

@@ -128,16 +128,17 @@ def train(
     x_all, y_all = train_ds.X, train_ds.y
     n = train_ds.sample_count
     losses: list[float] = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss = backward_and_step(model, (x_all[idx], y_all[idx]), adam, cfg.learning_rate)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(epoch, loss)
-            epoch_loss += loss * idx.shape[0]
-        losses.append(epoch_loss / n)
+    with np.errstate(over="ignore"):  # a diverging run is caught by its loss
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                loss = backward_and_step(model, (x_all[idx], y_all[idx]), adam, cfg.learning_rate)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(epoch, loss)
+                epoch_loss += loss * idx.shape[0]
+            losses.append(epoch_loss / n)
     return model, losses
 
 

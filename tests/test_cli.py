@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import codecs
+import configparser
 import contextlib
 import os
 import re
@@ -17,6 +18,7 @@ import pytest
 
 from corrindex import cli, dataset, evaluation, market_data, riskmodel
 from corrindex.cli import commit, main
+from corrindex.config import SECTION_KEYS, ConfigError
 from corrindex.market_data import generate_synthetic_panel
 
 from conftest import weekdays
@@ -666,22 +668,69 @@ def test_unknown_config_key_rejected(tmp_path, text, message):
     assert str(err.value).startswith(message)
 
 
-_INT_KEYS = (
-    ("dataset", "lookback"),
-    ("selection", "k"),
-    *(("train", key) for key in ("seed", "epochs", "runs", "batch_size", "hidden_size", "kernels")),
-)
-_FLOAT_KEYS = (("dataset", "split_fraction"), ("selection", "weights"), ("train", "learning_rate"))
-_UNREADABLE = [(*key, "x") for key in (*_INT_KEYS, *_FLOAT_KEYS)] + [(*key, "1.5") for key in _INT_KEYS]
-# The command that reads each section's numbers
-_READER = {"dataset": "make-dataset", "selection": "select", "train": "run-experiment"}
+# Fault values for every key of config.SECTION_KEYS, by the kind its default
+# shows, so that a new key is covered as soon as it is declared. Large values go
+# only to the keys checked against the data.
+_NUMBER_FAULTS = ("nan", "inf", "-1", "0", "", "x", "1.5")
+_DATA_CHECKED = {"k": ("1", "1000"), "lookback": ("1000",)}
+_WEIGHT_FAULTS = ("0.5, 0.5", "-0.5, 0.5, 0.25, 0.25, 0.25, 0.25", "0.2, 0.2, 0.2, 0.2, 0.2, 0.2", "x")
 
 
-@pytest.mark.parametrize(
-    "section, key, value", _UNREADABLE, ids=[f"{s}.{k}={v}" for s, k, v in _UNREADABLE]
-)
-def test_unreadable_number_names_section_and_key(clean_inputs, tmp_path, capsys, monkeypatch, section, key, value):
+def _fault_values(key: str, default) -> tuple[str, ...]:
+    if default is None:  # a path: a file or directory that does not exist
+        return ("missing",)
+    if isinstance(default, Path):  # the output directory: commit creates it
+        return ()
+    if isinstance(default, str):  # one of a fixed set of names
+        return ("bogus",)
+    if default == ():  # a ticker list
+        return ("A, B, A",)
+    if isinstance(default, tuple):  # the selection weights
+        return _WEIGHT_FAULTS
+    assert isinstance(default, (int, float)), f"no fault values for {key} = {default!r}"
+    return _NUMBER_FAULTS + _DATA_CHECKED.get(key, ())
+
+
+def _unreadable(read, text: str) -> bool:
+    """Whether `read` cannot parse `text`, as against parsing and refusing it."""
+    try:
+        read(text)
+    except ConfigError:
+        return False
+    except ValueError:
+        return True
+    return False
+
+
+def _config_faults(unreadable: bool) -> list:
+    return [
+        pytest.param(section, key, value, id=f"{section}.{key}={value}")
+        for section, keys in SECTION_KEYS.items()
+        for key, (_, read, default) in keys.items()
+        for value in _fault_values(key, default)
+        if _unreadable(read, value) == unreadable
+    ]
+
+
+# The command that reads each key, by key, else by section
+_READER = {
+    "factors_dir": "make-dataset",
+    "factor_tickers": "make-dataset",
+    "index_csv": "make-dataset",
+    "data": "select",
+    "selection": "select",
+    "risk": "allocate",
+    "allocation": "allocate",
+    "dataset": "make-dataset",
+    "train": "run-experiment",
+}
+
+
+def _run_with_key(clean_inputs, tmp_path, capsys, monkeypatch, section, key, value):
+    """Run the command that reads `[section] key = value` on a copy of the
+    clean workspace; returns (exit code, stderr lines, artifacts before, after)."""
     monkeypatch.delenv("CORRINDEX_SEED", raising=False)
+    monkeypatch.delenv("CORRINDEX_OUTPUT_DIR", raising=False)
     root = tmp_path / "ws"
     shutil.copytree(clean_inputs, root)
     config = root / "pipeline.ini"
@@ -689,11 +738,42 @@ def test_unreadable_number_names_section_and_key(clean_inputs, tmp_path, capsys,
     config.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
     before = _files(root / "out")
     capsys.readouterr()
-    assert run(config, _READER[section]) == 1
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert f"[{section}] {key}: " in err
-    assert _files(root / "out") == before
+    code = run(config, _READER.get(key, _READER[section]))
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    return code, captured.err.splitlines(), before, _files(root / "out")
+
+
+@pytest.mark.parametrize("section, key, value", _config_faults(unreadable=True))
+def test_unreadable_number_names_section_and_key(clean_inputs, tmp_path, capsys, monkeypatch, section, key, value):
+    code, err, before, after = _run_with_key(clean_inputs, tmp_path, capsys, monkeypatch, section, key, value)
+    assert code == 1
+    assert len(err) == 1
+    assert err[0].startswith(f"error: [{section}] {key}: ")
+    assert after == before
+
+
+def _finite(artifact: bytes) -> bool:
+    numbers = []
+    for token in re.split(r"[,\s]+", artifact.decode()):
+        with contextlib.suppress(ValueError):
+            numbers.append(float(token))
+    return bool(np.isfinite(numbers).all())
+
+
+@pytest.mark.parametrize("section, key, value", _config_faults(unreadable=False))
+def test_config_fault_names_section_and_key(clean_inputs, tmp_path, capsys, monkeypatch, section, key, value):
+    """Exit 1 with one line naming the key (`[train]` names it after `invalid: `,
+    some keys with a space for `_`) and every artifact unchanged; or exit 0
+    with finite artifacts."""
+    code, err, before, after = _run_with_key(clean_inputs, tmp_path, capsys, monkeypatch, section, key, value)
+    if code == 0:
+        assert all(_finite(artifact) for artifact in after.values())
+        return
+    assert code == 1
+    assert len(err) == 1
+    assert re.match(rf"error: \[{section}\] (invalid: )?{key.replace('_', '[_ ]')}\b", err[0]), err[0]
+    assert after == before
 
 
 # The clean workspace's index has 79 returns. `lookback = 78` leaves one window,
@@ -789,6 +869,19 @@ def test_readme_config_loads_with_documented_defaults(tmp_path, monkeypatch):
     data = ("prices_dir", "metrics_csv", "tickers", "factors_dir", "factor_tickers")
     assert replace(cfg, **{key: getattr(defaults, key) for key in data}) == defaults
     assert defaults.train == TrainConfig()
+    # the block lists every section and key, in the order of SECTION_KEYS
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(block)
+    documented = [(section, list(parser[section])) for section in parser.sections()]
+    assert documented == [(section, list(keys)) for section, keys in SECTION_KEYS.items()]
+
+
+def test_empty_output_dir_is_the_config_directory(tmp_path, monkeypatch):
+    from corrindex.config import load_config
+
+    monkeypatch.delenv("CORRINDEX_OUTPUT_DIR", raising=False)
+    (tmp_path / "here.ini").write_text("[output]\ndir =\n", encoding="utf-8")
+    assert load_config(tmp_path / "here.ini").output_dir == tmp_path
 
 
 def test_seed_overrides_flag_beats_env_beats_file(tmp_path, monkeypatch):
@@ -814,6 +907,18 @@ def test_output_dir_override(tmp_path, monkeypatch):
         load_config(config, output_override=tmp_path / "flag_out").output_dir
         == tmp_path / "flag_out"
     )
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_key_an_override_replaces_is_still_read(tmp_path, capsys, monkeypatch, source):
+    config = write_config(tmp_path)
+    config.write_text(config.read_text().replace("seed = 0\n", "seed = x\n"))
+    flags = ("--seed", "3") if source == "flag" else ()
+    if source == "env":
+        monkeypatch.setenv("CORRINDEX_SEED", "3")
+    assert run(config, "select", *flags) == 1
+    assert capsys.readouterr().err == "error: [train] seed: invalid literal for int() with base 10: 'x'\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

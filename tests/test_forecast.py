@@ -517,6 +517,32 @@ def test_train_divergence_reports_epoch(rng):
             train("lstm", ds, cfg)
 
 
+def _random_walk_windows():
+    rng = np.random.default_rng(0)
+    return make_windows(np.cumsum(rng.normal(size=(300, 3)), axis=0), lookback=10)
+
+
+@pytest.mark.parametrize("spec", ["lstm", "cnn_lstm"])
+def test_saturated_sigmoid_trains_without_warning_and_same_bits(spec):
+    # lr 100 drives gate pre-activations below -709, where exp(-a) overflows to inf
+    ds = _random_walk_windows()
+    cfg = TrainConfig(epochs=5, runs=1, learning_rate=100.0, seed=0, hidden_size=8, kernels=4)
+    _, losses = train(spec, ds, cfg)  # RuntimeWarning is an error in this suite
+    with np.errstate(all="ignore"):
+        _, quiet = train(spec, ds, cfg)
+    assert all(np.isfinite(losses))
+    assert [loss.hex() for loss in losses] == [loss.hex() for loss in quiet]
+
+
+@pytest.mark.parametrize("spec", ["lstm", "cnn_lstm"])
+def test_divergence_raises_training_diverged_without_warning(spec):
+    ds = _random_walk_windows()
+    cfg = TrainConfig(epochs=5, runs=1, learning_rate=1e300, seed=0, hidden_size=8, kernels=4)
+    with pytest.raises(TrainingDiverged) as err:
+        train(spec, ds, cfg)
+    assert err.value.epoch == 0
+
+
 def test_predict_overfits_memorized_dataset():
     rng = np.random.default_rng(5)
     matrix = rng.normal(size=(9, 1))  # 4 samples at lookback 5
