@@ -362,10 +362,9 @@ def cmd_report(cfg: PipelineConfig) -> Outputs:
     runs_path = _require_file(cfg.artifact("runs.csv"), "runs.csv (run run-experiment)")
     runs_text = market_data.read_utf8_text(runs_path)
     try:
-        cells, fingerprint = evaluation.parse_runs_csv(runs_text)
+        report = evaluation.comparison_report(*evaluation.parse_runs_csv(runs_text))
     except ValueError as err:
         raise ValueError(f"{runs_path}: {err}") from None
-    report = evaluation.comparison_report(cells, fingerprint)
     text = evaluation.render_report(report)
     print(text, end="")
     return {"report.txt": text}

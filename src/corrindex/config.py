@@ -1,15 +1,17 @@
 """Pipeline configuration: one INI-style file drives every command.
 
 `SECTION_KEYS` declares each key once, with its field, reader and default, and
-`load_config` reads every key of the file through it. The names validated
-against (`TrainConfig`, `LINKAGE_METHODS`, `METRICS`, ...) live here, and this
-module imports only `market_data`, so loading a config loads no stage.
+`load_config` reads every key of the file through it; its [train] keys come from
+`TRAIN_KEYS`, which also checks them. The names validated against (`TrainConfig`,
+`LINKAGE_METHODS`, `METRICS`, ...) live here, and this module imports only
+`market_data`, so loading a config loads no stage.
 
 Paths are resolved relative to the config file so a run is reproducible from
 the file alone. Unknown sections and keys are rejected, so a misspelt key
 cannot silently fall back to its default. Only two environment overrides exist
 (CORRINDEX_OUTPUT_DIR and CORRINDEX_SEED); command-line flags take precedence
-over both, and a key they replace must still be valid in the file.
+over both, and a key they replace must still be valid in the file. An output
+directory that is, or lies under, a file is refused before any command's work.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 from .market_data import ALIGN_POLICIES, PRICE_FIELDS, RETURN_MODES, read_utf8_text
 
@@ -40,40 +43,45 @@ class ConfigError(ValueError):
     """Invalid or incomplete configuration; commands exit 1 on this."""
 
 
+# Every [train] key, in the order of the runs.csv fingerprint: {key: (parse,
+# ok, requirement)}. `TrainConfig` refuses a value `ok` rejects with
+# `<key> must be <requirement>, got <value>`.
+TRAIN_KEYS = {
+    "seed": (int, lambda n: n >= 0, "non-negative"),
+    "runs": (int, lambda n: n >= 1, "at least 1"),
+    "epochs": (int, lambda n: n >= 1, "at least 1"),
+    "learning_rate": (float, lambda r: math.isfinite(r) and r > 0, "positive and finite"),
+    "batch_size": (int, lambda n: n >= 1, "at least 1"),
+    "hidden_size": (int, lambda n: n >= 1, "at least 1"),
+    "kernels": (int, lambda n: n >= 1, "at least 1"),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for one training run and for multi-run protocols.
+    """Knobs for one training run and for multi-run protocols, one per [train] key.
 
     `runs` only matters to multi-run evaluation; a single `train` call uses
     `seed` for init and batch order. Architecture sizes live here too so one
-    object fingerprints a whole experiment.
+    object fingerprints a whole experiment. The CNN-LSTM's kernel and pool
+    widths are fixed.
     """
 
-    epochs: int = 100
+    seed: int = 0
     runs: int = 30
+    epochs: int = 100
     learning_rate: float = 1e-3
     batch_size: int = 32
-    seed: int = 0
     hidden_size: int = 32
     kernels: int = 16
-    kernel_width: int = 3
-    pool_width: int = 2
+    kernel_width: ClassVar[int] = 3
+    pool_width: ClassVar[int] = 2
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.hidden_size < 1:
-            raise ValueError(f"hidden_size must be at least 1, got {self.hidden_size}")
-        if self.kernels < 1:
-            raise ValueError(f"kernels must be at least 1, got {self.kernels}")
+        for key, (_, ok, requirement) in TRAIN_KEYS.items():
+            value = getattr(self, key)
+            if not ok(value):
+                raise ValueError(f"{key} must be {requirement}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -195,14 +203,9 @@ SECTION_KEYS = {
         "lookback": ("lookback", _checked(int, lambda n: n >= 1, "positive"), 20),
         "feature_mode": ("feature_mode", _choice(FEATURE_MODES), "returns"),
     },
+    # range checks are TrainConfig's, so --seed and CORRINDEX_SEED get them too
     "train": {
-        "seed": ("seed", int, TrainConfig.seed),
-        "epochs": ("epochs", int, TrainConfig.epochs),
-        "runs": ("runs", int, TrainConfig.runs),
-        "learning_rate": ("learning_rate", float, TrainConfig.learning_rate),
-        "batch_size": ("batch_size", int, TrainConfig.batch_size),
-        "hidden_size": ("hidden_size", int, TrainConfig.hidden_size),
-        "kernels": ("kernels", int, TrainConfig.kernels),
+        key: (key, parse, getattr(TrainConfig, key)) for key, (parse, _, _) in TRAIN_KEYS.items()
     },
     "output": {
         # empty is the config file's own directory
@@ -266,14 +269,19 @@ def load_config(
             values["seed"] = int(os.environ[ENV_SEED])
         except ValueError as exc:
             raise ConfigError(f"{ENV_SEED} must be an integer") from exc
-    train = {field: values.pop(field) for field, _, _ in SECTION_KEYS["train"].values()}
     try:
-        values["train"] = TrainConfig(**train)
+        values["train"] = TrainConfig(**{key: values.pop(key) for key in TRAIN_KEYS})
     except ValueError as exc:
-        raise ConfigError(f"[train] invalid: {exc}") from exc
-    output = output_override or os.environ.get(ENV_OUTPUT_DIR)
+        raise ConfigError(f"[train] {exc}") from exc
+    overrides = (("--output-dir", output_override), (ENV_OUTPUT_DIR, os.environ.get(ENV_OUTPUT_DIR)))
+    source, output = next(((s, v) for s, v in overrides if v), ("[output] dir", None))
     if output:
         values["output_dir"] = Path(output)
     # joining an absolute path onto the config's directory keeps it as it is
     base = path.parent
-    return PipelineConfig(**{f: base / v if isinstance(v, Path) else v for f, v in values.items()})
+    cfg = PipelineConfig(**{f: base / v if isinstance(v, Path) else v for f, v in values.items()})
+    # `commit` creates the output directory; refuse one it cannot, before any work
+    found = next((p for p in (cfg.output_dir, *cfg.output_dir.parents) if p.exists()), None)
+    if found is not None and not found.is_dir():
+        raise ConfigError(f"{source} {cfg.output_dir} is not a directory: {found} is a file")
+    return cfg

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .config import TRAIN_KEYS
 from .forecast import MODEL_KINDS, TrainConfig, TrainingDiverged, predict, train
 from .parallel import fork_map
 
@@ -121,19 +122,9 @@ def reduction_pct(baseline: float, improved: float) -> float:
 
 
 def config_fingerprint(cfg: TrainConfig) -> str:
-    """Stable one-line summary of seeds and hyperparameters."""
-    parts = [
-        f"seed={cfg.seed}",
-        f"runs={cfg.runs}",
-        f"epochs={cfg.epochs}",
-        f"learning_rate={cfg.learning_rate!r}",
-        f"batch_size={cfg.batch_size}",
-        f"hidden_size={cfg.hidden_size}",
-        f"kernels={cfg.kernels}",
-        f"kernel_width={cfg.kernel_width}",
-        f"pool_width={cfg.pool_width}",
-    ]
-    return ";".join(parts)
+    """Stable one-line summary: every [train] key, then the CNN-LSTM's fixed widths."""
+    keys = (*TRAIN_KEYS, "kernel_width", "pool_width")
+    return ";".join(f"{key}={getattr(cfg, key)!r}" for key in keys)
 
 
 @dataclass(frozen=True)

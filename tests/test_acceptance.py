@@ -43,6 +43,7 @@ from corrindex.forecast import (
     save_model,
     train,
 )
+from corrindex.parallel import fork_map
 from corrindex.riskmodel import (
     DistanceMatrix,
     cluster_aggregates,
@@ -226,12 +227,14 @@ def test_training_sanity_on_sine_plus_noise():
     train_ds, test_ds = chronological_split(ds, 0.8)
     cfg = TrainConfig(epochs=100, runs=1, seed=0)
 
-    model, losses = train("cnn_lstm", train_ds, cfg)
-    assert all(np.isfinite(losses))
-    test_rmse = rmse(predict(model, test_ds), test_ds.y)
-    assert test_rmse < 0.08, test_rmse
+    def fit(model_spec: str):
+        model, losses = train(model_spec, train_ds, cfg)
+        return losses, rmse(predict(model, test_ds), test_ds.y)
 
-    _, lstm_losses = train("lstm", train_ds, cfg)
+    # the two trainings are independent; fork_map gives the serial loop's bits
+    (losses, test_rmse), (lstm_losses, _) = fork_map(fit, ["cnn_lstm", "lstm"])
+    assert all(np.isfinite(losses))
+    assert test_rmse < 0.08, test_rmse
     assert all(np.isfinite(lstm_losses))
     elapsed = time.time() - start
     assert elapsed < 300.0, f"took {elapsed:.1f}s"

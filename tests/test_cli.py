@@ -569,7 +569,7 @@ def test_non_finite_learning_rate_rejected_before_training(tmp_path, capsys, val
         assert run(config, command) == 1
     assert run(config, "run-experiment") == 1
     captured = capsys.readouterr()
-    assert "[train] invalid: learning rate must be positive and finite" in captured.err
+    assert f"error: [train] learning_rate must be positive and finite, got {value}\n" in captured.err
     assert "RMSE" not in captured.out
     assert not (tmp_path / "out").exists()
 
@@ -586,7 +586,7 @@ def test_negative_seed_rejected_before_any_work(tmp_path, capsys, monkeypatch, s
     for command in ("select", "run-experiment"):
         assert run(config, command, *flags) == 1
     captured = capsys.readouterr()
-    assert "[train] invalid: seed must be non-negative, got -1" in captured.err
+    assert captured.err == "error: [train] seed must be non-negative, got -1\n" * 2
     assert "RMSE" not in captured.out
     assert not (tmp_path / "out").exists()
 
@@ -597,7 +597,7 @@ def test_non_positive_model_size_names_its_key(tmp_path, capsys, key, value):
     config = write_config(tmp_path)
     config.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", config.read_text(), flags=re.M))
     assert run(config, "select") == 1
-    assert capsys.readouterr().err == f"error: [train] invalid: {key} must be at least 1, got {value}\n"
+    assert capsys.readouterr().err == f"error: [train] {key} must be at least 1, got {value}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -646,7 +646,7 @@ def test_ticker_value_files_name_path_and_line_of_bad_row(
             "[allocation]\nstratgy = min_variance\n",
             "[allocation] unknown key 'stratgy'; valid keys: strategy",
         ),
-        ("[train]\nepoch = 3\n", "[train] unknown key 'epoch'; valid keys: seed, epochs"),
+        ("[train]\nepoch = 3\n", "[train] unknown key 'epoch'; valid keys: seed, runs, epochs"),
         ("[DEFAULT]\nlookbak = 5\n", "[DEFAULT] unknown key 'lookbak'; valid keys: "),
         ("[data]\nk = 5\n", "[data] unknown key 'k'; valid keys: prices_dir"),
         ("[DEFAULT]\nk = 5\n[train]\nk = 3\n", "[train] unknown key 'k'; valid keys: seed"),
@@ -679,8 +679,8 @@ _WEIGHT_FAULTS = ("0.5, 0.5", "-0.5, 0.5, 0.25, 0.25, 0.25, 0.25", "0.2, 0.2, 0.
 def _fault_values(key: str, default) -> tuple[str, ...]:
     if default is None:  # a path: a file or directory that does not exist
         return ("missing",)
-    if isinstance(default, Path):  # the output directory: commit creates it
-        return ()
+    if isinstance(default, Path):  # the output directory: a file, or a path under one
+        return ("metrics.csv", "metrics.csv/out")
     if isinstance(default, str):  # one of a fixed set of names
         return ("bogus",)
     if default == ():  # a ticker list
@@ -723,6 +723,7 @@ _READER = {
     "allocation": "allocate",
     "dataset": "make-dataset",
     "train": "run-experiment",
+    "output": "select",
 }
 
 
@@ -763,17 +764,81 @@ def _finite(artifact: bytes) -> bool:
 
 @pytest.mark.parametrize("section, key, value", _config_faults(unreadable=False))
 def test_config_fault_names_section_and_key(clean_inputs, tmp_path, capsys, monkeypatch, section, key, value):
-    """Exit 1 with one line naming the key (`[train]` names it after `invalid: `,
-    some keys with a space for `_`) and every artifact unchanged; or exit 0
-    with finite artifacts."""
+    """Exit 1 with one line naming `[section] key` and every artifact
+    unchanged; or exit 0 with finite artifacts."""
     code, err, before, after = _run_with_key(clean_inputs, tmp_path, capsys, monkeypatch, section, key, value)
     if code == 0:
         assert all(_finite(artifact) for artifact in after.values())
         return
     assert code == 1
     assert len(err) == 1
-    assert re.match(rf"error: \[{section}\] (invalid: )?{key.replace('_', '[_ ]')}\b", err[0]), err[0]
+    assert re.match(rf"error: \[{section}\] {key}\b", err[0]), err[0]
     assert after == before
+
+
+@pytest.mark.parametrize("value", ["metrics.csv", "metrics.csv/out"], ids=["file", "under-file"])
+@pytest.mark.parametrize("source", ["[output] dir", "--output-dir", "CORRINDEX_OUTPUT_DIR"])
+def test_output_dir_that_is_or_lies_under_a_file_exits_1_before_any_work(
+    clean_inputs, tmp_path, capsys, monkeypatch, source, value
+):
+    """Refused while loading the config, naming where the value came from: no
+    model trains, no cell line is printed and no artifact changes."""
+    monkeypatch.delenv("CORRINDEX_SEED", raising=False)
+    monkeypatch.delenv("CORRINDEX_OUTPUT_DIR", raising=False)
+    root = tmp_path / "ws"
+    shutil.copytree(clean_inputs, root)
+    config = root / "pipeline.ini"
+    flags = ()
+    if source == "[output] dir":
+        config.write_text(re.sub(r"^dir = .*$", f"dir = {value}", config.read_text(), flags=re.M))
+    elif source == "--output-dir":
+        flags = ("--output-dir", str(root / value))
+    else:
+        monkeypatch.setenv("CORRINDEX_OUTPUT_DIR", str(root / value))
+    before = _files(root / "out")
+    capsys.readouterr()
+    assert run(config, "run-experiment", *flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {source} {root / value} is not a directory: {root / 'metrics.csv'} is a file"
+    ]
+    assert _files(root / "out") == before
+    assert (root / "metrics.csv").read_bytes() == (clean_inputs / "metrics.csv").read_bytes()
+
+
+# A value each [train] key refuses
+_TRAIN_FAULTS = {
+    "seed": -1,
+    "runs": 0,
+    "epochs": 0,
+    "learning_rate": float("nan"),
+    "batch_size": 0,
+    "hidden_size": 0,
+    "kernels": -2,
+}
+
+
+def test_train_config_fields_are_the_train_keys():
+    from dataclasses import fields
+
+    from corrindex.config import TRAIN_KEYS, TrainConfig
+
+    assert [f.name for f in fields(TrainConfig)] == list(TRAIN_KEYS) == list(_TRAIN_FAULTS)
+    assert list(SECTION_KEYS["train"]) == list(TRAIN_KEYS)
+    assert (TrainConfig().kernel_width, TrainConfig().pool_width) == (3, 2)
+    with pytest.raises(TypeError):
+        TrainConfig(kernel_width=5)
+
+
+@pytest.mark.parametrize("key", _TRAIN_FAULTS)
+def test_train_config_names_key_requirement_and_value(key):
+    from corrindex.config import TRAIN_KEYS, TrainConfig
+
+    bad = _TRAIN_FAULTS[key]
+    with pytest.raises(ValueError) as err:
+        TrainConfig(**{key: bad})
+    assert str(err.value) == f"{key} must be {TRAIN_KEYS[key][2]}, got {bad}"
 
 
 # The clean workspace's index has 79 returns. `lookback = 78` leaves one window,
@@ -1028,6 +1093,13 @@ def _repeat_row(text: str) -> str:
     return "\n".join([*lines[:_FAULT_LINE], *lines[_FAULT_LINE - 1 :]])
 
 
+def _without_last_cell(text: str) -> str:
+    """runs.csv cut short at a row boundary: the last cell's rows are gone."""
+    model_id, dataset_id = evaluation.CELL_ORDER[-1]
+    rows = text.splitlines(keepends=True)
+    return "".join(row for row in rows if not row.startswith(f"{model_id},{dataset_id},"))
+
+
 def _blank_line_after(text: str, line: int) -> str:
     lines = text.split("\n")
     return "\n".join([*lines[:line], "", *lines[line:]])
@@ -1047,6 +1119,7 @@ _MALFORMED = {
     "header-only": lambda text: text.split("\n")[0] + "\n",
     "extra-field": _extra_field,
     "repeated-row": _repeat_row,
+    "missing-cell": _without_last_cell,
 }
 # A price or factor row may hold cells past the header's columns; the reader
 # ignores them, so these inputs rebuild the clean artifacts.
@@ -1061,6 +1134,7 @@ _FAULTS = [
     for variant in (*_BENIGN, *_MALFORMED)
     if (name, variant) != ("runs", "non-numeric-field")
     and (variant not in _SERIES_ONLY or name in ("price", "factor", "index_csv"))
+    and (variant != "missing-cell" or name == "runs")
 ]
 
 
@@ -1130,8 +1204,9 @@ def test_failed_output_leaves_every_artifact_unchanged(clean_inputs, tmp_path, c
 def _check_fault(clean_inputs: Path, root: Path, capsys, name: str, variant: str) -> tuple[int, str]:
     """Copy the clean workspace to `root`, apply `variant` to input `name` and
     run the command that reads it. Benign variants must rebuild the clean
-    artifacts byte for byte; malformed ones must exit 1 or 2 with one stderr
-    line naming the path (and the bad line, if there is one), writing nothing.
+    artifacts byte for byte; malformed ones must exit 2 (or 1, for
+    `constituents.csv` and `weights.csv`) with one stderr line naming the path
+    (and the bad line, if there is one), writing nothing.
     Returns the exit code and stderr, with `root` written as `<ws>`."""
     shutil.copytree(clean_inputs, root)
     relative, command, artifacts = _INPUTS[name]
@@ -1157,13 +1232,14 @@ def _check_fault(clean_inputs: Path, root: Path, capsys, name: str, variant: str
     else:
         before = _files(out)
         code = run(root / "pipeline.ini", command)
-        assert code in (1, 2)
+        assert code == 2 or (code == 1 and name in ("constituents", "weights"))
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
         # a repeated row is reported at its second copy
         line = _FAULT_LINE + 1 if variant == "repeated-row" else _FAULT_LINE
-        assert (f"{path}: " if variant == "header-only" else f"{path}: line {line}: ") in err
+        whole_file = variant in ("header-only", "missing-cell")
+        assert (f"{path}: " if whole_file else f"{path}: line {line}: ") in err
         assert _files(out) == before
     return code, err.replace(str(root), "<ws>")
 
