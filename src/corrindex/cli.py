@@ -158,8 +158,12 @@ def cmd_select(cfg: PipelineConfig) -> Outputs:
 
 def _read_pairs(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a headerless `ticker,value` file (constituents.csv, weights.csv)."""
+    try:
+        rows = market_data.read_csv(path)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     pairs: dict[str, float] = {}
-    for number, row in market_data.read_csv(path):
+    for number, row in rows:
         ticker = row[0].strip()
         try:
             value = float(row[1]) if len(row) == 2 else np.nan

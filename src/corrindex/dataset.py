@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .market_data import (
     PriceSeries,
@@ -119,7 +120,7 @@ def make_windows(
     if feature_names is None:
         feature_names = tuple(f"f{i}" for i in range(m.shape[1]))
     samples = length - lookback
-    x = np.stack([m[s : s + lookback] for s in range(samples)])
+    x = sliding_window_view(m, lookback, axis=0).transpose(0, 2, 1)[:samples].copy()
     y = m[lookback:, 0].copy()
     return WindowedDataset(X=x, y=y, feature_names=tuple(feature_names), scaler=None)
 
@@ -192,11 +193,14 @@ def save_windows_csv(ds: WindowedDataset, path: str | Path) -> None:
     if reserved & set(ds.feature_names):
         raise ValueError(f"feature names collide with reserved columns {sorted(reserved)}")
     samples, lookback, features = ds.X.shape
-    lags = [str(lag) for lag in range(lookback)]
-    labels = ((str(s), lag) for s in range(samples) for lag in lags)
+    names = [str(i) for i in range(max(samples, lookback))]
+    sample_column = np.repeat(np.array(names[:samples], dtype=object), lookback).tolist()
+    lag_column = names[:lookback] * samples
     header = ["sample", "lag", *ds.feature_names, "target"]
     x_rows = ds.X.reshape(samples * lookback, features)
-    write_float_rows(path, header, labels, x_rows, np.repeat(ds.y, lookback)[:, None])
+    write_float_rows(
+        path, header, [sample_column, lag_column], x_rows, np.repeat(ds.y, lookback)[:, None]
+    )
 
 
 def load_windows_csv(path: str | Path) -> WindowedDataset:

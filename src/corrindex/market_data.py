@@ -7,7 +7,6 @@ import io
 from dataclasses import dataclass, fields
 from datetime import date
 from functools import reduce
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -440,26 +439,54 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> N
         writer.writerows(rows)
 
 
-# Rows per block of `write_float_rows`. Window files repeat most values within
-# a few dozen rows, so a block of this size formats about 6% of its floats; the
-# block's text stays near 0.3 MB, where a whole-file join would hold it all.
+# Rows per block of `write_float_rows`. A window file repeats each row of its
+# feature matrix once per lag, so a block of this size formats about 7% of its
+# rows; the block's text stays near 0.3 MB, where a whole-file join would hold
+# it all.
 _FLOAT_BLOCK_ROWS = 1000
 # `csv.writer` (excel dialect, minimal quoting) writes a cell of two or more
 # in a row verbatim unless it holds one of these.
 _CSV_SPECIAL = frozenset(',"\r\n')
 
 
+def _quoted_column(column: Sequence[str]) -> Sequence[str]:
+    """`column` with each cell quoted as `csv.writer` quotes it in a row of two
+    or more cells; each distinct cell that needs quoting is quoted once."""
+    quoted = {}
+    for cell in set(column):
+        if not _CSV_SPECIAL.isdisjoint(cell):
+            # A cell followed by an empty one is written as in any row of two
+            # or more fields; the empty cell adds only ",\r\n".
+            buffer = io.StringIO()
+            csv.writer(buffer).writerow([cell, ""])
+            quoted[cell] = buffer.getvalue()[:-3]
+    return list(map(quoted.get, column, column)) if quoted else column
+
+
+def _row_texts(block: np.ndarray) -> list[str]:
+    """Each row of a float matrix as its comma-joined reprs. Rows are keyed by
+    bit pattern (so -0.0 and 0.0 stay apart), and each distinct row is
+    formatted once."""
+    block = np.ascontiguousarray(block)
+    keys = block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel().tolist()
+    distinct = dict.fromkeys(keys)
+    rows = np.frombuffer(b"".join(distinct), dtype=np.float64).reshape(len(distinct), -1)
+    text = dict(zip(distinct, [",".join(map(repr, row)) for row in rows.tolist()]))
+    return list(map(text.__getitem__, keys))
+
+
 def write_float_rows(
-    path: str | Path, header: Sequence[str], labels: Iterable[Sequence[str]], *matrices
+    path: str | Path, header: Sequence[str], labels: Sequence[Sequence[str]], *matrices
 ) -> None:
-    """Write `header`, then one row per row of the float `matrices`: its label
-    cells (a tuple of strings from `labels`), then that row of each matrix in turn.
+    """Write `header`, then one row per row of the float `matrices`: a cell
+    from each label column in `labels` (sequences of strings, one cell per
+    row), then that row of each matrix in turn.
 
     The bytes are those of `write_csv` given the rows `[*cells, *floats]`:
     header and label cells are quoted as `csv.writer` quotes them, and each
     float is written as its repr, so it reads back bit-exactly. Within each
-    block of `_FLOAT_BLOCK_ROWS` rows, repr runs once per distinct bit pattern
-    (so -0.0 and 0.0 stay apart) rather than once per value.
+    block of `_FLOAT_BLOCK_ROWS` rows, each matrix formats each distinct row
+    (by bit pattern) once.
     """
     matrices = [np.asarray(m, dtype=float) for m in matrices]
     shapes = [m.shape for m in matrices]
@@ -467,40 +494,24 @@ def write_float_rows(
         raise ValueError(f"expected matrices with equal row counts, got shapes {shapes}")
     if not sum(s[1] for s in shapes):
         raise ValueError("expected at least one value column")
-    quoted: dict[str, str] = {}
-
-    def quote(cell: str) -> str:
-        if cell not in quoted:
-            if _CSV_SPECIAL.isdisjoint(cell):
-                quoted[cell] = cell
-            else:
-                # A cell followed by an empty one is written as in any row of
-                # two or more fields; the empty cell adds only ",\r\n".
-                buffer = io.StringIO()
-                csv.writer(buffer).writerow([cell, ""])
-                quoted[cell] = buffer.getvalue()[:-3]
-        return quoted[cell]
-
-    labels = iter(labels)
+    n_rows, lengths = shapes[0][0], [len(column) for column in labels]
+    if any(length != n_rows for length in lengths):
+        raise ValueError(f"expected label columns of {n_rows} cells, got lengths {lengths}")
+    columns = [_quoted_column(column) for column in labels]
+    matrices = [m for m in matrices if m.shape[1]]
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerow(header)
-        for start in range(0, shapes[0][0], _FLOAT_BLOCK_ROWS):
-            block = np.hstack([m[start : start + _FLOAT_BLOCK_ROWS] for m in matrices])
-            bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-            texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-            rows = texts[inverse.reshape(block.shape)].tolist()
-            handle.write(
-                "".join(
-                    ",".join([*map(quote, cells), *row]) + "\r\n"
-                    for cells, row in zip(islice(labels, len(rows)), rows, strict=True)
-                )
-            )
+        for start in range(0, n_rows, _FLOAT_BLOCK_ROWS):
+            stop = start + _FLOAT_BLOCK_ROWS
+            block_columns = [column[start:stop] for column in columns]
+            block_columns += [_row_texts(m[start:stop]) for m in matrices]
+            handle.write("\r\n".join(map(",".join, zip(*block_columns))) + "\r\n")
 
 
 def write_dated_csv(path: str | Path, header: Sequence[str], dates: np.ndarray, values) -> None:
     """Write a `date` column, then one column per `header` name, values by repr."""
     days = np.datetime_as_string(dates, unit="D").tolist()
-    write_float_rows(path, ["date", *header], ((day,) for day in days), values)
+    write_float_rows(path, ["date", *header], [days], values)
 
 
 def read_dated_csv(

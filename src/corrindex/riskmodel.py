@@ -363,7 +363,7 @@ def cluster_aggregates(
 
 def matrix_to_csv(tickers: Sequence[str], values: np.ndarray, path: str | Path) -> None:
     """Write a square ticker-labelled matrix as CSV with a header row and column."""
-    write_float_rows(path, ["", *tickers], ((ticker,) for ticker in tickers), values)
+    write_float_rows(path, ["", *tickers], [tickers], values)
 
 
 def linkage_to_csv(link: Linkage, path: str | Path) -> None:

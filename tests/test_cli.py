@@ -1204,9 +1204,9 @@ def test_failed_output_leaves_every_artifact_unchanged(clean_inputs, tmp_path, c
 def _check_fault(clean_inputs: Path, root: Path, capsys, name: str, variant: str) -> tuple[int, str]:
     """Copy the clean workspace to `root`, apply `variant` to input `name` and
     run the command that reads it. Benign variants must rebuild the clean
-    artifacts byte for byte; malformed ones must exit 2 (or 1, for
-    `constituents.csv` and `weights.csv`) with one stderr line naming the path
-    (and the bad line, if there is one), writing nothing.
+    artifacts byte for byte; malformed ones must exit 1 (`constituents.csv`
+    and `weights.csv`) or 2 (every other input) with one stderr line naming
+    the path (and the bad line, if there is one), writing nothing.
     Returns the exit code and stderr, with `root` written as `<ws>`."""
     shutil.copytree(clean_inputs, root)
     relative, command, artifacts = _INPUTS[name]
@@ -1232,7 +1232,7 @@ def _check_fault(clean_inputs: Path, root: Path, capsys, name: str, variant: str
     else:
         before = _files(out)
         code = run(root / "pipeline.ini", command)
-        assert code == 2 or (code == 1 and name in ("constituents", "weights"))
+        assert code == (1 if name in ("constituents", "weights") else 2)
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from corrindex import market_data
 from corrindex.dataset import (
     WindowedDataset,
     chronological_split,
@@ -295,6 +296,16 @@ def _windows_cases(rng):
 def test_save_windows_csv_bytes_equal_row_at_a_time_writer(tmp_path, rng, case):
     ds = _windows_cases(rng)[case]
     assert ds.sample_count * ds.lookback > 1000
+    save_windows_csv(ds, tmp_path / "new.csv")
+    _save_windows_reference(ds, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_save_windows_csv_rows_repeating_across_blocks_equal_row_at_a_time_writer(tmp_path, rng):
+    """A series of period 7: the same window rows and targets recur within
+    each block of the float writer and on both sides of its block boundaries."""
+    ds = make_windows(np.tile(rng.normal(size=(7, 2)), (400, 1)), lookback=10)
+    assert ds.sample_count * ds.lookback > 2 * market_data._FLOAT_BLOCK_ROWS
     save_windows_csv(ds, tmp_path / "new.csv")
     _save_windows_reference(ds, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -619,11 +619,14 @@ def test_write_csv_read_csv_round_trip_floats_bit_exact(tmp_path_factory, table)
 
 
 def _csv_writer_reference(path: Path, header, labels, table) -> None:
-    """`csv.writer` given each row's label cells and the repr of each float."""
+    """`csv.writer` given each row's cells of the label columns and the repr of each float."""
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows([*cells, *map(repr, row)] for cells, row in zip(labels, table.tolist()))
+        writer.writerows(
+            [*(column[i] for column in labels), *map(repr, row)]
+            for i, row in enumerate(table.tolist())
+        )
 
 
 _cells = st.text(st.characters(exclude_categories=["Cs"]), max_size=4) | st.sampled_from(
@@ -636,11 +639,15 @@ _special_floats = st.sampled_from(
 
 @st.composite
 def _labelled_tables(draw):
+    """Rows drawn from a pool of up to 12 distinct-or-not rows, so that some
+    repeat, with 0-2 label columns."""
     rows, width = draw(st.integers(0, 12)), draw(st.integers(1, 4))
     elements = st.floats(width=64) | _special_floats
-    table = draw(arrays(np.float64, (rows, width), elements=elements))
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 12)), width), elements=elements))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows))
+    table = pool[np.array(picks, dtype=int)]
     n_labels = draw(st.integers(0, 2))
-    labels = draw(st.lists(st.tuples(*[_cells] * n_labels), min_size=rows, max_size=rows))
+    labels = [draw(st.lists(_cells, min_size=rows, max_size=rows)) for _ in range(n_labels)]
     header = draw(st.lists(_cells, min_size=n_labels + width, max_size=n_labels + width))
     return header, labels, table, draw(st.integers(0, width)), draw(st.integers(1, 5))
 
@@ -661,7 +668,8 @@ def test_write_float_rows_matches_csv_writer(tmp_path_factory, case):
 def test_write_float_rows_spans_blocks_of_mixed_zeros_and_extremes(tmp_path, rng):
     pool = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, -0.1])
     table = pool[rng.integers(0, len(pool), size=(2 * market_data._FLOAT_BLOCK_ROWS + 7, 5))]
-    labels = [(str(i), ("a\"b", "a,b", "")[i % 3]) for i in range(len(table))]
+    rows = range(len(table))
+    labels = [[str(i) for i in rows], [("a\"b", "a,b", "")[i % 3] for i in rows]]
     header = ["", "lab\"el", *(f"c{j}" for j in range(5))]
     write_float_rows(tmp_path / "new.csv", header, labels, table)
     _csv_writer_reference(tmp_path / "old.csv", header, labels, table)
@@ -670,19 +678,39 @@ def test_write_float_rows_spans_blocks_of_mixed_zeros_and_extremes(tmp_path, rng
     assert np.array(body, dtype=float).tobytes() == table.tobytes()
 
 
+def test_write_float_rows_keeps_rows_equal_as_floats_but_not_in_bits_apart(tmp_path):
+    """0.0 == -0.0, but the rows are cached by bit pattern, so each keeps its sign."""
+    table = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])
+    assert (table[0] == table[1]).all()
+    write_float_rows(tmp_path / "zeros.csv", ["x", "y"], [], table)
+    assert (tmp_path / "zeros.csv").read_bytes() == (
+        b"x,y\r\n0.0,1.0\r\n-0.0,1.0\r\n0.0,1.0\r\n-0.0,1.0\r\n"
+    )
+
+
 @pytest.mark.parametrize(
     "labels, matrices, message",
     [
-        ([("a",)], [np.zeros((2, 1))], "zip"),
-        ([("a",), ("b",)], [np.zeros((2, 1)), np.zeros((3, 1))], "equal row counts"),
-        ([("a",)], [np.zeros(1)], "equal row counts"),
-        ([("a",)], [np.zeros((1, 0))], "at least one value column"),
+        ([["a"]], [np.zeros((2, 1))], "label columns of 2 cells"),
+        ([["a", "b", "c"]], [np.zeros((2, 1))], "label columns of 2 cells"),
+        ([["a", "b"], ["a"]], [np.zeros((2, 1))], "label columns of 2 cells"),
+        ([["a", "b"]], [np.zeros((2, 1)), np.zeros((3, 1))], "equal row counts"),
+        ([["a"]], [np.zeros(1)], "equal row counts"),
+        ([["a"]], [np.zeros((1, 0))], "at least one value column"),
     ],
-    ids=["labels-short", "row-counts-differ", "not-a-matrix", "no-columns"],
+    ids=[
+        "labels-short",
+        "labels-long",
+        "second-labels-short",
+        "row-counts-differ",
+        "not-a-matrix",
+        "no-columns",
+    ],
 )
 def test_write_float_rows_rejects_mismatched_shapes(tmp_path, labels, matrices, message):
     with pytest.raises(ValueError, match=message):
         write_float_rows(tmp_path / "bad.csv", ["x", "y"], labels, *matrices)
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_read_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
