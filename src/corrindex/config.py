@@ -33,6 +33,8 @@ STRATEGIES = ("hrp_walk", "hrp_bisection", "equal_weight", "min_variance")
 FEATURE_MODES = ("returns", "levels")
 LINKAGE_METHODS = ("single", "complete", "ward")
 DISTANCE_CONVENTIONS = ("correlation", "euclidean")
+# The 2x2 grid's datasets: index history alone, then history plus the factors.
+DATASET_IDS = ("dataset1", "dataset2")
 # The columns of a metric table, in the order of the weights w1..w6. `beta`
 # and `volatility` come from price history; the rest from a fundamentals file.
 METRICS = ("economic_impact", "global_reach", "capital_expenditure", "beta", "kpi", "volatility")

@@ -8,28 +8,22 @@ recomputable from the stored per-run values.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .config import TRAIN_KEYS
+from .config import DATASET_IDS, TRAIN_KEYS
 from .forecast import MODEL_KINDS, TrainConfig, TrainingDiverged, predict, train
+from .market_data import csv_rows, csv_text
 from .parallel import fork_map
 
 if TYPE_CHECKING:
     from .dataset import WindowedDataset
 
-DATASET_IDS = ("dataset1", "dataset2")
-CELL_ORDER = (
-    ("lstm", "dataset1"),
-    ("cnn_lstm", "dataset1"),
-    ("lstm", "dataset2"),
-    ("cnn_lstm", "dataset2"),
-)
+CELL_ORDER = tuple((model_id, dataset_id) for dataset_id in DATASET_IDS for model_id in MODEL_KINDS)
+RUNS_CSV_HEADER = ("model", "dataset", "run", "rmse", "fingerprint")
 DIVERGENCE_FLAG_RATIO = 0.10
 REPORT_VERSION = 1
 
@@ -89,7 +83,7 @@ def multi_run(
     train_ds: WindowedDataset,
     test_ds: WindowedDataset,
     cfg: TrainConfig,
-    dataset_id: str = "dataset1",
+    dataset_id: str = DATASET_IDS[0],
     max_workers: int | None = None,
 ) -> RunStats:
     """Train `cfg.runs` fresh models (run r uses seed cfg.seed + r) and keep
@@ -129,21 +123,10 @@ def config_fingerprint(cfg: TrainConfig) -> str:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Four cells in canonical order plus the config fingerprint."""
+    """The four cells in `CELL_ORDER` plus the config fingerprint; built by `comparison_report`."""
 
     cells: tuple[RunStats, RunStats, RunStats, RunStats]
     fingerprint: str
-
-    def __post_init__(self):
-        ids = tuple((c.model_id, c.dataset_id) for c in self.cells)
-        if ids != CELL_ORDER:
-            raise ValueError(f"cells must be in canonical order {CELL_ORDER}, got {ids}")
-
-    def cell(self, model_id: str, dataset_id: str) -> RunStats:
-        for stats in self.cells:
-            if stats.model_id == model_id and stats.dataset_id == dataset_id:
-                return stats
-        raise KeyError((model_id, dataset_id))
 
     def reductions(self) -> list[tuple[str, str, float]]:
         """All six baseline-to-improved pairs in canonical order."""
@@ -162,7 +145,8 @@ class ComparisonReport:
 
 
 def comparison_report(cells: Sequence[RunStats], fingerprint: str) -> ComparisonReport:
-    """Assemble the 2x2 report; every (model, dataset) cell must be present."""
+    """Assemble the 2x2 report with its cells in `CELL_ORDER`; every (model,
+    dataset) cell must be present."""
     lookup = {(c.model_id, c.dataset_id): c for c in cells}
     missing = [pair for pair in CELL_ORDER if pair not in lookup]
     if missing:
@@ -194,11 +178,11 @@ def render_report(report: ComparisonReport) -> str:
         lines.append(f"reduction.{base}.to.{improved} = {pct!r}")
     lines.append("")
     lines.append("# mean test RMSE (scaled units)")
-    lines.append("# model      dataset1   dataset2")
+    lines.append(f"# {'model':<10} " + " ".join(f"{d:<10}" for d in DATASET_IDS).rstrip())
+    means = {(c.model_id, c.dataset_id): c.mean for c in report.cells}
     for model_id in MODEL_KINDS:
-        d1 = report.cell(model_id, "dataset1").mean
-        d2 = report.cell(model_id, "dataset2").mean
-        lines.append(f"# {model_id:<10} {d1:<10.4f} {d2:<10.4f}")
+        row = " ".join(f"{means[model_id, d]:<10.4f}" for d in DATASET_IDS)
+        lines.append(f"# {model_id:<10} {row}")
     lines.append("# reductions recomputed from the cell means above")
     return "\n".join(lines) + "\n"
 
@@ -209,14 +193,12 @@ def runs_csv(report: ComparisonReport) -> str:
     Row r of a cell is run r (seed `cfg.seed + r`): its RMSE, or `nan` where
     it diverged.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["model", "dataset", "run", "rmse", "fingerprint"])
-    for stats in report.cells:
-        for run, value in enumerate(stats.runs):
-            text = "nan" if value is None else repr(value)
-            writer.writerow([stats.model_id, stats.dataset_id, run, text, report.fingerprint])
-    return buffer.getvalue()
+    rows = (
+        [c.model_id, c.dataset_id, run, "nan" if value is None else repr(value), report.fingerprint]
+        for c in report.cells
+        for run, value in enumerate(c.runs)
+    )
+    return csv_text(RUNS_CSV_HEADER, rows)
 
 
 def parse_runs_csv(text: str) -> tuple[list[RunStats], str]:
@@ -227,16 +209,12 @@ def parse_runs_csv(text: str) -> tuple[list[RunStats], str]:
     An RMSE must be `nan` or a finite positive number. A malformed row raises
     ValueError naming its 1-based line.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header != ["model", "dataset", "run", "rmse", "fingerprint"]:
+    rows = csv_rows(text)
+    if not rows or tuple(rows[0][1]) != RUNS_CSV_HEADER:
         raise ValueError("malformed per-run CSV header")
     grouped: dict[tuple[str, str], list[float | None]] = {}
     fingerprints = set()
-    for row in reader:
-        line = reader.line_num
-        if len(row) <= 1 and not "".join(row).strip():
-            continue
+    for line, row in rows[1:]:
         if len(row) != 5:
             raise ValueError(f"line {line}: expected 5 fields, got {len(row)}")
         model_id, dataset_id, run, value, fingerprint = row

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, fields
 from datetime import date
 from functools import reduce
@@ -259,7 +260,7 @@ def _load_price_rows(path: Path, name: str) -> PriceSeries:
             raise ValueError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
         raw = row[date_col]
         try:
-            day = date.fromisoformat(raw.strip())
+            day = _iso_day(raw.strip())
         except ValueError:
             raise ValueError(f"{path}: line {line}: unparseable date {raw!r}") from None
         close = _parse_float(row[close_col], path, line, "close")
@@ -281,6 +282,18 @@ def _load_price_rows(path: Path, name: str) -> PriceSeries:
         return PriceSeries(ticker=name, bars=table[order])
     except _RowError as err:
         raise ValueError(f"{path}: line {body[order[err.row]][0]}: {err.problem}") from None
+
+
+# From Python 3.11 on, `date.fromisoformat` also reads `20200102` and `2020-W01-4`.
+_ISO_DAY = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+
+
+def _iso_day(text: str) -> date:
+    """The date `text` spells as `YYYY-MM-DD`, and no other spelling, on every
+    supported Python; anything else raises ValueError as `fromisoformat` does."""
+    if not _ISO_DAY.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
 
 
 # `date(1970, 1, 1).toordinal()`: the day number of datetime64's epoch.
@@ -413,30 +426,35 @@ def read_utf8_text(path: str | Path) -> str:
     return text.removeprefix("\ufeff")
 
 
+def csv_rows(text: str) -> list[tuple[int, list[str]]]:
+    """Each row of CSV text (LF or CRLF) with the 1-based line it ends on;
+    lines of nothing but whitespace are skipped."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    return [(reader.line_num, row) for row in reader if len(row) > 1 or "".join(row).strip()]
+
+
 def read_csv(path: str | Path) -> list[tuple[int, list[str]]]:
-    """Each row of a UTF-8 CSV file (BOM optional, LF or CRLF) with the 1-based
-    line it ends on; lines of nothing but whitespace are skipped. A byte that
-    is not UTF-8 raises ValueError naming the path and its line."""
-    try:
-        with Path(path).open(newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            return [(reader.line_num, row) for row in reader if len(row) > 1 or "".join(row).strip()]
-    except UnicodeDecodeError:
-        # The reader decodes in chunks, so the error's offset is not the file's.
-        read_utf8_text(path)
-        raise
+    """`csv_rows` of a UTF-8 file (BOM optional). A byte that is not UTF-8
+    raises ValueError naming the path and its line."""
+    return csv_rows(read_utf8_text(path))
 
 
-def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
-    """Write `header`, then `rows`, as UTF-8 CSV with CRLF row ends.
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """`header`, then `rows`, as CSV text with CRLF row ends.
 
     A cell is written as its `str`, which for a Python float (`ndarray.tolist()`)
     is its repr, so the value reads back bit-exactly.
     """
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write `csv_text(header, rows)` to `path` as UTF-8."""
+    Path(path).write_text(csv_text(header, rows), encoding="utf-8", newline="")
 
 
 # Rows per block of `write_float_rows`. A window file repeats each row of its
@@ -457,9 +475,7 @@ def _quoted_column(column: Sequence[str]) -> Sequence[str]:
         if not _CSV_SPECIAL.isdisjoint(cell):
             # A cell followed by an empty one is written as in any row of two
             # or more fields; the empty cell adds only ",\r\n".
-            buffer = io.StringIO()
-            csv.writer(buffer).writerow([cell, ""])
-            quoted[cell] = buffer.getvalue()[:-3]
+            quoted[cell] = csv_text([cell, ""], ())[:-3]
     return list(map(quoted.get, column, column)) if quoted else column
 
 
@@ -500,7 +516,7 @@ def write_float_rows(
     columns = [_quoted_column(column) for column in labels]
     matrices = [m for m in matrices if m.shape[1]]
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerow(header)
+        handle.write(csv_text(header, ()))
         for start in range(0, n_rows, _FLOAT_BLOCK_ROWS):
             stop = start + _FLOAT_BLOCK_ROWS
             block_columns = [column[start:stop] for column in columns]
@@ -520,7 +536,7 @@ def read_dated_csv(
     """Read a file `write_dated_csv` wrote: (column names, dates, values matrix).
 
     If `columns` is given, the header must be `date` followed by exactly those
-    names. There must be at least one row. Dates must be ISO-8601 and strictly
+    names. There must be at least one row. Dates must be `YYYY-MM-DD` and strictly
     increasing, and values finite; a bad row raises with its 1-based line number.
     """
     rows = read_csv(path)
@@ -536,7 +552,7 @@ def read_dated_csv(
         if len(row) != len(header):
             raise ValueError(f"{path}: line {line}: expected {len(header)} fields, got {len(row)}")
         try:
-            days.append(date.fromisoformat(row[0]))
+            days.append(_iso_day(row[0]))
             values.append([float(v) for v in row[1:]])
         except ValueError as err:
             raise ValueError(f"{path}: line {line}: {err}") from None

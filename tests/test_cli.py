@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,37 @@ def test_allocate_writes_side_outputs(workspace):
     assert len(weights) == 8
     assert all(w >= 0 for w in weights)
     assert abs(sum(weights) - 1.0) < 1e-3  # 4-decimal display rounding
+
+
+def test_build_index_reads_the_rounded_weights_of_31_constituents(tmp_path, capsys):
+    """31 equal weights of 0.0323 sum to 1.0013: weights.csv's 4-decimal
+    rounding may miss 1 by 31 half-units of the last place, 0.00155, so
+    build-index reads the file allocate wrote. A sum further off is refused."""
+    tickers = [f"C{i:02d}" for i in range(31)]
+    build_workspace(tmp_path, n_days=80, seed=5)
+    panel = generate_synthetic_panel(len(tickers), 80, daily_vol=0.01, seed=5)
+    metrics = ["ticker,market_cap,intl_sales,total_sales,capex,kpi"]
+    for i, ticker in enumerate(tickers):
+        closes = returns_to_closes(panel.values[:, i])
+        write_price_csv(tmp_path / "prices" / f"{ticker}.csv", panel.dates, closes)
+        metrics.append(f"{ticker},{1e9 + i * 1e7:.0f},{10 + i},100,{1e8 + i * 1e6:.0f},{i / 31:.3f}")
+    (tmp_path / "metrics.csv").write_text("\n".join(metrics) + "\n")
+    config = write_config(tmp_path, strategy="equal_weight")
+    config.write_text(
+        config.read_text()
+        .replace(f"tickers = {', '.join(UNIVERSE)}", f"tickers = {', '.join(tickers)}")
+        .replace("k = 8", "k = 31")
+    )
+    for command in ("select", "allocate", "build-index"):
+        assert run(config, command) == 0, capsys.readouterr().err
+    weights = tmp_path / "out" / "weights.csv"
+    assert set(weights.read_text().splitlines()) == {f"{t},0.0323" for t in tickers}
+
+    weights.write_text(weights.read_text().replace("C00,0.0323", "C00,0.0326"))
+    capsys.readouterr()
+    assert run(config, "build-index") == 1
+    err = capsys.readouterr().err
+    assert f"{weights}: weights sum to 1.0016" in err and "outside tolerance 0.00155" in err
 
 
 def test_allocate_hrp_bisection_prefers_low_vol_block(tmp_path):
@@ -1100,6 +1132,19 @@ def _without_last_cell(text: str) -> str:
     return "".join(row for row in rows if not row.startswith(f"{model_id},{dataset_id},"))
 
 
+def _respelt_date(spell):
+    """A variant that respells the `YYYY-MM-DD` date opening line `_FAULT_LINE`
+    as `spell(date)`: a spelling `date.fromisoformat` reads from Python 3.11 on."""
+
+    def fault(text: str) -> str:
+        lines = text.split("\n")
+        day, _, rest = lines[_FAULT_LINE - 1].partition(",")
+        lines[_FAULT_LINE - 1] = f"{spell(date.fromisoformat(day))},{rest}"
+        return "\n".join(lines)
+
+    return fault
+
+
 def _blank_line_after(text: str, line: int) -> str:
     lines = text.split("\n")
     return "\n".join([*lines[:line], "", *lines[line:]])
@@ -1109,6 +1154,7 @@ _BENIGN = {
     "bom": lambda text: "\ufeff" + text,
     "crlf": lambda text: text.replace("\n", "\r\n"),
     "trailing-blank-line": lambda text: text + "\n",
+    "leading-blank-line": lambda text: "\n" + text,
     "blank-line-mid-file": lambda text: _blank_line_after(text, 2),
 }
 _MALFORMED = {
@@ -1120,14 +1166,16 @@ _MALFORMED = {
     "extra-field": _extra_field,
     "repeated-row": _repeat_row,
     "missing-cell": _without_last_cell,
+    "compact-date": _respelt_date(lambda day: day.strftime("%Y%m%d")),
+    "week-date": _respelt_date(lambda day: "{}-W{:02d}-{}".format(*day.isocalendar())),
 }
 # A price or factor row may hold cells past the header's columns; the reader
 # ignores them, so these inputs rebuild the clean artifacts.
 _EXTRA_CELLS_IGNORED = ("price", "factor")
-# The last two variants apply to the dated-series inputs only. runs.csv's last
-# field is the fingerprint, which must agree across the file rather than parse
-# as a number.
-_SERIES_ONLY = ("non-finite-value", "header-only")
+# These variants apply to the dated-series inputs only. runs.csv's last field is
+# the fingerprint, which must agree across the file rather than parse as a
+# number, and only the dated series open each row with a date.
+_SERIES_ONLY = ("non-finite-value", "header-only", "compact-date", "week-date")
 _FAULTS = [
     (name, variant)
     for name in _INPUTS

@@ -289,6 +289,15 @@ def _cells(means=(0.179, 0.088, 0.034, 0.028)) -> list[RunStats]:
     ]
 
 
+def test_cell_order_is_dataset_by_dataset():
+    assert CELL_ORDER == (
+        ("lstm", "dataset1"),
+        ("cnn_lstm", "dataset1"),
+        ("lstm", "dataset2"),
+        ("cnn_lstm", "dataset2"),
+    )
+
+
 def test_report_reduction_table():
     report = comparison_report(_cells(), "cfg=1")
     reductions = {(a, b): pct for a, b, pct in report.reductions()}
@@ -321,6 +330,16 @@ def test_report_renders_reductions_and_table():
     assert "# model" in text
     # displayed table numbers come from the same stored means
     assert f"{report.cells[0].mean:.4f}" in text
+
+
+def test_report_table_has_a_row_per_model_and_a_column_per_dataset():
+    text = render_report(comparison_report(_cells(), "cfg=1"))
+    assert text.endswith(
+        "# model      dataset1   dataset2\n"
+        "# lstm       0.1790     0.0340    \n"
+        "# cnn_lstm   0.0880     0.0280    \n"
+        "# reductions recomputed from the cell means above\n"
+    )
 
 
 def test_report_flags_divergence():
@@ -367,6 +386,18 @@ def test_runs_csv_with_diverged_rows_last_rebuilds_the_same_report():
     values = ["0.1", "0.12", "0.11", "nan", "nan"]
     rows[1:6] = [f"lstm,dataset1,{run},{value},cfg=1" for run, value in enumerate(values)]
     parsed, fingerprint = parse_runs_csv("\n".join(rows) + "\n")
+    assert render_report(comparison_report(parsed, fingerprint)) == render_report(report)
+
+
+def test_runs_csv_with_dataset2_cells_first_rebuilds_the_same_report():
+    """`comparison_report` puts the cells in `CELL_ORDER`, whatever order
+    runs.csv lists them in."""
+    report = comparison_report(_cells(), "cfg=1")
+    header, *rows = runs_csv(report).splitlines()
+    dataset2 = [row for row in rows if ",dataset2," in row]
+    dataset1 = [row for row in rows if ",dataset1," in row]
+    parsed, fingerprint = parse_runs_csv("\r\n".join([header, *dataset2, *dataset1]) + "\r\n")
+    assert [c.dataset_id for c in parsed] == ["dataset2", "dataset2", "dataset1", "dataset1"]
     assert render_report(comparison_report(parsed, fingerprint)) == render_report(report)
 
 

@@ -738,9 +738,9 @@ def test_read_csv_names_the_true_line_of_rows_after_blank_lines(tmp_path):
     ]
 
 
-def test_only_the_two_codecs_use_the_csv_module():
-    """`market_data.py` holds the file codec and `evaluation.py` the runs.csv
-    string codec; no other module may parse or format CSV on its own."""
+def test_only_market_data_uses_the_csv_module():
+    """`market_data.py` holds the one CSV codec (`csv_rows` / `csv_text`); no
+    other module may parse or format CSV on its own."""
     src = Path(market_data.__file__).parent
     importers, users = set(), set()
     for path in src.rglob("*.py"):
@@ -757,4 +757,4 @@ def test_only_the_two_codecs_use_the_csv_module():
                 and node.attr in ("reader", "writer", "DictReader", "DictWriter")
             ):
                 users.add(name)
-    assert importers == users == {"market_data.py", "evaluation.py"}
+    assert importers == users == {"market_data.py"}
