@@ -11,6 +11,7 @@ import numpy as np
 
 from corrindex.dataset import chronological_split, make_windows
 from corrindex.evaluation import (
+    CELL_ORDER,
     comparison_report,
     config_fingerprint,
     multi_run,
@@ -50,12 +51,11 @@ for name, (train_ds, test_ds) in splits.items():
 
 cfg = TrainConfig(epochs=25, runs=5, seed=0, hidden_size=16, kernels=8)
 cells = []
-for model_id in ("lstm", "cnn_lstm"):
-    for dataset_id in ("dataset1", "dataset2"):
-        train_ds, test_ds = splits[dataset_id]
-        stats = multi_run(model_id, train_ds, test_ds, cfg, dataset_id=dataset_id)
-        print(f"{model_id}/{dataset_id}: mean RMSE {stats.mean:.4f} over {stats.run_count} runs")
-        cells.append(stats)
+for model_id, dataset_id in CELL_ORDER:
+    train_ds, test_ds = splits[dataset_id]
+    stats = multi_run(model_id, train_ds, test_ds, cfg, dataset_id=dataset_id)
+    print(f"{model_id}/{dataset_id}: mean RMSE {stats.mean:.4f} over {stats.run_count} runs")
+    cells.append(stats)
 
 report = comparison_report(cells, config_fingerprint(cfg))
 print()

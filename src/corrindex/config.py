@@ -125,6 +125,9 @@ def _path(text: str) -> Path | None:
 def _tickers(text: str) -> tuple[str, ...]:
     tickers = tuple(part.strip() for part in text.split(",") if part.strip())
     for i, ticker in enumerate(tickers):
+        # A comma splits the list, so every ticker is a cell `csv.writer` leaves unquoted.
+        if not set(ticker).isdisjoint('"\r\n'):
+            raise ConfigError(f"lists {ticker!r}, which holds a double quote or a line break")
         if ticker in tickers[:i]:
             raise ConfigError(f"lists {ticker!r} more than once")
     return tickers

@@ -31,5 +31,5 @@ def index_to_csv(series: ReturnSeries, path: str | Path) -> None:
 
 def index_from_csv(path: str | Path) -> ReturnSeries:
     """Read a (date, return) CSV back as the return series of ticker INDEX."""
-    _, dates, values = read_dated_csv(path, columns=["return"])
+    dates, values = read_dated_csv(path, ["return"])
     return ReturnSeries(ticker="INDEX", dates=dates, returns=values[:, 0])

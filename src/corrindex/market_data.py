@@ -462,21 +462,6 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> N
 # rows; the block's text stays near 0.3 MB, where a whole-file join would hold
 # it all.
 _FLOAT_BLOCK_ROWS = 1000
-# `csv.writer` (excel dialect, minimal quoting) writes a cell of two or more
-# in a row verbatim unless it holds one of these.
-_CSV_SPECIAL = frozenset(',"\r\n')
-
-
-def _quoted_column(column: Sequence[str]) -> Sequence[str]:
-    """`column` with each cell quoted as `csv.writer` quotes it in a row of two
-    or more cells; each distinct cell that needs quoting is quoted once."""
-    quoted = {}
-    for cell in set(column):
-        if not _CSV_SPECIAL.isdisjoint(cell):
-            # A cell followed by an empty one is written as in any row of two
-            # or more fields; the empty cell adds only ",\r\n".
-            quoted[cell] = csv_text([cell, ""], ())[:-3]
-    return list(map(quoted.get, column, column)) if quoted else column
 
 
 def _row_texts(block: np.ndarray) -> list[str]:
@@ -496,13 +481,15 @@ def write_float_rows(
 ) -> None:
     """Write `header`, then one row per row of the float `matrices`: a cell
     from each label column in `labels` (sequences of strings, one cell per
-    row), then that row of each matrix in turn.
+    row), then that row of each matrix in turn. This is the window-file
+    writer; `dataset.save_windows_csv` is its one caller.
 
-    The bytes are those of `write_csv` given the rows `[*cells, *floats]`:
-    header and label cells are quoted as `csv.writer` quotes them, and each
-    float is written as its repr, so it reads back bit-exactly. Within each
-    block of `_FLOAT_BLOCK_ROWS` rows, each matrix formats each distinct row
-    (by bit pattern) once.
+    The header goes through `csv_text`. Label cells are written as given, so
+    they must be cells that `csv.writer` leaves unquoted (the window files'
+    sample and lag numbers are). Each float is written as its repr, so it
+    reads back bit-exactly, and the bytes are those of `write_csv` given the
+    rows `[*cells, *floats]`. Within each block of `_FLOAT_BLOCK_ROWS` rows,
+    each matrix formats each distinct row (by bit pattern) once.
     """
     matrices = [np.asarray(m, dtype=float) for m in matrices]
     shapes = [m.shape for m in matrices]
@@ -513,13 +500,12 @@ def write_float_rows(
     n_rows, lengths = shapes[0][0], [len(column) for column in labels]
     if any(length != n_rows for length in lengths):
         raise ValueError(f"expected label columns of {n_rows} cells, got lengths {lengths}")
-    columns = [_quoted_column(column) for column in labels]
     matrices = [m for m in matrices if m.shape[1]]
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         handle.write(csv_text(header, ()))
         for start in range(0, n_rows, _FLOAT_BLOCK_ROWS):
             stop = start + _FLOAT_BLOCK_ROWS
-            block_columns = [column[start:stop] for column in columns]
+            block_columns = [column[start:stop] for column in labels]
             block_columns += [_row_texts(m[start:stop]) for m in matrices]
             handle.write("\r\n".join(map(",".join, zip(*block_columns))) + "\r\n")
 
@@ -527,24 +513,21 @@ def write_float_rows(
 def write_dated_csv(path: str | Path, header: Sequence[str], dates: np.ndarray, values) -> None:
     """Write a `date` column, then one column per `header` name, values by repr."""
     days = np.datetime_as_string(dates, unit="D").tolist()
-    write_float_rows(path, ["date", *header], [days], values)
+    rows = np.asarray(values, dtype=float).tolist()
+    write_csv(path, ["date", *header], ([day, *row] for day, row in zip(days, rows, strict=True)))
 
 
-def read_dated_csv(
-    path: str | Path, columns: Sequence[str] | None = None
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Read a file `write_dated_csv` wrote: (column names, dates, values matrix).
+def read_dated_csv(path: str | Path, columns: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Read a file `write_dated_csv` wrote with the names `columns`: (dates, values matrix).
 
-    If `columns` is given, the header must be `date` followed by exactly those
-    names. There must be at least one row. Dates must be `YYYY-MM-DD` and strictly
-    increasing, and values finite; a bad row raises with its 1-based line number.
+    The header must be `date` followed by exactly those names. There must be at
+    least one row. Dates must be `YYYY-MM-DD` and strictly increasing, and
+    values finite; a bad row raises with its 1-based line number.
     """
     rows = read_csv(path)
     header = rows[0][1] if rows else None
-    if columns is not None and header != ["date", *columns]:
+    if header != ["date", *columns]:
         raise ValueError(f"{path}: expected header '{','.join(['date', *columns])}'")
-    if not header or header[0] != "date":
-        raise ValueError(f"{path}: expected a 'date' header column")
     body, days, values = rows[1:], [], []
     if not body:
         raise ValueError(f"{path}: no rows after the header")
@@ -566,4 +549,4 @@ def read_dated_csv(
     if not finite.all():
         row = int(np.argmin(finite))
         raise ValueError(f"{path}: line {body[row][0]}: non-finite value")
-    return tuple(header[1:]), dates, matrix
+    return dates, matrix

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DISTANCE_CONVENTIONS, LINKAGE_METHODS
-from .market_data import AlignedPanel, _readonly, write_csv, write_float_rows
+from .market_data import AlignedPanel, _readonly, write_csv
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
@@ -363,7 +363,8 @@ def cluster_aggregates(
 
 def matrix_to_csv(tickers: Sequence[str], values: np.ndarray, path: str | Path) -> None:
     """Write a square ticker-labelled matrix as CSV with a header row and column."""
-    write_float_rows(path, ["", *tickers], [tickers], values)
+    rows = np.asarray(values, dtype=float).tolist()
+    write_csv(path, ["", *tickers], ([t, *row] for t, row in zip(tickers, rows, strict=True)))
 
 
 def linkage_to_csv(link: Linkage, path: str | Path) -> None:

@@ -633,18 +633,32 @@ def test_non_positive_model_size_names_its_key(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key", ["tickers", "factor_tickers"])
-def test_repeated_ticker_rejected(tmp_path, capsys, key):
+@pytest.mark.parametrize(
+    "key, fault",
+    [
+        pytest.param(key, fault, id=key if fault == "repeated" else f"{key}-{fault}")
+        for fault in ("repeated", "quote", "line-break")
+        for key in ("tickers", "factor_tickers")
+    ],
+)
+def test_repeated_ticker_rejected(tmp_path, capsys, key, fault):
+    """A ticker listed twice, or one that `csv.writer` would quote (and a later
+    command then misread), is refused before any work."""
     build_workspace(tmp_path, n_days=80, seed=13)
     config = write_config(tmp_path)
     listed = UNIVERSE if key == "tickers" else FACTORS
+    bad, message = {
+        "repeated": (listed[9], f"lists {listed[9]!r} more than once"),
+        "quote": ('"Q', """lists '"Q', which holds a double quote or a line break"""),
+        "line-break": ("Q\n  R", "lists 'Q\\nR', which holds a double quote or a line break"),
+    }[fault]
     config.write_text(
         config.read_text().replace(
-            f"{key} = {', '.join(listed)}", f"{key} = {listed[9]}, {', '.join(listed)}"
+            f"{key} = {', '.join(listed)}", f"{key} = {bad}, {', '.join(listed)}"
         )
     )
     assert run(config, "select") == 1
-    assert f"[data] {key} lists {listed[9]!r} more than once" in capsys.readouterr().err
+    assert f"[data] {key} {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

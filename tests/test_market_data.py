@@ -31,6 +31,7 @@ from corrindex.market_data import (
     write_dated_csv,
     write_float_rows,
 )
+from corrindex.riskmodel import matrix_to_csv
 from conftest import price_series, weekdays
 
 
@@ -566,8 +567,7 @@ def test_panel_csv_round_trip(tmp_path, rng):
     panel = generate_synthetic_panel(3, 25, seed=2)
     path = tmp_path / "panel.csv"
     write_dated_csv(path, panel.tickers, panel.dates, panel.values)
-    tickers, dates, values = read_dated_csv(path)
-    assert tickers == panel.tickers
+    dates, values = read_dated_csv(path, panel.tickers)
     assert dates.tolist() == panel.dates.tolist()
     assert np.array_equal(values, panel.values)
 
@@ -632,6 +632,10 @@ def _csv_writer_reference(path: Path, header, labels, table) -> None:
 _cells = st.text(st.characters(exclude_categories=["Cs"]), max_size=4) | st.sampled_from(
     ["", 'a"b', "a,b", "a\r\nb", " "]
 )
+# Cells `csv.writer` leaves unquoted, as `write_float_rows` requires of its labels.
+_label_cells = st.text(
+    st.characters(exclude_categories=["Cs"], exclude_characters=',"\r\n'), max_size=4
+) | st.sampled_from(["", " "])
 _special_floats = st.sampled_from(
     [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, np.inf, np.nan]
 )
@@ -647,7 +651,7 @@ def _labelled_tables(draw):
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows))
     table = pool[np.array(picks, dtype=int)]
     n_labels = draw(st.integers(0, 2))
-    labels = [draw(st.lists(_cells, min_size=rows, max_size=rows)) for _ in range(n_labels)]
+    labels = [draw(st.lists(_label_cells, min_size=rows, max_size=rows)) for _ in range(n_labels)]
     header = draw(st.lists(_cells, min_size=n_labels + width, max_size=n_labels + width))
     return header, labels, table, draw(st.integers(0, width)), draw(st.integers(1, 5))
 
@@ -669,7 +673,7 @@ def test_write_float_rows_spans_blocks_of_mixed_zeros_and_extremes(tmp_path, rng
     pool = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, -0.1])
     table = pool[rng.integers(0, len(pool), size=(2 * market_data._FLOAT_BLOCK_ROWS + 7, 5))]
     rows = range(len(table))
-    labels = [[str(i) for i in rows], [("a\"b", "a,b", "")[i % 3] for i in rows]]
+    labels = [[str(i) for i in rows], [("a b", "a-b", "")[i % 3] for i in rows]]
     header = ["", "lab\"el", *(f"c{j}" for j in range(5))]
     write_float_rows(tmp_path / "new.csv", header, labels, table)
     _csv_writer_reference(tmp_path / "old.csv", header, labels, table)
@@ -710,6 +714,42 @@ def test_write_float_rows_keeps_rows_equal_as_floats_but_not_in_bits_apart(tmp_p
 def test_write_float_rows_rejects_mismatched_shapes(tmp_path, labels, matrices, message):
     with pytest.raises(ValueError, match=message):
         write_float_rows(tmp_path / "bad.csv", ["x", "y"], labels, *matrices)
+    assert not (tmp_path / "bad.csv").exists()
+
+
+_NAMES = ["a,b", 'say "hi"', "plain"]
+_DATES = np.array(weekdays(3), dtype="datetime64[D]")
+
+
+def _write_labelled(writer: str, path: Path, values) -> tuple[str, list[str]]:
+    """Write `values` labelled by `_NAMES` through `writer`; return the corner
+    header cell and the label column it writes."""
+    if writer == "dated":
+        write_dated_csv(path, _NAMES, _DATES, values)
+        return "date", np.datetime_as_string(_DATES, unit="D").tolist()
+    matrix_to_csv(_NAMES, values, path)
+    return "", _NAMES
+
+
+@pytest.mark.parametrize("writer", ["dated", "matrix"])
+def test_dated_and_matrix_files_quote_names_as_csv_writer_does(tmp_path, writer):
+    """Names holding `,` and `"` are quoted in the header and in the label
+    column, and read back as written, with the floats bit-identical."""
+    values = np.array([[-0.0, 5e-324, 0.1], [1e308, -1e-310, 2.0], [1.0, -1.0, 1 / 3]])
+    corner, labels = _write_labelled(writer, tmp_path / "new.csv", values)
+    _csv_writer_reference(tmp_path / "old.csv", [corner, *_NAMES], [labels], values)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    (_, head), *body = read_csv(tmp_path / "new.csv")
+    assert head == [corner, *_NAMES]
+    assert [row[0] for _, row in body] == labels
+    assert np.array([row[1:] for _, row in body], dtype=float).tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+@pytest.mark.parametrize("writer", ["dated", "matrix"])
+def test_dated_and_matrix_writers_refuse_a_row_count_unlike_the_labels(tmp_path, writer, rows):
+    with pytest.raises(ValueError):
+        _write_labelled(writer, tmp_path / "bad.csv", np.zeros((rows, 3)))
     assert not (tmp_path / "bad.csv").exists()
 
 
