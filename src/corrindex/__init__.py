@@ -8,9 +8,9 @@ Pipeline stages, each usable on its own:
 * `allocation`: index weighting strategies (hierarchical and optimizing)
 * `index_builder`: the fixed weighted-sum index return series
 * `dataset`: scaling, windowing, chronological splits
-* `forecast`: from-scratch LSTM and CNN-LSTM with exact BPTT
+* `forecast`: from-scratch LSTM and CNN-LSTM with exact BPTT, one model or a stack of runs
 * `evaluation`: RMSE, multi-run statistics, the 2x2 comparison report
-* `parallel`: `fork_map`, independent work spread over forked processes
+* `parallel`: `fork_map` / `fork_chunks`, independent work spread over forked processes
 * `cli`: file-driven pipeline commands
 
 Importing the package loads none of them: each is imported on first use.

@@ -1,4 +1,8 @@
-"""1-D convolution over time with rectifier activation and max pooling."""
+"""1-D convolution over time with rectifier activation and max pooling.
+
+As in `lstm`, parameters and inputs may carry leading run axes (`...`); each
+run's results are bit-identical to running it alone.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +15,9 @@ import numpy as np
 class ConvParams:
     """K kernels of fixed width over all input channels, plus max-pool width.
 
-    `kernels` is (n_kernels, width, features); pooling is non-overlapping
-    (stride equals the window), with any odd tail step dropped.
+    `kernels` is (..., n_kernels, width, features) and `bias` (..., n_kernels);
+    pooling is non-overlapping (stride equals the window), with any odd tail
+    step dropped.
     """
 
     kernels: np.ndarray
@@ -20,9 +25,9 @@ class ConvParams:
     pool_width: int = 2
 
     def __post_init__(self):
-        if self.kernels.ndim != 3:
-            raise ValueError(f"kernels must be 3-D, got shape {self.kernels.shape}")
-        if self.bias.shape != (self.kernels.shape[0],):
+        if self.kernels.ndim < 3:
+            raise ValueError(f"kernels must be at least 3-D, got shape {self.kernels.shape}")
+        if self.bias.shape != self.kernels.shape[:-2]:
             raise ValueError("bias must have one entry per kernel")
         if self.pool_width < 1:
             raise ValueError("pool width must be positive")
@@ -31,15 +36,15 @@ class ConvParams:
 
     @property
     def n_kernels(self) -> int:
-        return self.kernels.shape[0]
+        return self.kernels.shape[-3]
 
     @property
     def width(self) -> int:
-        return self.kernels.shape[1]
+        return self.kernels.shape[-2]
 
     @property
     def input_size(self) -> int:
-        return self.kernels.shape[2]
+        return self.kernels.shape[-1]
 
     def arrays(self) -> list[np.ndarray]:
         return [self.kernels, self.bias]
@@ -64,13 +69,14 @@ class ConvParams:
 def conv_forward_batch(c: ConvParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Valid (no padding) convolution along time, ReLU, then max pooling.
 
-    Input (batch, steps, features) must satisfy steps >= width + pool - 1 so
-    the pooled sequence is non-empty. Output is (batch, pooled, kernels).
+    Input (..., batch, steps, features) must satisfy steps >= width + pool - 1
+    so the pooled sequence is non-empty. Output is (..., batch, pooled, kernels).
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 3 or x.shape[2] != c.input_size:
+    if x.ndim < 3 or x.shape[-1] != c.input_size:
         raise ValueError(f"input shape {x.shape} incompatible with {c.input_size} channels")
-    batch, steps, _ = x.shape
+    batch, steps, _ = x.shape[-3:]
+    runs = np.broadcast_shapes(x.shape[:-3], c.bias.shape[:-1])
     conv_len = steps - c.width + 1
     pooled = conv_len // c.pool_width
     if conv_len < 1 or pooled < 1:
@@ -78,15 +84,15 @@ def conv_forward_batch(c: ConvParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
             f"sequence of {steps} steps too short for width {c.width} "
             f"and pool {c.pool_width}"
         )
-    pre = np.broadcast_to(c.bias, (batch, conv_len, c.n_kernels)).copy()
+    pre = np.broadcast_to(c.bias[..., None, None, :], (*runs, batch, conv_len, c.n_kernels)).copy()
     for d in range(c.width):
-        pre += np.einsum("btf,kf->btk", x[:, d : d + conv_len, :], c.kernels[:, d, :])
+        pre += np.einsum("...btf,...kf->...btk", x[..., d : d + conv_len, :], c.kernels[..., d, :])
     activated = np.maximum(pre, 0.0)
-    trimmed = activated[:, : pooled * c.pool_width, :].reshape(
-        batch, pooled, c.pool_width, c.n_kernels
+    trimmed = activated[..., : pooled * c.pool_width, :].reshape(
+        *runs, batch, pooled, c.pool_width, c.n_kernels
     )
-    winners = trimmed.argmax(axis=2)
-    out = np.take_along_axis(trimmed, winners[:, :, None, :], axis=2).squeeze(2)
+    winners = trimmed.argmax(axis=-2)
+    out = np.take_along_axis(trimmed, winners[..., None, :], axis=-2).squeeze(-2)
     cache = {"x": x, "pre": pre, "winners": winners, "pooled": pooled}
     return out, cache
 
@@ -100,17 +106,17 @@ def conv_backward_batch(c: ConvParams, cache: dict, dout: np.ndarray) -> list[np
     pre = cache["pre"]
     winners = cache["winners"]
     pooled = cache["pooled"]
-    batch, conv_len, n_k = pre.shape
+    *runs, batch, conv_len, n_k = pre.shape
 
-    d_trimmed = np.zeros((batch, pooled, c.pool_width, n_k))
-    np.put_along_axis(d_trimmed, winners[:, :, None, :], dout[:, :, None, :], axis=2)
+    d_trimmed = np.zeros((*runs, batch, pooled, c.pool_width, n_k))
+    np.put_along_axis(d_trimmed, winners[..., None, :], dout[..., None, :], axis=-2)
     d_act = np.zeros_like(pre)
-    d_act[:, : pooled * c.pool_width, :] = d_trimmed.reshape(batch, pooled * c.pool_width, n_k)
+    d_act[..., : pooled * c.pool_width, :] = d_trimmed.reshape(*runs, batch, pooled * c.pool_width, n_k)
     d_pre = d_act * (pre > 0)
 
     d_kernels = np.zeros_like(c.kernels)
     for d in range(c.width):
-        window = x[:, d : d + conv_len, :]
-        d_kernels[:, d, :] = np.einsum("btk,btf->kf", d_pre, window)
-    d_bias = d_pre.sum(axis=(0, 1))
+        window = x[..., d : d + conv_len, :]
+        d_kernels[..., d, :] = np.einsum("...btk,...btf->...kf", d_pre, window)
+    d_bias = d_pre.sum(axis=(-3, -2))
     return [d_kernels, d_bias]

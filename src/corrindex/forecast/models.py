@@ -11,7 +11,11 @@ MODEL_KINDS = ("lstm", "cnn_lstm")
 
 
 class Model:
-    """LSTM core; with `conv`, a convolution + pooling front end feeds it (CNN-LSTM)."""
+    """LSTM core; with `conv`, a convolution + pooling front end feeds it (CNN-LSTM).
+
+    A stack of models of one kind and shape (`Model.stack`) carries a leading
+    run axis on every parameter array; its passes take and give that axis too.
+    """
 
     def __init__(self, lstm: LstmParams, conv: ConvParams | None = None):
         if conv is not None and lstm.input_size != conv.n_kernels:
@@ -33,6 +37,23 @@ class Model:
     def arrays(self) -> list[np.ndarray]:
         front = [] if self.conv is None else self.conv.arrays()
         return front + self.lstm.arrays()
+
+    @classmethod
+    def stack(cls, models: list["Model"]) -> "Model":
+        """The models, of one kind and shape, stacked in order on a new run axis."""
+        first = models[0]
+        lstm = LstmParams(*map(np.stack, zip(*(m.lstm.arrays() for m in models))))
+        if first.conv is None:
+            return cls(lstm)
+        conv_arrays = map(np.stack, zip(*(m.conv.arrays() for m in models)))
+        return cls(lstm, ConvParams(*conv_arrays, first.conv.pool_width))
+
+    def select(self, runs: np.ndarray) -> "Model":
+        """The runs at indices `runs` of a stacked model, as a new stack."""
+        lstm = LstmParams(*(a[runs] for a in self.lstm.arrays()))
+        if self.conv is None:
+            return Model(lstm)
+        return Model(lstm, ConvParams(*(a[runs] for a in self.conv.arrays()), self.conv.pool_width))
 
     def forward_batch(self, x: np.ndarray, keep_steps: bool = True) -> tuple[np.ndarray, dict]:
         conv_cache = None

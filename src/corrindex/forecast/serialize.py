@@ -31,6 +31,8 @@ def _lstm_file_arrays(p: LstmParams) -> list[np.ndarray]:
 
 
 def save_model(model: Model, path: str | Path) -> None:
+    if model.lstm.wx.ndim != 3:
+        raise ValueError("save_model writes one model, not a stack of them")
     conv = model.conv
     front = (0, 0, 0) if conv is None else (conv.n_kernels, conv.width, conv.pool_width)
     header = _HEADER.pack(

@@ -1,4 +1,5 @@
-"""`fork_map`: independent work spread over the CPUs this process may use.
+"""`fork_map` and `fork_chunks`: independent work spread over the CPUs this
+process may use.
 
 The calling process keeps a share of the work, so whatever it records about
 the calls it makes still sees one item in W. Forked children inherit the
@@ -17,26 +18,41 @@ R = TypeVar("R")
 
 
 def fork_map(fn: Callable[[T], R], items: Iterable[T], max_workers: int | None = None) -> list[R]:
-    """`[fn(item) for item in items]`, computed by W processes.
+    """`[fn(item) for item in items]`, computed by W processes as `fork_chunks`
+    computes it with chunks of one item."""
+    return fork_chunks(lambda chunk: [fn(chunk[0])], items, 1, max_workers)
+
+
+def fork_chunks(
+    fn: Callable[[list[T]], list[R]],
+    items: Iterable[T],
+    size: int,
+    max_workers: int | None = None,
+) -> list[R]:
+    """One result per item, computed by W processes: `fn` takes a chunk, a
+    list of up to `size` items of one stripe, and returns their results.
 
     W = min(max_workers or the number of CPUs in `os.sched_getaffinity`
     (1 where the platform cannot say), len(items)). This process
-    computes items 0, W, 2W, ...; W - 1 children made with `os.fork` compute
-    the others, one stripe each, and send their stripe back once, pickled
-    through a pipe. While they run, each of the W processes is pinned to a CPU
-    of its own. W = 1 and platforms without `fork` run the plain loop.
+    computes the stripe of items 0, W, 2W, ...; W - 1 children made with
+    `os.fork` compute the others, one stripe each, and send their stripe back
+    once, pickled through a pipe. Each stripe goes to `fn` in chunks of
+    `size`, in order. While they run, each of the W processes is pinned to a
+    CPU of its own. W = 1 and platforms without `fork` run the plain loop
+    over chunks of consecutive items.
 
-    If items fail, the exception of the lowest-index failing item is raised,
-    as the loop would raise it; a child's comes back pickled, without its
-    traceback. A child that dies before it has sent its stripe raises
-    `BrokenProcessPool`. If this process is interrupted (Ctrl-C), its
-    children are killed; they are always reaped before this returns.
+    If chunks fail, the exception of the failing chunk with the lowest first
+    item index is raised (with chunks of one, the exception the plain loop
+    would raise); a child's comes back pickled, without its traceback. A child that dies before it has sent its
+    stripe raises `BrokenProcessPool`. If this process is interrupted
+    (Ctrl-C), its children are killed; they are always reaped before this
+    returns.
     """
     items = list(items)
     allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
     workers = min(max_workers or len(allowed), len(items))
     if workers <= 1 or not hasattr(os, "fork"):
-        return [fn(item) for item in items]
+        return [result for start in range(0, len(items), size) for result in fn(items[start : start + size])]
 
     cpus = sorted(allowed)
     pinned = False
@@ -51,7 +67,7 @@ def fork_map(fn: Callable[[T], R], items: Iterable[T], max_workers: int | None =
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(fn, items[start::workers], write_end, mask, cpus, start)
+                    _serve(fn, items[start::workers], size, write_end, mask, cpus, start)
                 children.append((pid, read_end))
             except BaseException:
                 os.close(read_end)
@@ -60,7 +76,7 @@ def fork_map(fn: Callable[[T], R], items: Iterable[T], max_workers: int | None =
                 os.close(write_end)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         pinned = _pin(cpus, 0)  # only now, so the children did not inherit it
-        stripes = [_stripe(fn, items[::workers])]
+        stripes = [_stripe(fn, items[::workers], size)]
         payloads = [_read_all(read_end) for _, read_end in children]
     finally:
         for pid, read_end in children:
@@ -105,18 +121,19 @@ def _pin(cpus: list[int], worker: int) -> bool:
     return True
 
 
-def _stripe(fn, items: list) -> tuple[list, Exception | None]:
-    """`fn` of each item in turn, up to the first that raises, and its exception."""
+def _stripe(fn, items: list, size: int) -> tuple[list, Exception | None]:
+    """`fn` of each chunk of `size` items in turn, up to the first that
+    raises, and its exception."""
     values = []
-    for item in items:
+    for start in range(0, len(items), size):
         try:
-            values.append(fn(item))
+            values += fn(items[start : start + size])
         except Exception as err:
             return values, err
     return values, None
 
 
-def _serve(fn, items: list, write_end: int, mask, cpus: list[int], worker: int) -> None:
+def _serve(fn, items: list, size: int, write_end: int, mask, cpus: list[int], worker: int) -> None:
     """In forked child `worker`: restore the signal mask, pin itself, compute
     the stripe, write it pickled to `write_end`, and leave with `os._exit`,
     so no handler or buffer inherited from the parent runs."""
@@ -124,7 +141,7 @@ def _serve(fn, items: list, write_end: int, mask, cpus: list[int], worker: int) 
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         _pin(cpus, worker)
-        values, error = _stripe(fn, items)
+        values, error = _stripe(fn, items, size)
         if error is not None:
             try:
                 pickle.loads(pickle.dumps(error))

@@ -59,3 +59,27 @@ def panel_from_matrix(values: np.ndarray, names=None) -> AlignedPanel:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+def diverge_seeds(monkeypatch, seeds, model_spec=None, n_features=None) -> None:
+    """Make `train` build the model of each seed in `seeds` (of `model_spec`
+    on `n_features` features; any, where None) with a readout so large that
+    its first batch loss overflows to inf: the run diverges at epoch 0, alone
+    or in a stack, and forked workers inherit the patch."""
+    from corrindex.forecast import training
+
+    real_build = training.build_model
+    fresh = [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+
+    def build_model(spec, features, cfg, rng):
+        diverges = (
+            rng.bit_generator.state in fresh
+            and model_spec in (None, spec)
+            and n_features in (None, features)
+        )
+        model = real_build(spec, features, cfg, rng)
+        if diverges:
+            model.lstm.w_out[...] = 1e200
+        return model
+
+    monkeypatch.setattr(training, "build_model", build_model)

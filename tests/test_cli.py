@@ -22,7 +22,7 @@ from corrindex.cli import commit, main
 from corrindex.config import SECTION_KEYS, ConfigError
 from corrindex.market_data import generate_synthetic_panel
 
-from conftest import weekdays
+from conftest import diverge_seeds, weekdays
 
 UNIVERSE = tuple(f"C{i:02d}" for i in range(10))
 FACTORS = tuple(f"F{i:02d}" for i in range(11))
@@ -426,14 +426,8 @@ def test_run_experiment_keeps_diverged_run_at_its_index(workspace, monkeypatch, 
     for command in ("select", "allocate", "build-index"):
         assert run(config, command) == 0
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    real_train = evaluation.train
-
-    def train(model_spec, train_ds, cfg):
-        if (model_spec, train_ds.X.shape[2], cfg.seed) == ("lstm", 1, 1):
-            raise evaluation.TrainingDiverged(2, float("nan"))
-        return real_train(model_spec, train_ds, cfg)
-
-    monkeypatch.setattr(evaluation, "train", train)
+    # serial: run 1 leaves the stack of runs 0-2; pooled: it trains alone
+    diverge_seeds(monkeypatch, [1], model_spec="lstm", n_features=1)
     assert run(config, "run-experiment") == 0
     out = workspace / out_dir
     fingerprint = evaluation.config_fingerprint(cli.load_config(str(config)).train)

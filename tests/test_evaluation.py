@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import diverge_seeds
 from corrindex import evaluation
 from corrindex.dataset import chronological_split, make_windows
-from corrindex.forecast import TrainConfig, TrainingDiverged
+from corrindex.forecast import TrainConfig
 from corrindex.evaluation import (
     CELL_ORDER,
     RunStats,
@@ -180,32 +181,32 @@ def test_multi_run_process_pool_repr_identical_to_serial(runs):
 
 
 def _fail_run(monkeypatch, run: int, fail) -> list[int]:
-    """Make `evaluation.train` call `fail()` for run `run` (seed 5 + run).
+    """Make `evaluation.train` call `fail()` when it trains run `run` (seed
+    5 + run), alone or in a stack.
 
     Returns the seeds this process trains; a forked worker's calls land in its
     own copy of the list, so they never show here.
     """
-    real_train, seeds = evaluation.train, []
+    real_train, trained = evaluation.train, []
 
-    def train(model_spec, train_ds, cfg):
-        seeds.append(cfg.seed)
-        if cfg.seed == 5 + run:
+    def train(model_spec, train_ds, cfg, seeds=None):
+        stack = [cfg.seed] if seeds is None else list(seeds)
+        trained.extend(stack)
+        if 5 + run in stack:
             fail()
-        return real_train(model_spec, train_ds, cfg)
+        return real_train(model_spec, train_ds, cfg, seeds)
 
     monkeypatch.setattr(evaluation, "train", train)
-    return seeds
-
-
-def _diverge():
-    raise TrainingDiverged(1, float("nan"))
+    return trained
 
 
 def test_multi_run_worker_divergence_counts_as_serial(rng, monkeypatch):
     train_ds, test_ds = _splits(rng)
     cfg = TrainConfig(epochs=2, runs=4, batch_size=16, seed=5, hidden_size=4)
-    seeds = _fail_run(monkeypatch, 1, _diverge)
+    seeds = _fail_run(monkeypatch, 1, lambda: None)
+    diverge_seeds(monkeypatch, [6])
     serial = multi_run("lstm", train_ds, test_ds, cfg, max_workers=1)
+    assert seeds == [5, 6, 7, 8]  # one stack, which run 1 left
     seeds.clear()
     pooled = multi_run("lstm", train_ds, test_ds, cfg, max_workers=2)
     assert seeds == [5, 7]  # this process trained runs 0 and 2; a worker diverged on run 1
@@ -217,10 +218,11 @@ def test_multi_run_worker_divergence_counts_as_serial(rng, monkeypatch):
 def test_multi_run_with_every_run_diverged_names_cell_and_run_count(rng, monkeypatch):
     train_ds, test_ds = _splits(rng)
     cfg = TrainConfig(epochs=2, runs=3, batch_size=16, seed=5, hidden_size=4)
-    monkeypatch.setattr(evaluation, "train", lambda *args: _diverge())
+    diverge_seeds(monkeypatch, [5, 6, 7])
     message = "lstm/dataset2 needs at least one completed run, got 0 of 3"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        multi_run("lstm", train_ds, test_ds, cfg, dataset_id="dataset2", max_workers=2)
+    for workers in (2, 1):  # stacks of runs 0 and 2 and of run 1 alone; one stack of all 3
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            multi_run("lstm", train_ds, test_ds, cfg, dataset_id="dataset2", max_workers=workers)
 
 
 def test_multi_run_worker_exception_reaches_caller(rng, monkeypatch):
@@ -257,6 +259,53 @@ def test_multi_run_one_worker_or_one_run_never_forks(rng, monkeypatch):
     one = replace(cfg, runs=1)
     assert multi_run("lstm", train_ds, test_ds, one, max_workers=3).run_count == 1
     assert multi_run("lstm", train_ds, test_ds, one).run_count == 1
+
+
+def test_runs_csv_is_the_same_for_any_worker_count_and_stack_size(monkeypatch):
+    """Every run alone in this process, as `multi_run` once trained them, gives
+    the same runs.csv text as 2 or 3 processes and as stacks of every run."""
+    rng = np.random.default_rng(8)
+    splits = {
+        "dataset1": _splits(rng),
+        "dataset2": chronological_split(make_windows(rng.normal(size=(60, 3)), lookback=6), 0.8),
+    }
+    cfg = TrainConfig(epochs=2, runs=5, batch_size=8, seed=5, hidden_size=4, kernels=2)
+    diverge_seeds(monkeypatch, [7], model_spec="cnn_lstm")  # run 2 of both cnn_lstm cells
+
+    def text(workers):
+        cells = [
+            multi_run(model_id, *splits[dataset_id], cfg, dataset_id=dataset_id, max_workers=workers)
+            for model_id, dataset_id in CELL_ORDER
+        ]
+        return runs_csv(comparison_report(cells, config_fingerprint(cfg)))
+
+    monkeypatch.setattr(evaluation, "STACK_ELEMENTS", 1)
+    alone = text(1)
+    assert alone.count(",nan,") == 2
+    for elements in (1, 10**9):
+        monkeypatch.setattr(evaluation, "STACK_ELEMENTS", elements)
+        for workers in (1, 2, 3):
+            assert text(workers) == alone, (elements, workers)
+
+
+def test_multi_run_trains_each_stack_with_one_train_and_one_predict_call(rng, monkeypatch):
+    train_ds, test_ds = _splits(rng)
+    cfg = TrainConfig(epochs=1, runs=7, batch_size=16, seed=5, hidden_size=4)
+    monkeypatch.setattr(evaluation, "STACK_ELEMENTS", 3 * 16 * 4)  # stacks of 3 runs
+    real_train, real_predict, calls = evaluation.train, evaluation.predict, []
+
+    def train(model_spec, train_ds, cfg, seeds=None):
+        calls.append([cfg.seed] if seeds is None else seeds)
+        return real_train(model_spec, train_ds, cfg, seeds)
+
+    def predict(model, ds):
+        calls.append("predict")
+        return real_predict(model, ds)
+
+    monkeypatch.setattr(evaluation, "train", train)
+    monkeypatch.setattr(evaluation, "predict", predict)
+    assert multi_run("lstm", train_ds, test_ds, cfg, max_workers=1).run_count == 7
+    assert calls == [[5, 6, 7], "predict", [8, 9, 10], "predict", [11], "predict"]
 
 
 def test_serial_multi_run_imports_no_process_machinery():

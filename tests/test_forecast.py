@@ -2,15 +2,20 @@ from __future__ import annotations
 
 import struct
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import diverge_seeds
 from corrindex.dataset import make_windows
+from corrindex.forecast import training
 from corrindex.forecast.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from corrindex.forecast import (
+    MODEL_KINDS,
     AdamState,
     ConvParams,
     LstmParams,
@@ -597,6 +602,125 @@ def test_train_empty_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(runs=0)
+
+
+# =============================================================================
+# training a stack of seeds
+# =============================================================================
+
+
+def _bytes(model: Model, run: int | None = None) -> list[bytes]:
+    return [(a if run is None else a[run]).tobytes() for a in model.arrays()]
+
+
+@given(
+    spec=st.sampled_from(MODEL_KINDS),
+    hidden=st.integers(1, 32),
+    features=st.integers(1, 12),
+    kernels=st.integers(1, 4),
+    runs=st.integers(1, 6),
+    batch=st.integers(2, 12),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_stack_of_seeds_is_bit_identical_to_training_each_seed_alone(
+    spec, hidden, features, kernels, runs, batch, seed
+):
+    rng = np.random.default_rng(seed)
+    samples = 2 * batch + 1 + seed % (batch - 1)  # the last batch of an epoch is short
+    ds = make_windows(rng.normal(size=(samples + 6, features)), lookback=6)
+    cfg = TrainConfig(epochs=2, batch_size=batch, seed=seed, hidden_size=hidden, kernels=kernels)
+    seeds = [seed + run for run in range(runs)]
+    model, outcomes = train(spec, ds, cfg, seeds=seeds)
+    preds = predict(model, ds)
+    assert preds.shape == (runs, samples)
+    for run, run_seed in enumerate(seeds):
+        alone, losses = train(spec, ds, replace(cfg, seed=run_seed))
+        assert [loss.hex() for loss in outcomes[run]] == [loss.hex() for loss in losses]
+        assert _bytes(model, run) == _bytes(alone)
+        assert preds[run].tobytes() == predict(alone, ds).tobytes()
+
+
+def _train_blowing_up_readout(call: int, run: int, monkeypatch):
+    """A `train` that sets the readout of stack row `run` (or of its single
+    model) to 1e200 just before its `call`-th batch step, counted from 0: that
+    batch's loss overflows to inf."""
+    real_step, steps = training.backward_and_step, [0]
+
+    def backward_and_step(model, batch, adam, learning_rate):
+        if steps[0] == call:
+            w_out = model.lstm.w_out
+            (w_out if w_out.ndim == 1 else w_out[run])[...] = 1e200
+        steps[0] += 1
+        return real_step(model, batch, adam, learning_rate)
+
+    def train_blowing_up(*args, **kwargs):
+        steps[0] = 0
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(training, "backward_and_step", backward_and_step)
+    return train_blowing_up
+
+
+@pytest.mark.parametrize("call, epoch", [(0, 0), (4, 1), (5, 1)], ids=["first-batch", "mid-epoch", "short-batch"])
+@pytest.mark.parametrize("spec", MODEL_KINDS)
+def test_a_run_diverging_in_a_stack_leaves_it_and_the_others_keep_their_bytes(
+    spec, call, epoch, monkeypatch
+):
+    rng = np.random.default_rng(3)
+    ds = make_windows(rng.normal(size=(51, 2)), lookback=9)  # 42 samples: batches of 16, 16, 10
+    cfg = TrainConfig(epochs=3, batch_size=16, seed=0, hidden_size=5, kernels=3)
+    seeds = [4, 5, 6, 7]
+    expected = {seed: train(spec, ds, replace(cfg, seed=seed)) for seed in (4, 6, 7)}
+    patched_train = _train_blowing_up_readout(call, seeds.index(5), monkeypatch)
+    with pytest.raises(TrainingDiverged) as alone:
+        patched_train(spec, ds, replace(cfg, seed=5))
+    assert alone.value.epoch == epoch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model, outcomes = patched_train(spec, ds, cfg, seeds=seeds)
+        preds = predict(model, ds)
+    assert isinstance(outcomes[1], TrainingDiverged)
+    assert (outcomes[1].epoch, outcomes[1].loss) == (alone.value.epoch, alone.value.loss)
+    assert preds.shape == (3, ds.sample_count)
+    for row, seed in enumerate([4, 6, 7]):
+        alone_model, losses = expected[seed]
+        assert outcomes[seeds.index(seed)] == losses
+        assert _bytes(model, row) == _bytes(alone_model)
+        assert preds[row].tobytes() == predict(alone_model, ds).tobytes()
+
+
+@pytest.mark.parametrize("spec", MODEL_KINDS)
+def test_a_run_built_to_diverge_leaves_the_stack_at_its_first_batch(spec, monkeypatch):
+    rng = np.random.default_rng(4)
+    ds = make_windows(rng.normal(size=(40, 3)), lookback=6)
+    cfg = TrainConfig(epochs=2, batch_size=8, seed=0, hidden_size=4, kernels=2)
+    kept, _ = train(spec, ds, replace(cfg, seed=1))
+    diverge_seeds(monkeypatch, [2, 3])
+    with pytest.raises(TrainingDiverged) as alone:
+        train(spec, ds, replace(cfg, seed=2))
+    model, outcomes = train(spec, ds, cfg, seeds=[1, 2, 3])
+    assert [type(o) for o in outcomes[1:]] == [TrainingDiverged] * 2
+    assert outcomes[1].epoch == outcomes[2].epoch == alone.value.epoch == 0
+    assert _bytes(model) == _bytes(Model.stack([kept]))
+    nothing_left, outcomes = train(spec, ds, cfg, seeds=[2, 3])
+    assert [o.epoch for o in outcomes] == [0, 0]
+    assert predict(nothing_left, ds).shape == (0, ds.sample_count)
+
+
+def test_model_stack_and_select_keep_each_runs_arrays(rng):
+    cfg = TrainConfig(hidden_size=3, kernels=2)
+    models = [build_model("cnn_lstm", 2, cfg, np.random.default_rng(seed)) for seed in range(3)]
+    stack = Model.stack(models)
+    assert stack.kind == "cnn_lstm" and stack.n_features == 2
+    assert [_bytes(stack, run) for run in range(3)] == [_bytes(m) for m in models]
+    assert _bytes(stack.select(np.array([2, 0]))) == _bytes(Model.stack([models[2], models[0]]))
+
+
+def test_save_model_rejects_a_stack(tmp_path, rng):
+    stack = Model.stack([Model(small_lstm(rng)), Model(small_lstm(rng))])
+    with pytest.raises(ValueError, match="stack"):
+        save_model(stack, tmp_path / "model.bin")
 
 
 # =============================================================================

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from corrindex.parallel import fork_map
+from corrindex.parallel import fork_chunks, fork_map
 
 
 def _square_or_fail(x: int) -> int:
@@ -64,3 +64,26 @@ def test_fork_map_restores_the_callers_cpu_affinity():
 def test_fork_map_pins_each_process_to_a_cpu_of_its_own():
     cpus = sorted(os.sched_getaffinity(0))
     assert fork_map(lambda x: os.sched_getaffinity(0), range(2), 2) == [{cpus[0]}, {cpus[1]}]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("size", [1, 2, 4])
+def test_fork_chunks_hands_fn_consecutive_items_of_one_stripe(workers, size):
+    results = fork_chunks(lambda chunk: [(x, tuple(chunk)) for x in chunk], range(10), size, workers)
+    assert [x for x, _ in results] == list(range(10))
+    for x, chunk in results:
+        assert x in chunk and len(chunk) <= size
+        assert all(b - a == workers for a, b in zip(chunk, chunk[1:]))
+
+
+@pytest.mark.parametrize("workers, first", [(1, 2), (2, 1)])
+def test_fork_chunks_raises_the_failure_of_the_chunk_with_the_lowest_first_item(workers, first):
+    # items 3 and 4 fail: serially in chunk [2, 3]; on 2 workers in the
+    # child's chunk [1, 3] and in this process's chunk [4, 6]
+    def fail(chunk):
+        if {3, 4} & set(chunk):
+            raise ValueError(f"chunk from {chunk[0]}")
+        return chunk
+
+    with pytest.raises(ValueError, match=f"^chunk from {first}$"):
+        fork_chunks(fail, range(8), 2, workers)
