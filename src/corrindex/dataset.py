@@ -22,6 +22,7 @@ from .market_data import (
     ReturnSeries,
     _readonly,
     align_calendars,
+    on_calendar,
     read_csv,
     write_float_rows,
 )
@@ -180,7 +181,7 @@ def feature_matrix(
     panel = align_calendars(
         [index_returns, *factors], policy="forward_fill", price_field=price_field
     )
-    return panel.values[np.isin(panel.dates, index_returns.dates)], panel.tickers
+    return panel.values[on_calendar(panel.dates, index_returns.dates)], panel.tickers
 
 
 def save_windows_csv(ds: WindowedDataset, path: str | Path) -> None:

@@ -203,33 +203,21 @@ def load_price_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:
 
 
 def _load_price_columns(path: Path, name: str) -> PriceSeries | None:
-    """`_load_price_rows(path, name)` for a file of plain cells, or None.
-
-    Plain means: no quote, no CR but in CRLF, the header on line 1, a row
-    after it, only empty lines between rows, and every date cell exactly
-    `YYYY-MM-DD`. The date column is read as 11 characters, one more than
-    that, so a longer cell cannot pass the check by being cut short.
-    """
-    text = read_utf8_text(path)
-    if '"' in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
+    """`_load_price_rows(path, name)` for a plain file (`_plain_csv`) whose
+    date cells are all `YYYY-MM-DD`, or None."""
+    plain = _plain_csv(path)
+    if plain is None:
         return None
-    header, _, body = text.partition("\n")
-    column = {field: i for i, field in enumerate(header.removesuffix("\r").split(","))}
+    header, body = plain
+    column = {field: i for i, field in enumerate(header)}
     found = {key: column[label] for key, label in YAHOO_COLUMNS.items() if label in column}
-    # Declined before `loadtxt`, which warns when it finds no data.
-    if "date" not in found or "close" not in found or not body or body.isspace():
+    if "date" not in found or "close" not in found:
         return None
-    try:
-        dtype = [(key, "U11" if key == "date" else float) for key in found]
-        cells = np.loadtxt(io.StringIO(body), dtype, delimiter=",", comments=None, quotechar=None,
-                           usecols=list(found.values()), ndmin=1)
-        days = cells["date"].astype("datetime64[D]")
-    except ValueError:
+    prices = [(key, float) for key in found if key != "date"]
+    dated = _load_dated_columns(body, prices, usecols=list(found.values()))
+    if dated is None:
         return None
-    # `datetime.date`'s range: numpy also reads and writes back `0000-01-01`, `-001-01-01`, `10000-01-01`
-    in_range = (days >= np.datetime64("0001-01-01")) & (days <= np.datetime64("9999-12-31"))
-    if not (in_range & (np.datetime_as_string(days, unit="D") == cells["date"])).all():
-        return None
+    days, cells = dated
     adjusted = cells["adjusted_close" if "adjusted_close" in found else "close"]
     dividends = cells["dividend"] if "dividend" in found else np.zeros(len(days))
     table = np.rec.fromarrays([days, cells["close"], adjusted, dividends], dtype=BAR_DTYPE)
@@ -237,6 +225,72 @@ def _load_price_columns(path: Path, name: str) -> PriceSeries | None:
         return PriceSeries(ticker=name, bars=table[np.argsort(days, kind="stable")])
     except ValueError:
         return None
+
+
+def _plain_csv(path: str | Path) -> tuple[list[str], str] | None:
+    """(header cells, body) of a CSV file that numpy's tokenizer reads as
+    `read_csv` does, or None.
+
+    Plain means: no quote, no NUL (numpy drops a cell's trailing NULs), no CR
+    but in CRLF, the header on line 1 and a row after it. An empty or
+    whitespace-only body is declined here, before `loadtxt`, which warns when
+    it finds no data.
+    """
+    text = read_utf8_text(path)
+    if '"' in text or "\0" in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
+        return None
+    header, _, body = text.partition("\n")
+    if not body or body.isspace():
+        return None
+    return header.removesuffix("\r").split(","), body
+
+
+def _load_dated_columns(
+    body: str, fields: list[tuple], usecols: list[int] | None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(days, cells) of the CSV rows in `body` by numpy's C tokenizer, or None
+    if it fails or a date cell is not `YYYY-MM-DD` (`_iso_days`).
+
+    `cells` is a structured array of a `date` field, then `fields`, from the
+    columns `usecols` (every column, in order, if None; then a row of any
+    other width fails). The date column is read as 11 characters, one more
+    than `YYYY-MM-DD`, so a longer cell cannot pass by being cut short.
+    """
+    try:
+        cells = np.loadtxt(io.StringIO(body), [("date", "U11"), *fields], delimiter=",",
+                           comments=None, quotechar=None, usecols=usecols, ndmin=1)
+    except ValueError:
+        return None
+    days = _iso_days(cells["date"])
+    return None if days is None else (days, cells)
+
+
+# Code-point bounds of each character of `YYYY-MM-DD` in an 11-character
+# cell: digits at 0-3, 5-6 and 8-9, `-` at 4 and 7, nothing (0) at 10.
+_ISO_LOW = np.array([48, 48, 48, 48, 45, 48, 48, 45, 48, 48, 0], dtype=np.uint32)
+_ISO_HIGH = np.array([57, 57, 57, 57, 45, 57, 57, 45, 57, 57, 0], dtype=np.uint32)
+# Place value of each character in the year, month and day; `-` and the end count 0.
+_ISO_PLACES = np.zeros((11, 3), dtype=np.int64)
+_ISO_PLACES[[0, 1, 2, 3], 0] = [1000, 100, 10, 1]
+_ISO_PLACES[[5, 6], 1] = [10, 1]
+_ISO_PLACES[[8, 9], 2] = [10, 1]
+
+
+def _iso_days(cells: np.ndarray) -> np.ndarray | None:
+    """The `datetime64[D]` days of an array of `U11` cells if every one is a
+    `YYYY-MM-DD` date of `datetime.date`'s years 1-9999 (what `_iso_day`
+    reads), else None. Read from the cells' code points: no string is parsed
+    or formatted."""
+    codes = np.ascontiguousarray(cells).view(np.uint32).reshape(len(cells), 11)
+    if not ((codes >= _ISO_LOW) & (codes <= _ISO_HIGH)).all():
+        return None
+    year, month, day = (codes @ _ISO_PLACES - 48 * _ISO_PLACES.sum(axis=0)).T
+    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)).all():
+        return None
+    months = ((year - 1970) * 12 + (month - 1)).view("datetime64[M]")
+    days = months.astype("datetime64[D]") + (day - 1)
+    # a day past its month's end lands in the next month
+    return days if (days < (months + 1).astype("datetime64[D]")).all() else None
 
 
 def _load_price_rows(path: Path, name: str) -> PriceSeries:
@@ -359,7 +413,7 @@ def align_calendars(
             raise ValueError("calendar intersection is empty")
         rows = [np.searchsorted(days, dates) for days in calendars]
     else:
-        union = reduce(np.union1d, calendars)
+        union = calendar_union(calendars)
         dates = union[union >= max(days[0] for days in calendars)]
         # the last observation on or before each date
         rows = [np.searchsorted(days, dates, side="right") - 1 for days in calendars]
@@ -369,6 +423,20 @@ def align_calendars(
     ]
     values = np.column_stack([column[r] for column, r in zip(columns, rows)])
     return AlignedPanel(tickers=[item.ticker for item in series], dates=dates, values=values)
+
+
+def calendar_union(calendars: Sequence[np.ndarray]) -> np.ndarray:
+    """Every date of any of `calendars`, sorted, once: `reduce(np.union1d,
+    calendars)` without `np.unique`, whose first call imports `numpy.ma`
+    (10-17 ms in a fresh process)."""
+    days = np.sort(np.concatenate(calendars))
+    return np.concatenate((days[:1], days[1:][days[1:] != days[:-1]]))
+
+
+def on_calendar(dates: np.ndarray, calendar: np.ndarray) -> np.ndarray:
+    """`np.isin(dates, calendar)` for a non-empty, strictly increasing
+    `calendar`, by binary search (`np.isin` calls `np.unique`)."""
+    return np.take(calendar, np.searchsorted(calendar, dates), mode="clip") == dates
 
 
 def generate_synthetic_panel(
@@ -523,7 +591,34 @@ def read_dated_csv(path: str | Path, columns: Sequence[str]) -> tuple[np.ndarray
     The header must be `date` followed by exactly those names. There must be at
     least one row. Dates must be `YYYY-MM-DD` and strictly increasing, and
     values finite; a bad row raises with its 1-based line number.
+
+    A plain file (`_plain_csv`) is parsed by numpy's C tokenizer; any other
+    file, and any file that fails a check there, is read by the row parser
+    `_read_dated_rows`, which defines what loads and words every error.
     """
+    dated = _read_dated_columns(path, columns)
+    return dated if dated is not None else _read_dated_rows(path, columns)
+
+
+def _read_dated_columns(
+    path: str | Path, columns: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """`_read_dated_rows(path, columns)` for a plain file, or None."""
+    plain = _plain_csv(path)
+    if plain is None or plain[0] != ["date", *columns]:
+        return None
+    dated = _load_dated_columns(plain[1], [("values", float, (len(columns),))], usecols=None)
+    if dated is None:
+        return None
+    days, cells = dated
+    values = np.ascontiguousarray(cells["values"])
+    if not ((days[1:] > days[:-1]).all() and np.isfinite(values).all()):
+        return None
+    return days, values
+
+
+def _read_dated_rows(path: str | Path, columns: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """`read_dated_csv` one row at a time over `read_csv`."""
     rows = read_csv(path)
     header = rows[0][1] if rows else None
     if header != ["date", *columns]:

@@ -1459,6 +1459,32 @@ def test_each_command_loads_only_the_stages_it_runs(tmp_path):
         assert {"cli", "config", "market_data"} <= loaded
 
 
+def test_forward_fill_pipeline_never_imports_numpy_ma(tmp_path):
+    """`allocate` and `build-index` under `[risk] align = forward_fill`, then
+    `make-dataset` and `run-experiment`, each in its own interpreter, never
+    import `numpy.ma`, which `np.unique` (under `np.union1d` and `np.isin`)
+    imports on first use at 10-17 ms a process."""
+    build_workspace(tmp_path, n_days=80, seed=31)
+    config = write_config(tmp_path)
+    config.write_text(config.read_text().replace("align = intersect", "align = forward_fill"))
+    code = (
+        "import sys\n"
+        "from corrindex.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    src = Path(evaluation.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    for command in ("select", "allocate", "build-index", "make-dataset", "run-experiment"):
+        result = subprocess.run(
+            [sys.executable, "-c", code, "--config", str(config), command],
+            capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False", command
+
+
 def test_package_imports_stage_modules_on_first_use():
     code = (
         "import sys\n"

@@ -6,6 +6,7 @@ import pickle
 import re
 import warnings
 from datetime import date, timedelta
+from functools import reduce
 from pathlib import Path
 from unittest import mock
 
@@ -141,11 +142,15 @@ def test_load_shuffled_repr_csv_round_trips_bit_exact(tmp_path_factory, rows, se
 
 
 def _outcome(load, path: Path):
-    """The bars `load(path)` reads, or the type and message of what it raises."""
+    """The bars `load(path)` reads (or the dtype, shape and bytes of each array
+    it returns), or the type and message of what it raises."""
     try:
-        return load(path).bars.tobytes()
+        got = load(path)
     except Exception as err:  # the two readers must fail alike, whatever fails
         return type(err).__name__, str(err)
+    if isinstance(got, PriceSeries):
+        return got.bars.tobytes()
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in got]
 
 
 _HEADER = ["Date", "Close", "Adj Close", "Dividends"]
@@ -154,7 +159,7 @@ _ODD_CELLS = [
     " 2010-01-04", "2010-01-04 ", "2010-01-04T00:00", "today", "NaT", "2010-01", "20100104",
     "0000-01-01", "10000-01-01", "2010-02-30", "2010-1-4", "1_000", "inf", "-inf", "nan",
     "", " ", " 1.5 ", "1.5\x0b", "0", "-1", "1e999", "0x10", "١", '"1.5"', '"2010-01-04"',
-    '"a,b"', "Date", "Close",
+    '"a,b"', "Date", "Close", "2010-01-04\x00", "1.5\x00",
 ]
 _TEXT_MUTATIONS = ("crlf", "lone-cr", "bom", "blank-line", "leading-blank-line", "no-final-newline")
 _TABLE_MUTATIONS = (
@@ -203,6 +208,12 @@ def _price_texts(draw):
             column = table[0].index("Date")
             if column < min(len(table[1]), len(table[row])):
                 table[row][column] = table[1][column]
+    return _text_of(draw, table, mutations)
+
+
+def _text_of(draw, table: list[list[str]], mutations) -> str:
+    """`table`'s rows joined as CSV text, with each of `_TEXT_MUTATIONS` in
+    `mutations` applied."""
     lines = [",".join(cells) for cells in table]
     end = "\n"
     for mutation in mutations:
@@ -222,6 +233,7 @@ def _price_texts(draw):
 @given(text=_price_texts())
 @example(text="Date,Close,Adj Close,Dividends\n")
 @example(text="Date,Close\n2010-01-04,1.5\n2010-01-05,1_000\n")
+@example(text="Date,Close\n2010-01-04\x00,1.5\n2010-01-05,2\n")
 @example(text="Date,Close\n2010-01-04,1.5\nNaT,2\n")
 @example(text="Date,Close\n2010-01-04,1.5\n20100105,2\n")
 @example(text="Date,Close\ntoday,1.5\n2010-01-05,2\n")
@@ -276,6 +288,136 @@ def test_plain_price_files_are_read_without_the_row_parser(tmp_path, monkeypatch
 
     monkeypatch.setattr(market_data, "_load_price_rows", no_row_parser)
     assert load_price_csv(path).bars.tobytes() == expected
+
+
+def _numpy_round_trip_days(cells: np.ndarray) -> np.ndarray | None:
+    """The date rule `_iso_days` replaced: numpy's own reading of the cells,
+    kept where it writes each one back unchanged, in `datetime.date`'s range."""
+    try:
+        days = cells.astype("datetime64[D]")
+    except ValueError:
+        return None
+    in_range = (days >= np.datetime64("0001-01-01")) & (days <= np.datetime64("9999-12-31"))
+    return days if (in_range & (np.datetime_as_string(days, unit="D") == cells)).all() else None
+
+
+_iso_dates = st.dates(date(1, 1, 1), date(9999, 12, 31)).map(date.isoformat)
+_near_iso_dates = st.one_of(
+    st.sampled_from([
+        "2000-02-29", "1900-02-29", "2004-02-29", "2100-02-29", "2400-02-29", "2023-02-29",
+        "0000-01-01", "0001-01-01", "9999-12-31", "2020-00-10", "2020-13-10", "2020-04-00",
+        "2020-01-32", "2020-04-31", "2020-1-01", "2020-01-1", "20200101", "2020-01-01T",
+        "2020/01/01", " 2020-01-01", "2020-01-01 ", "٢٠٢٠-01-01", "2020-٠١-01", "+2020-01-01",
+        "-001-01-01", "10000-01-01", "2020-01-01\x00", "NaT", "nat", "today", "", "2020-01",
+    ]),
+    # leap days of drawn years, whether or not the year has one
+    st.integers(1, 9999).map(lambda year: f"{year:04d}-02-29"),
+    # a drawn character put in, swapped in or taken out of a valid date
+    st.tuples(_iso_dates, st.integers(0, 10), st.characters(exclude_categories=["Cs"]),
+              st.sampled_from(["insert", "replace", "delete"])).map(
+        lambda c: {"insert": c[0][: c[1]] + c[2] + c[0][c[1] :],
+                   "replace": c[0][: c[1]] + c[2] + c[0][c[1] + 1 :],
+                   "delete": c[0][: c[1]] + c[0][c[1] + 1 :]}[c[3]]
+    ),
+    st.text(st.sampled_from("0123456789-٠٢ T"), max_size=12),
+)
+
+
+@given(cells=st.lists(_iso_dates | _near_iso_dates, min_size=1, max_size=6))
+@example(cells=["1900-02-29"])
+@example(cells=["2000-02-29", "1900-03-01"])
+@example(cells=["٢٠٢٠-01-01"])
+@example(cells=["0000-01-01"])
+@settings(max_examples=500, deadline=None)
+def test_iso_days_accepts_what_the_numpy_round_trip_accepted(cells):
+    """`_iso_days` takes exactly the 11-character cells numpy reads and writes
+    back unchanged inside years 1-9999, each alone and all together, and
+    gives the same days."""
+    for group in [[cell] for cell in cells] + [cells]:
+        array = np.array(group, dtype="U11")
+        expected = _numpy_round_trip_days(array)
+        got = market_data._iso_days(array)
+        if expected is None:
+            assert got is None, group
+        else:
+            assert got is not None and got.dtype == expected.dtype, group
+            assert got.tobytes() == expected.tobytes(), group
+
+
+_DATED_MUTATIONS = ("odd-cell", "quote-cell", "extra-cells", "short-row", "swap-rows", "repeat-date")
+
+
+@st.composite
+def _dated_texts(draw):
+    """(columns, text): a dated file as `write_dated_csv` writes it (repr
+    floats under `date` and `columns`), then up to four mutations."""
+    columns = draw(st.lists(st.sampled_from(["return", "A", "B", "date", " A"]), max_size=3))
+    offsets = sorted(draw(st.lists(st.integers(0, 5000), max_size=6, unique=True)))
+    value = st.floats(-1.0, 1.0).map(repr)
+    table = [["date", *columns]]
+    table += [[(date(2005, 1, 3) + timedelta(days=d)).isoformat(), *(draw(value) for _ in columns)]
+              for d in offsets]
+    mutations = draw(st.lists(st.sampled_from(_DATED_MUTATIONS + _TEXT_MUTATIONS), max_size=4))
+    for mutation in mutations:
+        row = draw(st.integers(0, len(table) - 1))
+        col = draw(st.integers(0, len(table[0]) - 1))
+        if mutation == "odd-cell" and col < len(table[row]):
+            table[row][col] = draw(st.sampled_from(_ODD_CELLS))
+        elif mutation == "quote-cell" and col < len(table[row]):
+            table[row][col] = f'"{table[row][col]}"'
+        elif mutation == "extra-cells":
+            table[row] += draw(st.lists(value | st.sampled_from(_ODD_CELLS), min_size=1, max_size=2))
+        elif mutation == "short-row" and row:
+            table[row] = table[row][:col]
+        elif mutation == "swap-rows" and len(table) > 2:
+            other = draw(st.integers(1, len(table) - 1))
+            table[row or 1], table[other] = table[other], table[row or 1]
+        elif mutation == "repeat-date" and len(table) > 2 and row > 1 and table[row] and table[row - 1]:
+            table[row][0] = table[row - 1][0]
+    return columns, _text_of(draw, table, mutations)
+
+
+@given(case=_dated_texts())
+@example(case=(["return"], "date,return\r\n2010-01-04,0.5\r\n2010-01-05,nan\r\n"))
+@example(case=(["return"], "date,return\n2010-01-05,0.5\n2010-01-04,0.25\n"))
+@example(case=(["return"], "date,return\n2010-01-04,0.5\n2010-01-04,0.25\n"))
+@example(case=(["return"], "date,return\n2010-01-04\x00,0.5\n2010-01-05,0.25\n"))
+@example(case=(["return"], "date,return\n2010-01-04,0.5,1\n2010-01-05,0.25\n"))
+@example(case=(["return"], "date,other\n2010-01-04,0.5\n"))
+@example(case=([], "date\n2010-01-04\n2010-01-05\n"))
+@settings(max_examples=300, deadline=None)
+def test_read_dated_csv_matches_the_row_parser(tmp_path_factory, case):
+    """Whatever path reads a dated file, `read_dated_csv` gives the row
+    parser's dates and values bit for bit, or raises its exception with its
+    message. Any warning is an error."""
+    columns, text = case
+    path = tmp_path_factory.mktemp("dated") / "index.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(lambda p: read_dated_csv(p, columns), path)
+        expected = _outcome(lambda p: market_data._read_dated_rows(p, columns), path)
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [str, lambda text: "\ufeff" + text, lambda text: text.replace("\r\n", "\n"), lambda text: text + "\r\n"],
+    ids=["crlf", "bom", "lf", "trailing-blank-line"],
+)
+def test_plain_dated_files_are_read_without_the_row_parser(tmp_path, monkeypatch, variant):
+    """A file `write_dated_csv` writes goes through numpy's tokenizer alone."""
+    panel = generate_synthetic_panel(3, 300, seed=4)
+    write_dated_csv(tmp_path / "written.csv", panel.tickers, panel.dates, panel.values)
+    path = tmp_path / "panel.csv"
+    path.write_bytes(variant((tmp_path / "written.csv").read_text(encoding="utf-8")).encode("utf-8"))
+    expected = _outcome(lambda p: market_data._read_dated_rows(p, panel.tickers), path)
+
+    def no_row_parser(path, columns):
+        raise AssertionError("row parser called")
+
+    monkeypatch.setattr(market_data, "_read_dated_rows", no_row_parser)
+    assert _outcome(lambda p: read_dated_csv(p, panel.tickers), path) == expected
 
 
 # =============================================================================
@@ -454,6 +596,33 @@ def test_align_matches_reference_on_ragged_calendars(calendars, policy, seed):
     panel = align_calendars(series, policy=policy, price_field="close")
     assert panel.dates.tolist() == ref_dates
     assert panel.values.tobytes() == ref_values.tobytes()
+
+
+_day_sets = st.sets(st.integers(-400, 400), min_size=1, max_size=30)
+
+
+def _calendar(days) -> np.ndarray:
+    return np.datetime64("2000-01-01") + np.array(sorted(days), dtype=np.int64)
+
+
+@given(calendars=st.lists(_day_sets, min_size=1, max_size=5), probe=st.lists(st.integers(-450, 450)))
+@example(calendars=[{0, 1, 2}, {0, 1, 2}, {0, 1, 2}], probe=[0, 3, -1])  # identical
+@example(calendars=[{0, 1}, {5, 6}, {-9}], probe=[1, 5, 2])  # disjoint
+@example(calendars=[{7}], probe=[7])  # one calendar of one date
+@example(calendars=[{7}, {7}], probe=[6, 7, 8])
+@example(calendars=[{7}, {3}], probe=[])
+@settings(max_examples=300, deadline=None)
+def test_calendar_union_and_membership_equal_numpys_set_operations(calendars, probe):
+    """`calendar_union` is `reduce(np.union1d, ...)` and `on_calendar` is
+    `np.isin` on strictly increasing `datetime64[D]` calendars."""
+    days = [_calendar(c) for c in calendars]
+    union = market_data.calendar_union(days)
+    expected = reduce(np.union1d, days)
+    assert union.dtype == expected.dtype and union.tobytes() == expected.tobytes()
+    probes = [_calendar(probe), np.datetime64("2000-01-01") + np.array(probe, dtype=np.int64), *days]
+    for calendar in days:
+        for dates in probes:
+            assert market_data.on_calendar(dates, calendar).tolist() == np.isin(dates, calendar).tolist()
 
 
 
