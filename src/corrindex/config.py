@@ -8,10 +8,10 @@
 
 Paths are resolved relative to the config file so a run is reproducible from
 the file alone. Unknown sections and keys are rejected, so a misspelt key
-cannot silently fall back to its default. Only two environment overrides exist
-(CORRINDEX_OUTPUT_DIR and CORRINDEX_SEED); command-line flags take precedence
-over both, and a key they replace must still be valid in the file. An output
-directory that is, or lies under, a file is refused before any command's work.
+cannot silently fall back to its default. The `--seed` and `--output-dir` flags
+take precedence over the file, and a key they replace must still be valid in
+it; no environment variable overrides a key. An output directory that is, or
+lies under, a file is refused before any command's work.
 """
 
 from __future__ import annotations
@@ -19,15 +19,11 @@ from __future__ import annotations
 import configparser
 import io
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
 from .market_data import ALIGN_POLICIES, PRICE_FIELDS, RETURN_MODES, read_utf8_text
-
-ENV_OUTPUT_DIR = "CORRINDEX_OUTPUT_DIR"
-ENV_SEED = "CORRINDEX_SEED"
 
 STRATEGIES = ("hrp_walk", "hrp_bisection", "equal_weight", "min_variance")
 FEATURE_MODES = ("returns", "levels")
@@ -208,7 +204,7 @@ SECTION_KEYS = {
         "lookback": ("lookback", _checked(int, lambda n: n >= 1, "positive"), 20),
         "feature_mode": ("feature_mode", _choice(FEATURE_MODES), "returns"),
     },
-    # range checks are TrainConfig's, so --seed and CORRINDEX_SEED get them too
+    # range checks are TrainConfig's, so --seed gets them too
     "train": {
         key: (key, parse, getattr(TrainConfig, key)) for key, (parse, _, _) in TRAIN_KEYS.items()
     },
@@ -269,19 +265,13 @@ def load_config(
 
     if seed_override is not None:
         values["seed"] = seed_override
-    elif os.environ.get(ENV_SEED):
-        try:
-            values["seed"] = int(os.environ[ENV_SEED])
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_SEED} must be an integer") from exc
     try:
         values["train"] = TrainConfig(**{key: values.pop(key) for key in TRAIN_KEYS})
     except ValueError as exc:
         raise ConfigError(f"[train] {exc}") from exc
-    overrides = (("--output-dir", output_override), (ENV_OUTPUT_DIR, os.environ.get(ENV_OUTPUT_DIR)))
-    source, output = next(((s, v) for s, v in overrides if v), ("[output] dir", None))
-    if output:
-        values["output_dir"] = Path(output)
+    source = "[output] dir"
+    if output_override:
+        source, values["output_dir"] = "--output-dir", Path(output_override)
     # joining an absolute path onto the config's directory keeps it as it is
     base = path.parent
     cfg = PipelineConfig(**{f: base / v if isinstance(v, Path) else v for f, v in values.items()})

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from dataclasses import dataclass, fields
-from datetime import date
 from functools import reduce
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -278,9 +276,9 @@ _ISO_PLACES[[8, 9], 2] = [10, 1]
 
 def _iso_days(cells: np.ndarray) -> np.ndarray | None:
     """The `datetime64[D]` days of an array of `U11` cells if every one is a
-    `YYYY-MM-DD` date of `datetime.date`'s years 1-9999 (what `_iso_day`
-    reads), else None. Read from the cells' code points: no string is parsed
-    or formatted."""
+    `YYYY-MM-DD` date of the years 1-9999, else None. This is the one rule of
+    what a date is, on both paths of both readers. Read from the cells' code
+    points: no string is parsed or formatted."""
     codes = np.ascontiguousarray(cells).view(np.uint32).reshape(len(cells), 11)
     if not ((codes >= _ISO_LOW) & (codes <= _ISO_HIGH)).all():
         return None
@@ -308,27 +306,24 @@ def _load_price_rows(path: Path, name: str) -> PriceSeries:
     adj_col = column.get(YAHOO_COLUMNS["adjusted_close"])
     div_col = column.get(YAHOO_COLUMNS["dividend"])
     width = 1 + max(c for c in (date_col, close_col, adj_col, div_col) if c is not None)
-    days, prices = [], []
-    for line, row in body:
+    cells = _date_cells(row[date_col].strip() if len(row) > date_col else "" for _, row in body)
+    days, prices = _iso_days(cells), []
+    for i, (line, row) in enumerate(body):
         if len(row) < width:
             raise ValueError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
-        raw = row[date_col]
-        try:
-            day = _iso_day(raw.strip())
-        except ValueError:
-            raise ValueError(f"{path}: line {line}: unparseable date {raw!r}") from None
+        if days is None and _iso_days(cells[i : i + 1]) is None:
+            raise ValueError(f"{path}: line {line}: unparseable date {row[date_col]!r}")
         close = _parse_float(row[close_col], path, line, "close")
         adj = row[adj_col].strip() if adj_col is not None else ""
         div = row[div_col].strip() if div_col is not None else ""
         adj_close = _parse_float(adj, path, line, "adjusted close") if adj else close
         dividend = _parse_float(div, path, line, "dividend") if div else 0.0
-        days.append(day)
         prices.append((close, adj_close, dividend))
 
     if len(days) < 2:
         raise ValueError(f"{path}: need at least 2 bars, got {len(days)}")
     table = np.empty(len(days), dtype=BAR_DTYPE)
-    table["date"] = _datetime64_days(days)
+    table["date"] = days
     columns = np.array(prices, dtype=float).reshape(len(days), 3).T
     table["close"], table["adjusted_close"], table["dividend"] = columns
     order = np.argsort(table["date"], kind="stable")
@@ -338,27 +333,11 @@ def _load_price_rows(path: Path, name: str) -> PriceSeries:
         raise ValueError(f"{path}: line {body[order[err.row]][0]}: {err.problem}") from None
 
 
-# From Python 3.11 on, `date.fromisoformat` also reads `20200102` and `2020-W01-4`.
-_ISO_DAY = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
-
-
-def _iso_day(text: str) -> date:
-    """The date `text` spells as `YYYY-MM-DD`, and no other spelling, on every
-    supported Python; anything else raises ValueError as `fromisoformat` does."""
-    if not _ISO_DAY.fullmatch(text):
-        raise ValueError(f"Invalid isoformat string: {text!r}")
-    return date.fromisoformat(text)
-
-
-# `date(1970, 1, 1).toordinal()`: the day number of datetime64's epoch.
-_EPOCH_ORDINAL = 719163
-
-
-def _datetime64_days(days: Sequence[date]) -> np.ndarray:
-    """`np.array(days, dtype="datetime64[D]")`, built from day ordinals, which
-    numpy converts in bulk where it converts `date` objects one at a time."""
-    ordinals = np.fromiter((day.toordinal() for day in days), dtype=np.int64, count=len(days))
-    return (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]")
+def _date_cells(cells: Iterable[str]) -> np.ndarray:
+    """`cells` as the `U11` array `_iso_days` reads, each cell that is not 10
+    characters long as "": `U11` would cut a longer cell short or drop its
+    trailing NULs."""
+    return np.array([cell if len(cell) == 10 else "" for cell in cells], dtype="U11")
 
 
 def _parse_float(raw: str, path: Path, line: int, what: str) -> float:
@@ -478,7 +457,7 @@ def generate_synthetic_panel(
     values = (shocks @ chol.T) * vol
 
     tickers = tuple(f"A{i:03d}" for i in range(n_assets))
-    weekdays = np.busday_offset(date(2008, 1, 2), np.arange(n_days), roll="forward")
+    weekdays = np.busday_offset(np.datetime64("2008-01-02"), np.arange(n_days), roll="forward")
     return AlignedPanel(tickers=tickers, dates=weekdays, values=values)
 
 
@@ -623,18 +602,20 @@ def _read_dated_rows(path: str | Path, columns: Sequence[str]) -> tuple[np.ndarr
     header = rows[0][1] if rows else None
     if header != ["date", *columns]:
         raise ValueError(f"{path}: expected header '{','.join(['date', *columns])}'")
-    body, days, values = rows[1:], [], []
+    body, values = rows[1:], []
     if not body:
         raise ValueError(f"{path}: no rows after the header")
-    for line, row in body:
+    cells = _date_cells(row[0] for _, row in body)
+    dates = _iso_days(cells)
+    for i, (line, row) in enumerate(body):
         if len(row) != len(header):
             raise ValueError(f"{path}: line {line}: expected {len(header)} fields, got {len(row)}")
+        if dates is None and _iso_days(cells[i : i + 1]) is None:
+            raise ValueError(f"{path}: line {line}: Invalid isoformat string: {row[0]!r}")
         try:
-            days.append(_iso_day(row[0]))
             values.append([float(v) for v in row[1:]])
         except ValueError as err:
             raise ValueError(f"{path}: line {line}: {err}") from None
-    dates = _datetime64_days(days)
     try:
         _check_dates(str(path), dates)
     except _RowError as err:

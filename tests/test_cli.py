@@ -600,15 +600,13 @@ def test_non_finite_learning_rate_rejected_before_training(tmp_path, capsys, val
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("source", ["config-key", "flag", "env"])
-def test_negative_seed_rejected_before_any_work(tmp_path, capsys, monkeypatch, source):
+@pytest.mark.parametrize("source", ["config-key", "flag"])
+def test_negative_seed_rejected_before_any_work(tmp_path, capsys, source):
     build_workspace(tmp_path, n_days=80, seed=13)
     config = write_config(tmp_path)
     flags = ("--seed", "-1") if source == "flag" else ()
     if source == "config-key":
         config.write_text(config.read_text().replace("seed = 0\n", "seed = -1\n"))
-    if source == "env":
-        monkeypatch.setenv("CORRINDEX_SEED", "-1")
     for command in ("select", "run-experiment"):
         assert run(config, command, *flags) == 1
     captured = capsys.readouterr()
@@ -767,11 +765,9 @@ _READER = {
 }
 
 
-def _run_with_key(clean_inputs, tmp_path, capsys, monkeypatch, section, key, value):
+def _run_with_key(clean_inputs, tmp_path, capsys, section, key, value):
     """Run the command that reads `[section] key = value` on a copy of the
     clean workspace; returns (exit code, stderr lines, artifacts before, after)."""
-    monkeypatch.delenv("CORRINDEX_SEED", raising=False)
-    monkeypatch.delenv("CORRINDEX_OUTPUT_DIR", raising=False)
     root = tmp_path / "ws"
     shutil.copytree(clean_inputs, root)
     config = root / "pipeline.ini"
@@ -786,8 +782,8 @@ def _run_with_key(clean_inputs, tmp_path, capsys, monkeypatch, section, key, val
 
 
 @pytest.mark.parametrize("section, key, value", _config_faults(unreadable=True))
-def test_unreadable_number_names_section_and_key(clean_inputs, tmp_path, capsys, monkeypatch, section, key, value):
-    code, err, before, after = _run_with_key(clean_inputs, tmp_path, capsys, monkeypatch, section, key, value)
+def test_unreadable_number_names_section_and_key(clean_inputs, tmp_path, capsys, section, key, value):
+    code, err, before, after = _run_with_key(clean_inputs, tmp_path, capsys, section, key, value)
     assert code == 1
     assert len(err) == 1
     assert err[0].startswith(f"error: [{section}] {key}: ")
@@ -803,10 +799,10 @@ def _finite(artifact: bytes) -> bool:
 
 
 @pytest.mark.parametrize("section, key, value", _config_faults(unreadable=False))
-def test_config_fault_names_section_and_key(clean_inputs, tmp_path, capsys, monkeypatch, section, key, value):
+def test_config_fault_names_section_and_key(clean_inputs, tmp_path, capsys, section, key, value):
     """Exit 1 with one line naming `[section] key` and every artifact
     unchanged; or exit 0 with finite artifacts."""
-    code, err, before, after = _run_with_key(clean_inputs, tmp_path, capsys, monkeypatch, section, key, value)
+    code, err, before, after = _run_with_key(clean_inputs, tmp_path, capsys, section, key, value)
     if code == 0:
         assert all(_finite(artifact) for artifact in after.values())
         return
@@ -817,24 +813,20 @@ def test_config_fault_names_section_and_key(clean_inputs, tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize("value", ["metrics.csv", "metrics.csv/out"], ids=["file", "under-file"])
-@pytest.mark.parametrize("source", ["[output] dir", "--output-dir", "CORRINDEX_OUTPUT_DIR"])
+@pytest.mark.parametrize("source", ["[output] dir", "--output-dir"])
 def test_output_dir_that_is_or_lies_under_a_file_exits_1_before_any_work(
-    clean_inputs, tmp_path, capsys, monkeypatch, source, value
+    clean_inputs, tmp_path, capsys, source, value
 ):
     """Refused while loading the config, naming where the value came from: no
     model trains, no cell line is printed and no artifact changes."""
-    monkeypatch.delenv("CORRINDEX_SEED", raising=False)
-    monkeypatch.delenv("CORRINDEX_OUTPUT_DIR", raising=False)
     root = tmp_path / "ws"
     shutil.copytree(clean_inputs, root)
     config = root / "pipeline.ini"
     flags = ()
     if source == "[output] dir":
         config.write_text(re.sub(r"^dir = .*$", f"dir = {value}", config.read_text(), flags=re.M))
-    elif source == "--output-dir":
-        flags = ("--output-dir", str(root / value))
     else:
-        monkeypatch.setenv("CORRINDEX_OUTPUT_DIR", str(root / value))
+        flags = ("--output-dir", str(root / value))
     before = _files(root / "out")
     capsys.readouterr()
     assert run(config, "run-experiment", *flags) == 1
@@ -960,10 +952,9 @@ def test_default_section_key_applies_to_sections_that_read_it(tmp_path):
     assert load_config(tmp_path / "ok.ini").k == 5
 
 
-def test_readme_config_loads_with_documented_defaults(tmp_path, monkeypatch):
+def test_readme_config_loads_with_documented_defaults(tmp_path):
     from corrindex.config import TrainConfig, load_config
 
-    monkeypatch.delenv("CORRINDEX_SEED", raising=False)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
     (tmp_path / "readme.ini").write_text(block, encoding="utf-8")
@@ -981,56 +972,53 @@ def test_readme_config_loads_with_documented_defaults(tmp_path, monkeypatch):
     assert documented == [(section, list(keys)) for section, keys in SECTION_KEYS.items()]
 
 
-def test_empty_output_dir_is_the_config_directory(tmp_path, monkeypatch):
+def test_empty_output_dir_is_the_config_directory(tmp_path):
     from corrindex.config import load_config
 
-    monkeypatch.delenv("CORRINDEX_OUTPUT_DIR", raising=False)
     (tmp_path / "here.ini").write_text("[output]\ndir =\n", encoding="utf-8")
     assert load_config(tmp_path / "here.ini").output_dir == tmp_path
 
 
-def test_seed_overrides_flag_beats_env_beats_file(tmp_path, monkeypatch):
+def test_seed_overrides_flag_beats_env_beats_file(tmp_path):
+    """The flag beats the file; the environment sets no seed (the test below)."""
     from corrindex.config import load_config
 
     build_workspace(tmp_path, n_days=80, seed=15)
     config = write_config(tmp_path)
     assert load_config(config).train.seed == 0
-    monkeypatch.setenv("CORRINDEX_SEED", "5")
-    assert load_config(config).train.seed == 5
     assert load_config(config, seed_override=9).train.seed == 9
 
 
-def test_output_dir_override(tmp_path, monkeypatch):
+def test_output_dir_override(tmp_path):
     from corrindex.config import load_config
 
     build_workspace(tmp_path, n_days=80, seed=19)
     config = write_config(tmp_path)
     assert load_config(config).output_dir == tmp_path / "out"
-    monkeypatch.setenv("CORRINDEX_OUTPUT_DIR", str(tmp_path / "env_out"))
-    assert load_config(config).output_dir == tmp_path / "env_out"
     assert (
         load_config(config, output_override=tmp_path / "flag_out").output_dir
         == tmp_path / "flag_out"
     )
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_key_an_override_replaces_is_still_read(tmp_path, capsys, monkeypatch, source):
+def test_environment_sets_neither_seed_nor_output_dir(tmp_path, monkeypatch):
+    """Only the file and the flags set the seed and the output directory."""
+    from corrindex.config import load_config
+
+    config = write_config(tmp_path)
+    monkeypatch.setenv("CORRINDEX_SEED", "5")
+    monkeypatch.setenv("CORRINDEX_OUTPUT_DIR", str(tmp_path / "env_out"))
+    cfg = load_config(config)
+    assert (cfg.train.seed, cfg.output_dir) == (0, tmp_path / "out")
+
+
+@pytest.mark.parametrize("flags", [("--seed", "3")], ids=["flag"])
+def test_key_an_override_replaces_is_still_read(tmp_path, capsys, flags):
     config = write_config(tmp_path)
     config.write_text(config.read_text().replace("seed = 0\n", "seed = x\n"))
-    flags = ("--seed", "3") if source == "flag" else ()
-    if source == "env":
-        monkeypatch.setenv("CORRINDEX_SEED", "3")
     assert run(config, "select", *flags) == 1
     assert capsys.readouterr().err == "error: [train] seed: invalid literal for int() with base 10: 'x'\n"
     assert not (tmp_path / "out").exists()
-
-
-def test_seed_env_override(tmp_path, monkeypatch):
-    build_workspace(tmp_path, n_days=120, seed=17)
-    config = write_config(tmp_path)
-    monkeypatch.setenv("CORRINDEX_SEED", "not-an-int")
-    assert run(config, "select") == 1
 
 
 @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt], ids=["OSError", "KeyboardInterrupt"])

@@ -4,6 +4,7 @@ import ast
 import csv
 import pickle
 import re
+import sys
 import warnings
 from datetime import date, timedelta
 from functools import reduce
@@ -342,6 +343,58 @@ def test_iso_days_accepts_what_the_numpy_round_trip_accepted(cells):
         else:
             assert got is not None and got.dtype == expected.dtype, group
             assert got.tobytes() == expected.tobytes(), group
+
+
+# A quoted header sends a file past `_plain_csv` to the row parser. Each case
+# is (the value on line 2, the date cell on line 3, the value on line 4).
+_ROW_PARSER_CASES = {
+    "impossible-day": ("1", "2010-02-30", "3"),
+    "no-leap-day": ("1", "2023-02-29", "3"),
+    "eleven-characters": ("1", "2010-01-041", "3"),
+    "nul-ended": ("1", "2010-01-05\x00", "3"),
+    "padded": ("1", " 2010-01-05 ", "3"),
+    "bad-value-before": ("x", "2010-02-30", "3"),
+    "bad-value-after": ("1", "2010-02-30", "x"),
+}
+# reader: (header, read, problem with a date cell, problem with the value `x`)
+_ROW_PARSERS = {
+    "load_price_csv": (
+        '"Date",Close', load_price_csv, "unparseable date {!r}", "unparseable close 'x'"
+    ),
+    "read_dated_csv": (
+        '"date",return',
+        lambda path: read_dated_csv(path, ["return"]),
+        "Invalid isoformat string: {!r}",
+        "could not convert string to float: 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _ROW_PARSER_CASES)
+@pytest.mark.parametrize("reader", _ROW_PARSERS)
+def test_row_parsers_name_the_first_line_with_a_bad_date_or_value(tmp_path, reader, case):
+    """Each row parser checks a line's date before its values, and names the
+    first line at fault. The price reader strips a date cell; the dated
+    reader does not."""
+    header, read, bad_date, bad_value = _ROW_PARSERS[reader]
+    before, cell, after = _ROW_PARSER_CASES[case]
+    path = tmp_path / "P.csv"
+    text = f"{header}\n2010-01-04,{before}\n{cell},2\n2010-01-06,{after}\n"
+    path.write_bytes(text.encode("utf-8"))
+    assert market_data._plain_csv(path) is None
+    if case == "padded" and reader == "load_price_csv":
+        days = read(path).dates.tolist()
+        assert days == [date(2010, 1, 4), date(2010, 1, 5), date(2010, 1, 6)]
+        return
+    if "\0" in cell and sys.version_info < (3, 11):  # `csv` reads a NUL from Python 3.11 on
+        problem = "line contains NUL"
+    elif before == "x":
+        problem = f"{path}: line 2: {bad_value}"
+    else:
+        problem = f"{path}: line 3: {bad_date.format(cell)}"
+    with pytest.raises((ValueError, csv.Error)) as err:
+        read(path)
+    assert str(err.value) == problem
 
 
 _DATED_MUTATIONS = ("odd-cell", "quote-cell", "extra-cells", "short-row", "swap-rows", "repeat-date")
@@ -929,13 +982,6 @@ def test_read_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
         read_csv(path)
 
 
-@given(days=st.lists(st.dates(date(1, 1, 1), date(9999, 12, 31)), max_size=20))
-def test_datetime64_days_equals_numpy_conversion_of_dates(days):
-    expected = np.array(days, dtype="datetime64[D]")
-    got = market_data._datetime64_days(days)
-    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-
-
 def test_read_csv_names_the_true_line_of_rows_after_blank_lines(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_bytes(b'\xef\xbb\xbfa,b\r\n\r\n1,2\r\n   \r\n\n3,4\n5,"x\ny"\n\n')
@@ -967,3 +1013,22 @@ def test_only_market_data_uses_the_csv_module():
             ):
                 users.add(name)
     assert importers == users == {"market_data.py"}
+
+
+def test_only_iso_days_decodes_dates():
+    """`market_data._iso_days` is the one rule of what a date is: no module
+    imports `datetime` or calls `fromisoformat`."""
+    src = Path(market_data.__file__).parent
+    found = set()
+    for path in src.rglob("*.py"):
+        name = path.relative_to(src).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found |= {(name, a.name) for a in node.names if a.name.split(".")[0] == "datetime"}
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "datetime":
+                found.add((name, node.module))
+            if isinstance(node, ast.Attribute) and node.attr == "fromisoformat":
+                found.add((name, "fromisoformat"))
+            if isinstance(node, ast.Name) and node.id == "fromisoformat":
+                found.add((name, "fromisoformat"))
+    assert found == set()
