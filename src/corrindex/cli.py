@@ -13,11 +13,18 @@ any output, then returns its artifacts, and `main` writes them in one `commit`:
 every temp file first, then every rename. Exit codes: 0 success, 1 validation
 error, 2 runtime error. Each command imports only the stage modules it runs,
 and calls them as `module.function`.
+
+`run` is the entry point of the CLI process (`python -m corrindex.cli` and the
+`corrindex` script): it calls `main`, then `gc.freeze()`, so that interpreter
+shutdown skips the collector's last walk over every object the command left.
+`main` itself never freezes, because tests and the benchmark's traced replay
+call it many times in one process, which must keep a working collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections.abc import Callable
@@ -417,5 +424,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """Run `main` on the command line and end the process with its exit code."""
+    code = main()
+    gc.freeze()  # the process ends here: shutdown skips the collector's walk over every object
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -118,6 +118,13 @@ def multi_run(
             return [None]
         return [rmse(predict(model, test_ds), test_ds.y)]
 
+    # Load numpy.random here, before the fork (not on import: `report` loads
+    # this module and never trains). numpy would load it on first use, in every
+    # worker, and its Cython modules register types with `collections.abc`
+    # under a bare `except: pass` while they load, so a Ctrl-C that lands then
+    # is lost, and a worker that loses one trains on to the end.
+    import numpy.random  # noqa: F401
+
     stack = max(1, STACK_ELEMENTS // (cfg.batch_size * cfg.hidden_size))
     runs = fork_chunks(train_stack, range(cfg.runs), stack, max_workers)
     return RunStats(model_spec, dataset_id, runs)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import codecs
 import configparser
 import contextlib
+import gc
+import importlib.metadata
 import os
 import re
 import shutil
@@ -1402,6 +1404,63 @@ def test_ctrl_c_during_run_experiment_leaves_no_process(tmp_path):
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
+
+
+# =============================================================================
+# process entry
+# =============================================================================
+
+
+def test_process_entry_matches_main(tmp_path, capsys):
+    """`python -m corrindex.cli` gives the exit code, stdout and stderr that
+    `main` gives in this process: `report` prints report.txt, a config fault
+    its `error:` line with exit 1, a runtime fault its `runtime error:` line
+    with exit 2."""
+    config = write_config(tmp_path)
+    bad_runs = _runs_text().replace("lstm,dataset1,1,0.11,", "lstm,dataset1,1,inf,")
+    for name, runs in (("out", _runs_text()), ("bad", bad_runs)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "runs.csv").write_text(runs)
+    src = Path(evaluation.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    results = {}
+    for out in ("out", "missing", "bad"):
+        argv = ["--config", str(config), "--output-dir", str(tmp_path / out), "report"]
+        process = subprocess.run(
+            [sys.executable, "-m", "corrindex.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        results[out] = (main(argv), *capsys.readouterr())
+        assert (process.returncode, process.stdout, process.stderr) == results[out]
+    report = tmp_path / "out" / "report.txt"
+    assert results["out"] == (0, report.read_text() + f"wrote {report}\n", "")
+    assert results["missing"] == (
+        1, "", f"error: runs.csv (run run-experiment) not found: {tmp_path / 'missing' / 'runs.csv'}\n"
+    )
+    assert results["bad"] == (
+        2,
+        "",
+        f"runtime error: {tmp_path / 'bad' / 'runs.csv'}: line 3: rmse 'inf' is not nan or a finite positive number\n",
+    )
+
+
+def test_main_leaves_the_collector_working(tmp_path):
+    """Only `run`, the process entry, freezes the collector. `main` must not:
+    tests and the benchmark's traced replay call it many times in one process."""
+    config = write_config(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "runs.csv").write_text(_runs_text())
+    assert run(config, "report") == 0
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
+
+
+def test_console_script_runs_the_process_entry():
+    try:
+        importlib.metadata.distribution("corrindex")
+    except importlib.metadata.PackageNotFoundError:
+        pytest.skip("the corrindex distribution is not installed")
+    scripts = importlib.metadata.entry_points(group="console_scripts")
+    assert [script.value for script in scripts if script.name == "corrindex"] == ["corrindex.cli:run"]
 
 
 # =============================================================================

@@ -326,6 +326,39 @@ def test_serial_multi_run_imports_no_process_machinery():
     assert result.stdout == "[]\n"
 
 
+def test_multi_run_loads_every_module_before_the_fork():
+    """In a fresh interpreter, training loads no module once `multi_run` has
+    handed the runs to `fork_chunks`, for either model, one run or a stack.
+    numpy.random's Cython modules swallow a KeyboardInterrupt raised while
+    they load, so a worker that loaded them after the fork could miss a
+    Ctrl-C and train on."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from corrindex import dataset, evaluation, parallel\n"
+        "from corrindex.forecast import MODEL_KINDS, TrainConfig\n"
+        "loaded = []\n"
+        "def spy(fn, items, size, max_workers=None):\n"
+        "    before = set(sys.modules)\n"
+        "    results = parallel.fork_chunks(fn, items, size, 1)\n"
+        "    loaded.extend(sorted(set(sys.modules) - before))\n"
+        "    return results\n"
+        "evaluation.fork_chunks = spy\n"
+        "ds = dataset.make_windows(np.sin(np.arange(40.0))[:, None], 5)\n"
+        "train_ds, test_ds = dataset.chronological_split(ds, 0.8)\n"
+        "for model in MODEL_KINDS:\n"
+        "    for runs in (1, 2):\n"
+        "        cfg = TrainConfig(epochs=1, runs=runs, hidden_size=4, kernels=2)\n"
+        "        evaluation.multi_run(model, train_ds, test_ds, cfg)\n"
+        "print(loaded)\n"
+    )
+    src = Path(evaluation.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 # =============================================================================
 # comparison report
 # =============================================================================
