@@ -22,9 +22,9 @@ from .market_data import (
     ReturnSeries,
     _readonly,
     align_calendars,
+    csv_text,
     on_calendar,
     read_csv,
-    write_float_rows,
 )
 
 
@@ -84,6 +84,8 @@ class WindowedDataset:
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         if self.X.ndim != 3:
             raise ValueError(f"X must be 3-D, got shape {self.X.shape}")
+        if self.y.ndim != 1:
+            raise ValueError(f"y must be 1-D, got shape {self.y.shape}")
         if self.X.shape[0] != self.y.shape[0]:
             raise ValueError("X and y sample counts differ")
         if self.X.shape[2] != len(self.feature_names):
@@ -184,24 +186,58 @@ def feature_matrix(
     return panel.values[on_calendar(panel.dates, index_returns.dates)], panel.tickers
 
 
+# Rows per block of `save_windows_csv`. A window file repeats each row of its
+# feature matrix once per lag, so a block of this size formats about 7% of its
+# rows; the block's text stays near 0.3 MB, where a whole-file join would hold
+# it all.
+_BLOCK_ROWS = 1000
+
+
+def _row_texts(block: np.ndarray) -> list[str]:
+    """Each row of a float matrix as its comma-joined reprs. Rows are keyed by
+    bit pattern (so -0.0 and 0.0 stay apart), and each distinct row is
+    formatted once."""
+    block = np.ascontiguousarray(block)
+    keys = block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel().tolist()
+    distinct = dict.fromkeys(keys)
+    rows = np.frombuffer(b"".join(distinct), dtype=np.float64).reshape(-1, block.shape[1])
+    text = dict(zip(distinct, [",".join(map(repr, row)) for row in rows.tolist()]))
+    return list(map(text.__getitem__, keys))
+
+
 def save_windows_csv(ds: WindowedDataset, path: str | Path) -> None:
     """Flatten samples to CSV rows (sample, lag, features..., target).
 
-    Values are written with repr so the loader reproduces them bit-exactly.
-    Scaler state is not persisted; exports are of the samples themselves.
+    Values are written with repr so the loader reproduces them bit-exactly,
+    and the bytes are those `csv.writer` would write. Scaler state is not
+    persisted; exports are of the samples themselves. Samples are written in
+    blocks of about `_BLOCK_ROWS` rows, and each block formats each distinct
+    window row once.
     """
     reserved = {"sample", "lag", "target"}
     if reserved & set(ds.feature_names):
         raise ValueError(f"feature names collide with reserved columns {sorted(reserved)}")
     samples, lookback, features = ds.X.shape
-    names = [str(i) for i in range(max(samples, lookback))]
-    sample_column = np.repeat(np.array(names[:samples], dtype=object), lookback).tolist()
-    lag_column = names[:lookback] * samples
-    header = ["sample", "lag", *ds.feature_names, "target"]
-    x_rows = ds.X.reshape(samples * lookback, features)
-    write_float_rows(
-        path, header, [sample_column, lag_column], x_rows, np.repeat(ds.y, lookback)[:, None]
-    )
+    # A lag label holds the commas on both sides of the lag; a row of no cells
+    # (a file of no features) takes none after it.
+    lags = [f",{lag}," if features else f",{lag}" for lag in range(lookback)]
+    step = max(1, _BLOCK_ROWS // max(lookback, 1))
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        handle.write(csv_text(["sample", "lag", *ds.feature_names, "target"], ()))
+        for start in range(0, samples, step):
+            stop = min(start + step, samples)
+            block = ds.X[start:stop].reshape((stop - start) * lookback, features)
+            rows = iter(_row_texts(block) if features else [""] * len(block))
+            targets = map(repr, ds.y[start:stop].tolist())
+            # `zip(lags, rows)` stops on the last lag before it takes a row,
+            # so each sample takes its own `lookback` rows.
+            handle.write(
+                "".join(
+                    f"{sample}{lag}{row},{target}\r\n"
+                    for sample, target in zip(range(start, stop), targets)
+                    for lag, row in zip(lags, rows)
+                )
+            )
 
 
 def load_windows_csv(path: str | Path) -> WindowedDataset:

@@ -9,6 +9,7 @@ recomputable from the stored per-run values.
 from __future__ import annotations
 
 import math
+import signal
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -122,8 +123,16 @@ def multi_run(
     # this module and never trains). numpy would load it on first use, in every
     # worker, and its Cython modules register types with `collections.abc`
     # under a bare `except: pass` while they load, so a Ctrl-C that lands then
-    # is lost, and a worker that loses one trains on to the end.
-    import numpy.random  # noqa: F401
+    # is lost, and a process that loses one trains on to the end. SIGINT is
+    # held while they load, and raises here once it is let through.
+    blocks_sigint = hasattr(signal, "pthread_sigmask")
+    if blocks_sigint:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        import numpy.random  # noqa: F401
+    finally:
+        if blocks_sigint:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     stack = max(1, STACK_ELEMENTS // (cfg.batch_size * cfg.hidden_size))
     runs = fork_chunks(train_stack, range(cfg.runs), stack, max_workers)

@@ -504,59 +504,6 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> N
     Path(path).write_text(csv_text(header, rows), encoding="utf-8", newline="")
 
 
-# Rows per block of `write_float_rows`. A window file repeats each row of its
-# feature matrix once per lag, so a block of this size formats about 7% of its
-# rows; the block's text stays near 0.3 MB, where a whole-file join would hold
-# it all.
-_FLOAT_BLOCK_ROWS = 1000
-
-
-def _row_texts(block: np.ndarray) -> list[str]:
-    """Each row of a float matrix as its comma-joined reprs. Rows are keyed by
-    bit pattern (so -0.0 and 0.0 stay apart), and each distinct row is
-    formatted once."""
-    block = np.ascontiguousarray(block)
-    keys = block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel().tolist()
-    distinct = dict.fromkeys(keys)
-    rows = np.frombuffer(b"".join(distinct), dtype=np.float64).reshape(len(distinct), -1)
-    text = dict(zip(distinct, [",".join(map(repr, row)) for row in rows.tolist()]))
-    return list(map(text.__getitem__, keys))
-
-
-def write_float_rows(
-    path: str | Path, header: Sequence[str], labels: Sequence[Sequence[str]], *matrices
-) -> None:
-    """Write `header`, then one row per row of the float `matrices`: a cell
-    from each label column in `labels` (sequences of strings, one cell per
-    row), then that row of each matrix in turn. This is the window-file
-    writer; `dataset.save_windows_csv` is its one caller.
-
-    The header goes through `csv_text`. Label cells are written as given, so
-    they must be cells that `csv.writer` leaves unquoted (the window files'
-    sample and lag numbers are). Each float is written as its repr, so it
-    reads back bit-exactly, and the bytes are those of `write_csv` given the
-    rows `[*cells, *floats]`. Within each block of `_FLOAT_BLOCK_ROWS` rows,
-    each matrix formats each distinct row (by bit pattern) once.
-    """
-    matrices = [np.asarray(m, dtype=float) for m in matrices]
-    shapes = [m.shape for m in matrices]
-    if not matrices or any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes):
-        raise ValueError(f"expected matrices with equal row counts, got shapes {shapes}")
-    if not sum(s[1] for s in shapes):
-        raise ValueError("expected at least one value column")
-    n_rows, lengths = shapes[0][0], [len(column) for column in labels]
-    if any(length != n_rows for length in lengths):
-        raise ValueError(f"expected label columns of {n_rows} cells, got lengths {lengths}")
-    matrices = [m for m in matrices if m.shape[1]]
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        handle.write(csv_text(header, ()))
-        for start in range(0, n_rows, _FLOAT_BLOCK_ROWS):
-            stop = start + _FLOAT_BLOCK_ROWS
-            block_columns = [column[start:stop] for column in labels]
-            block_columns += [_row_texts(m[start:stop]) for m in matrices]
-            handle.write("\r\n".join(map(",".join, zip(*block_columns))) + "\r\n")
-
-
 def write_dated_csv(path: str | Path, header: Sequence[str], dates: np.ndarray, values) -> None:
     """Write a `date` column, then one column per `header` name, values by repr."""
     days = np.datetime_as_string(dates, unit="D").tolist()

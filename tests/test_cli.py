@@ -1455,10 +1455,17 @@ def test_main_leaves_the_collector_working(tmp_path):
 
 
 def test_console_script_runs_the_process_entry():
+    """The `corrindex` script runs `cli.run`: as installed, or, without an
+    install, as `pyproject.toml` declares it."""
     try:
         importlib.metadata.distribution("corrindex")
     except importlib.metadata.PackageNotFoundError:
-        pytest.skip("the corrindex distribution is not installed")
+        reason = "the corrindex distribution is not installed, and Python 3.10 has no tomllib"
+        tomllib = pytest.importorskip("tomllib", reason=reason)
+        pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts["corrindex"] == "corrindex.cli:run"
+        return
     scripts = importlib.metadata.entry_points(group="console_scripts")
     assert [script.value for script in scripts if script.name == "corrindex"] == ["corrindex.cli:run"]
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from corrindex import market_data
+from corrindex import dataset
 from corrindex.dataset import (
     WindowedDataset,
     chronological_split,
@@ -283,7 +284,7 @@ def _save_windows_reference(ds, path) -> None:
 
 def _windows_cases(rng):
     """A scaled train split of real windows, and windows with no shifted-row
-    structure; both span several blocks of the float writer."""
+    structure; both span several blocks of the writer."""
     walk = np.cumsum(rng.normal(size=(260, 3)), axis=0)
     train, _ = chronological_split(make_windows(walk, lookback=10), 0.8)
     unshifted = WindowedDataset(
@@ -303,12 +304,86 @@ def test_save_windows_csv_bytes_equal_row_at_a_time_writer(tmp_path, rng, case):
 
 def test_save_windows_csv_rows_repeating_across_blocks_equal_row_at_a_time_writer(tmp_path, rng):
     """A series of period 7: the same window rows and targets recur within
-    each block of the float writer and on both sides of its block boundaries."""
+    each block of the writer and on both sides of its block boundaries."""
     ds = make_windows(np.tile(rng.normal(size=(7, 2)), (400, 1)), lookback=10)
-    assert ds.sample_count * ds.lookback > 2 * market_data._FLOAT_BLOCK_ROWS
+    assert ds.sample_count * ds.lookback > 2 * dataset._BLOCK_ROWS
     save_windows_csv(ds, tmp_path / "new.csv")
     _save_windows_reference(ds, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+_special_floats = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+# Names `csv.writer` must quote, and names it leaves as they are.
+_feature_names = st.sampled_from(["a,b", 'say "hi"', "x\r\ny", "", " ", "plain"]) | st.text(
+    st.characters(exclude_categories=["Cs"]), max_size=4
+).filter(lambda name: name not in {"sample", "lag", "target"})
+
+
+@st.composite
+def _pooled_windows(draw):
+    """Windows whose rows come from a pool of up to 6 rows of finite and
+    special floats, so that rows repeat within and across blocks; and a block
+    size of 1 to 5 samples."""
+    samples, lookback = draw(st.integers(0, 9)), draw(st.integers(0, 4))
+    features = draw(st.integers(0, 3))
+    values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_special_floats)
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 6)), features), elements=values))
+    picks = draw(arrays(np.int64, (samples, lookback), elements=st.integers(0, len(pool) - 1)))
+    ds = WindowedDataset(
+        X=pool[picks],
+        y=draw(arrays(np.float64, samples, elements=values)),
+        feature_names=draw(st.lists(_feature_names, min_size=features, max_size=features)),
+    )
+    return ds, draw(st.integers(1, 5))
+
+
+@given(case=_pooled_windows())
+@settings(max_examples=150, deadline=None)
+def test_save_windows_csv_blocks_of_pooled_rows_equal_row_at_a_time_writer(tmp_path_factory, case):
+    """Same bytes as `csv.writer` writing the rows, whatever the block size,
+    with quoted feature names, no features, or no lags; and the values read
+    back bit-exactly."""
+    ds, block_samples = case
+    root = tmp_path_factory.mktemp("windows")
+    with mock.patch.object(dataset, "_BLOCK_ROWS", block_samples * ds.lookback):
+        save_windows_csv(ds, root / "new.csv")
+    _save_windows_reference(ds, root / "old.csv")
+    assert (root / "new.csv").read_bytes() == (root / "old.csv").read_bytes()
+    if ds.sample_count and ds.lookback:
+        back = load_windows_csv(root / "new.csv")
+        assert back.feature_names == ds.feature_names
+        assert (back.X.tobytes(), back.y.tobytes()) == (ds.X.tobytes(), ds.y.tobytes())
+
+
+def test_save_windows_csv_spans_blocks_of_mixed_zeros_and_extremes(tmp_path, rng):
+    """Signed zeros, subnormals and extremes at the default block size, over
+    more than two blocks: the writer's bytes, and bit-exact values on reading."""
+    pool = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, -0.1])
+    samples = 2 * dataset._BLOCK_ROWS // 3 + 7
+    ds = WindowedDataset(
+        X=pool[rng.integers(0, len(pool), size=(samples, 3, 4))],
+        y=pool[rng.integers(0, len(pool), size=samples)],
+        feature_names=("", 'lab"el', "a,b", "c"),
+    )
+    save_windows_csv(ds, tmp_path / "new.csv")
+    _save_windows_reference(ds, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    back = load_windows_csv(tmp_path / "new.csv")
+    assert (back.X.tobytes(), back.y.tobytes()) == (ds.X.tobytes(), ds.y.tobytes())
+
+
+def test_save_windows_csv_keeps_rows_equal_as_floats_but_not_in_bits_apart(tmp_path):
+    """0.0 == -0.0, but window rows are cached by bit pattern, so each keeps its sign."""
+    ds = WindowedDataset(
+        X=np.array([[[0.0, 1.0], [-0.0, 1.0]], [[-0.0, 1.0], [0.0, 1.0]]]),
+        y=np.array([-0.0, 0.0]),
+        feature_names=("x", "y"),
+    )
+    save_windows_csv(ds, tmp_path / "zeros.csv")
+    assert (tmp_path / "zeros.csv").read_bytes() == (
+        b"sample,lag,x,y,target\r\n"
+        b"0,0,0.0,1.0,-0.0\r\n0,1,-0.0,1.0,-0.0\r\n1,0,-0.0,1.0,0.0\r\n1,1,0.0,1.0,0.0\r\n"
+    )
 
 
 def test_save_windows_csv_peak_memory_below_the_windows(tmp_path, rng):
@@ -323,6 +398,23 @@ def test_save_windows_csv_peak_memory_below_the_windows(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert peak < ds.X.nbytes
+
+
+@pytest.mark.parametrize(
+    "x_shape, y_shape, names, message",
+    [
+        ((4, 3), (4,), ("a",), "X must be 3-D"),
+        ((4, 3, 1), (4, 1), ("a",), "y must be 1-D"),
+        ((4, 3, 1), (5,), ("a",), "sample counts differ"),
+        ((4, 3, 2), (4,), ("a",), "feature_names length"),
+        ((4, 3, 1), (4,), ("a", "b"), "feature_names length"),
+    ],
+    ids=["x-not-3d", "y-not-1d", "sample-counts-differ", "names-short", "names-long"],
+)
+def test_windowed_dataset_refuses_mismatched_shapes(x_shape, y_shape, names, message):
+    """Every writer and model relies on these: one target per sample, one name per feature."""
+    with pytest.raises(ValueError, match=message):
+        WindowedDataset(X=np.zeros(x_shape), y=np.zeros(y_shape), feature_names=names)
 
 
 def test_windows_csv_reserved_names_rejected(tmp_path, rng):

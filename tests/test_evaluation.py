@@ -359,6 +359,43 @@ def test_multi_run_loads_every_module_before_the_fork():
     assert result.stdout == "[]\n"
 
 
+def test_ctrl_c_while_multi_run_loads_numpy_random_stops_it_before_training():
+    """In a fresh interpreter, a SIGINT sent while numpy.random's Cython
+    modules register types with `collections.abc` (under a bare `except:
+    pass`) raises KeyboardInterrupt out of `multi_run` before any run trains."""
+    code = (
+        "import abc, os, signal\n"
+        "import numpy as np\n"
+        "from corrindex import dataset, evaluation\n"
+        "from corrindex.forecast import TrainConfig\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+        "register, sent, trained = abc.ABCMeta.register, [], []\n"
+        "def interrupting_register(cls, subclass):\n"
+        "    if subclass.__name__ == '_memoryviewslice' and not sent:\n"
+        "        sent.append(subclass)\n"
+        "        os.kill(os.getpid(), signal.SIGINT)\n"
+        "    return register(cls, subclass)\n"
+        "abc.ABCMeta.register = interrupting_register\n"
+        "real_train = evaluation.train\n"
+        "def train(*args, **kwargs):\n"
+        "    trained.append(1)\n"
+        "    return real_train(*args, **kwargs)\n"
+        "evaluation.train = train\n"
+        "ds = dataset.make_windows(np.sin(np.arange(40.0))[:, None], 5)\n"
+        "train_ds, test_ds = dataset.chronological_split(ds, 0.8)\n"
+        "try:\n"
+        "    evaluation.multi_run('lstm', train_ds, test_ds, TrainConfig(epochs=1, runs=2), max_workers=1)\n"
+        "    print('returned', len(sent), len(trained))\n"
+        "except KeyboardInterrupt:\n"
+        "    print('interrupted', len(sent), len(trained))\n"
+    )
+    src = Path(evaluation.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "interrupted 1 0\n"
+
+
 # =============================================================================
 # comparison report
 # =============================================================================

@@ -9,7 +9,6 @@ import warnings
 from datetime import date, timedelta
 from functools import reduce
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +30,6 @@ from corrindex.market_data import (
     read_dated_csv,
     write_csv,
     write_dated_csv,
-    write_float_rows,
 )
 from corrindex.riskmodel import matrix_to_csv
 from conftest import price_series, weekdays
@@ -849,94 +847,6 @@ def _csv_writer_reference(path: Path, header, labels, table) -> None:
             [*(column[i] for column in labels), *map(repr, row)]
             for i, row in enumerate(table.tolist())
         )
-
-
-_cells = st.text(st.characters(exclude_categories=["Cs"]), max_size=4) | st.sampled_from(
-    ["", 'a"b', "a,b", "a\r\nb", " "]
-)
-# Cells `csv.writer` leaves unquoted, as `write_float_rows` requires of its labels.
-_label_cells = st.text(
-    st.characters(exclude_categories=["Cs"], exclude_characters=',"\r\n'), max_size=4
-) | st.sampled_from(["", " "])
-_special_floats = st.sampled_from(
-    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, np.inf, np.nan]
-)
-
-
-@st.composite
-def _labelled_tables(draw):
-    """Rows drawn from a pool of up to 12 distinct-or-not rows, so that some
-    repeat, with 0-2 label columns."""
-    rows, width = draw(st.integers(0, 12)), draw(st.integers(1, 4))
-    elements = st.floats(width=64) | _special_floats
-    pool = draw(arrays(np.float64, (draw(st.integers(1, 12)), width), elements=elements))
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows))
-    table = pool[np.array(picks, dtype=int)]
-    n_labels = draw(st.integers(0, 2))
-    labels = [draw(st.lists(_label_cells, min_size=rows, max_size=rows)) for _ in range(n_labels)]
-    header = draw(st.lists(_cells, min_size=n_labels + width, max_size=n_labels + width))
-    return header, labels, table, draw(st.integers(0, width)), draw(st.integers(1, 5))
-
-
-@given(case=_labelled_tables())
-@settings(max_examples=150, deadline=None)
-def test_write_float_rows_matches_csv_writer(tmp_path_factory, case):
-    """Same bytes as `csv.writer` writing labels and reprs, across blocks of
-    any size and with the columns split over two matrices."""
-    header, labels, table, split, block_rows = case
-    root = tmp_path_factory.mktemp("float_rows")
-    with mock.patch.object(market_data, "_FLOAT_BLOCK_ROWS", block_rows):
-        write_float_rows(root / "new.csv", header, labels, table[:, :split], table[:, split:])
-    _csv_writer_reference(root / "old.csv", header, labels, table)
-    assert (root / "new.csv").read_bytes() == (root / "old.csv").read_bytes()
-
-
-def test_write_float_rows_spans_blocks_of_mixed_zeros_and_extremes(tmp_path, rng):
-    pool = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, -0.1])
-    table = pool[rng.integers(0, len(pool), size=(2 * market_data._FLOAT_BLOCK_ROWS + 7, 5))]
-    rows = range(len(table))
-    labels = [[str(i) for i in rows], [("a b", "a-b", "")[i % 3] for i in rows]]
-    header = ["", "lab\"el", *(f"c{j}" for j in range(5))]
-    write_float_rows(tmp_path / "new.csv", header, labels, table)
-    _csv_writer_reference(tmp_path / "old.csv", header, labels, table)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    body = [row[2:] for _, row in read_csv(tmp_path / "new.csv")[1:]]
-    assert np.array(body, dtype=float).tobytes() == table.tobytes()
-
-
-def test_write_float_rows_keeps_rows_equal_as_floats_but_not_in_bits_apart(tmp_path):
-    """0.0 == -0.0, but the rows are cached by bit pattern, so each keeps its sign."""
-    table = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])
-    assert (table[0] == table[1]).all()
-    write_float_rows(tmp_path / "zeros.csv", ["x", "y"], [], table)
-    assert (tmp_path / "zeros.csv").read_bytes() == (
-        b"x,y\r\n0.0,1.0\r\n-0.0,1.0\r\n0.0,1.0\r\n-0.0,1.0\r\n"
-    )
-
-
-@pytest.mark.parametrize(
-    "labels, matrices, message",
-    [
-        ([["a"]], [np.zeros((2, 1))], "label columns of 2 cells"),
-        ([["a", "b", "c"]], [np.zeros((2, 1))], "label columns of 2 cells"),
-        ([["a", "b"], ["a"]], [np.zeros((2, 1))], "label columns of 2 cells"),
-        ([["a", "b"]], [np.zeros((2, 1)), np.zeros((3, 1))], "equal row counts"),
-        ([["a"]], [np.zeros(1)], "equal row counts"),
-        ([["a"]], [np.zeros((1, 0))], "at least one value column"),
-    ],
-    ids=[
-        "labels-short",
-        "labels-long",
-        "second-labels-short",
-        "row-counts-differ",
-        "not-a-matrix",
-        "no-columns",
-    ],
-)
-def test_write_float_rows_rejects_mismatched_shapes(tmp_path, labels, matrices, message):
-    with pytest.raises(ValueError, match=message):
-        write_float_rows(tmp_path / "bad.csv", ["x", "y"], labels, *matrices)
-    assert not (tmp_path / "bad.csv").exists()
 
 
 _NAMES = ["a,b", 'say "hi"', "plain"]
