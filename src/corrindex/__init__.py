@@ -11,6 +11,7 @@ Pipeline stages, each usable on its own:
 * `forecast`: from-scratch LSTM and CNN-LSTM with exact BPTT, one model or a stack of runs
 * `evaluation`: RMSE, multi-run statistics, the 2x2 comparison report
 * `parallel`: `fork_map` / `fork_chunks`, independent work spread over forked processes
+* `csvio`: CSV text reading and writing, the one user of the `csv` module
 * `cli`: file-driven pipeline commands
 
 Importing the package loads none of them: each is imported on first use.
@@ -22,6 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "allocation",
+    "csvio",
     "dataset",
     "evaluation",
     "forecast",

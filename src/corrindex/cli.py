@@ -12,7 +12,8 @@ Every command validates its full configuration and inputs before producing
 any output, then returns its artifacts, and `main` writes them in one `commit`:
 every temp file first, then every rename. Exit codes: 0 success, 1 validation
 error, 2 runtime error. Each command imports only the stage modules it runs,
-and calls them as `module.function`.
+and calls them as `module.function`; numpy and `market_data` come in with the
+helpers that read prices or weights, so `report` loads neither.
 
 `run` is the entry point of the CLI process (`python -m corrindex.cli` and the
 `corrindex` script): it calls `main`, then `gc.freeze()`, so that interpreter
@@ -31,14 +32,14 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import market_data, parallel
 from .config import DATASET_IDS, STRATEGIES, ConfigError, PipelineConfig, load_config
-from .market_data import PriceSeries, ReturnSeries
+from .csvio import read_csv, read_utf8_text
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import allocation
+    from .market_data import PriceSeries, ReturnSeries
 
 WEIGHT_LOAD_TOL = 1e-3
 # weights.csv holds each weight to this many decimals, so a sum of n of them may
@@ -106,6 +107,8 @@ def _price_path(cfg: PipelineConfig, ticker: str, factors: bool = False) -> Path
 def _load_prices(cfg: PipelineConfig, tickers: tuple[str, ...], factors: bool = False):
     """Check every price file exists before reading any, then read them: on
     every CPU once they total `PARALLEL_READ_BYTES`, else in this process."""
+    from . import market_data, parallel
+
     paths = [_price_path(cfg, ticker, factors) for ticker in tickers]
     small = sum(path.stat().st_size for path in paths) < PARALLEL_READ_BYTES
     return parallel.fork_map(
@@ -116,6 +119,8 @@ def _load_prices(cfg: PipelineConfig, tickers: tuple[str, ...], factors: bool = 
 
 
 def _load_returns(cfg: PipelineConfig, tickers: tuple[str, ...], factors: bool = False):
+    from . import market_data
+
     mode = "simple_price_only" if factors else cfg.dividend_mode
     return [
         market_data.compute_returns(series, mode=mode, price_field=cfg.price_field)
@@ -124,6 +129,8 @@ def _load_returns(cfg: PipelineConfig, tickers: tuple[str, ...], factors: bool =
 
 
 def _load_panel(cfg: PipelineConfig, tickers: tuple[str, ...], policy: str):
+    from . import market_data
+
     return market_data.align_calendars(_load_returns(cfg, tickers), policy=policy)
 
 
@@ -168,8 +175,10 @@ def cmd_select(cfg: PipelineConfig) -> Outputs:
 
 def _read_pairs(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a headerless `ticker,value` file (constituents.csv, weights.csv)."""
+    import numpy as np
+
     try:
-        rows = market_data.read_csv(path)
+        rows = read_csv(path)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     pairs: dict[str, float] = {}
@@ -370,7 +379,7 @@ def cmd_report(cfg: PipelineConfig) -> Outputs:
     from . import evaluation
 
     runs_path = _require_file(cfg.artifact("runs.csv"), "runs.csv (run run-experiment)")
-    runs_text = market_data.read_utf8_text(runs_path)
+    runs_text = read_utf8_text(runs_path)
     try:
         report = evaluation.comparison_report(*evaluation.parse_runs_csv(runs_text))
     except ValueError as err:

@@ -3,8 +3,8 @@
 `SECTION_KEYS` declares each key once, with its field, reader and default, and
 `load_config` reads every key of the file through it; its [train] keys come from
 `TRAIN_KEYS`, which also checks them. The names validated against (`TrainConfig`,
-`LINKAGE_METHODS`, `METRICS`, ...) live here, and this module imports only
-`market_data`, so loading a config loads no stage.
+`LINKAGE_METHODS`, `METRICS`, `MODEL_KINDS`, ...) live here, and this module
+imports only `csvio`, so loading a config loads neither a stage nor numpy.
 
 Paths are resolved relative to the config file so a run is reproducible from
 the file alone. Unknown sections and keys are rejected, so a misspelt key
@@ -23,14 +23,19 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
-from .market_data import ALIGN_POLICIES, PRICE_FIELDS, RETURN_MODES, read_utf8_text
+from .csvio import read_utf8_text
 
+RETURN_MODES = ("simple_with_dividends", "simple_price_only")
+ALIGN_POLICIES = ("intersect", "forward_fill")
+PRICE_FIELDS = ("adjusted_close", "close")
 STRATEGIES = ("hrp_walk", "hrp_bisection", "equal_weight", "min_variance")
 FEATURE_MODES = ("returns", "levels")
 LINKAGE_METHODS = ("single", "complete", "ward")
 DISTANCE_CONVENTIONS = ("correlation", "euclidean")
 # The 2x2 grid's datasets: index history alone, then history plus the factors.
 DATASET_IDS = ("dataset1", "dataset2")
+# The 2x2 grid's models, in the order of its report rows.
+MODEL_KINDS = ("lstm", "cnn_lstm")
 # The columns of a metric table, in the order of the weights w1..w6. `beta`
 # and `volatility` come from price history; the rest from a fundamentals file.
 METRICS = ("economic_impact", "global_reach", "capital_expenditure", "beta", "kpi", "volatility")

@@ -17,15 +17,8 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .market_data import (
-    PriceSeries,
-    ReturnSeries,
-    _readonly,
-    align_calendars,
-    csv_text,
-    on_calendar,
-    read_csv,
-)
+from .csvio import csv_text, read_csv
+from .market_data import PriceSeries, ReturnSeries, _readonly, align_calendars, on_calendar
 
 
 @dataclass(frozen=True, eq=False)

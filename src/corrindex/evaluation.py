@@ -4,23 +4,32 @@ The comparison grid has four cells (model x dataset variant). Reductions are
 always quoted baseline-first in canonical cell order, as
 (1 - improved / baseline) * 100, and every number in the rendered report is
 recomputable from the stored per-run values.
+
+Only `rmse` and `multi_run` need numpy, the models and the process pool, and
+they import them when called, so `report`, which rebuilds the report from
+`runs.csv`, loads none of them. `RunStats` therefore sums in pure Python, in
+the order numpy's float64 sum adds (`_numpy_sum`), so a cell's mean and std
+are bit for bit those of `np.mean` and `np.std(ddof=1)` of its RMSEs.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import signal
+import sys
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .config import DATASET_IDS, TRAIN_KEYS
-from .forecast import MODEL_KINDS, TrainConfig, TrainingDiverged, predict, train
-from .market_data import csv_rows, csv_text
-from .parallel import fork_chunks
+from .config import DATASET_IDS, MODEL_KINDS, TRAIN_KEYS
+from .csvio import csv_rows, csv_text
 
 if TYPE_CHECKING:
+    import numpy as np
+
+    from .config import TrainConfig
     from .dataset import WindowedDataset
 
 CELL_ORDER = tuple((model_id, dataset_id) for dataset_id in DATASET_IDS for model_id in MODEL_KINDS)
@@ -34,9 +43,30 @@ REPORT_VERSION = 1
 # paper's 32 x 32 a stack of one, the plain single-model path, is fastest.
 STACK_ELEMENTS = 1024
 
+# The names `multi_run` calls, each imported from its module on first access
+# (PEP 562). They stay attributes of this module: a function set here in
+# place of one (the benchmark tracer's wrapper, a test's monkeypatch) is the
+# one `multi_run` calls.
+_ON_FIRST_USE = {
+    "train": "forecast",
+    "predict": "forecast",
+    "TrainingDiverged": "forecast",
+    "fork_chunks": "parallel",
+}
+
+
+def __getattr__(name: str):
+    if name not in _ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ON_FIRST_USE[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 def rmse(pred: np.ndarray, target: np.ndarray) -> float:
     """Root mean squared error between two equal-length vectors."""
+    import numpy as np
+
     p = np.asarray(pred, dtype=float)
     t = np.asarray(target, dtype=float)
     if p.shape != t.shape or p.ndim != 1:
@@ -44,6 +74,24 @@ def rmse(pred: np.ndarray, target: np.ndarray) -> float:
     if p.shape[0] == 0:
         raise ValueError("cannot compute RMSE of empty vectors")
     return float(np.sqrt(np.mean((p - t) ** 2)))
+
+
+def _numpy_sum(values: Sequence[float]) -> float:
+    """`float(np.sum(values))` of float64 values, bit for bit: numpy's
+    pairwise order. Below 8 values it adds them in turn; up to 128 it keeps 8
+    running sums of every 8th value, combines them as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the rest; above 128 it sums
+    two halves, split at a multiple of 8."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
+    if n < 8:
+        return reduce(add, values, 0.0)
+    whole = n - n % 8
+    r = [reduce(add, values[lane:whole:8]) for lane in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, values[whole:], total)
 
 
 @dataclass(frozen=True)
@@ -76,9 +124,12 @@ class RunStats:
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "rmses", values)
         object.__setattr__(self, "diverged_count", len(runs) - len(values))
-        object.__setattr__(self, "mean", float(np.mean(values)))
-        object.__setattr__(self, "std", float(np.std(values, ddof=1)) if len(values) > 1 else 0.0)
-        object.__setattr__(self, "run_count", len(values))
+        n = len(values)
+        mean = _numpy_sum(values) / n
+        squares = [(v - mean) * (v - mean) for v in values]
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std", math.sqrt(_numpy_sum(squares) / (n - 1)) if n > 1 else 0.0)
+        object.__setattr__(self, "run_count", n)
 
     @property
     def divergence_flagged(self) -> bool:
@@ -106,16 +157,20 @@ def multi_run(
     one trains as a single model, without a run axis, which would only cost
     there. The RMSEs are bit-identical to those of training each run alone.
     """
+    # Read through this module, so that what is set on it is what runs; and
+    # before the fork, so no worker imports the models.
+    module = sys.modules[__name__]
+    train, predict, diverged = module.train, module.predict, module.TrainingDiverged
 
     def train_stack(runs: list[int]) -> list[float | None]:
         seeds = [cfg.seed + run for run in runs]
         if len(seeds) > 1:
             model, outcomes = train(model_spec, train_ds, cfg, seeds=seeds)
             rmses = iter([rmse(pred, test_ds.y) for pred in predict(model, test_ds)])
-            return [None if isinstance(o, TrainingDiverged) else next(rmses) for o in outcomes]
+            return [None if isinstance(o, diverged) else next(rmses) for o in outcomes]
         try:
             model, _ = train(model_spec, train_ds, replace(cfg, seed=seeds[0]))
-        except TrainingDiverged:
+        except diverged:
             return [None]
         return [rmse(predict(model, test_ds), test_ds.y)]
 
@@ -135,7 +190,7 @@ def multi_run(
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     stack = max(1, STACK_ELEMENTS // (cfg.batch_size * cfg.hidden_size))
-    runs = fork_chunks(train_stack, range(cfg.runs), stack, max_workers)
+    runs = module.fork_chunks(train_stack, range(cfg.runs), stack, max_workers)
     return RunStats(model_spec, dataset_id, runs)
 
 

@@ -2,7 +2,7 @@
 
 from .conv import ConvParams, conv_backward_batch, conv_forward_batch
 from .lstm import LstmParams, lstm_backward_batch, lstm_forward_batch
-from .models import MODEL_KINDS, Model
+from .models import Model
 from .serialize import load_model, save_model
 from .training import (
     AdamState,
@@ -20,7 +20,6 @@ __all__ = [
     "ConvParams",
     "LstmParams",
     "Model",
-    "MODEL_KINDS",
     "TrainConfig",
     "TrainingDiverged",
     "backward_and_step",

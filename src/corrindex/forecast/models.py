@@ -7,8 +7,6 @@ import numpy as np
 from .conv import ConvParams, conv_backward_batch, conv_forward_batch
 from .lstm import LstmParams, lstm_backward_batch, lstm_forward_batch
 
-MODEL_KINDS = ("lstm", "cnn_lstm")
-
 
 class Model:
     """LSTM core; with `conv`, a convolution + pooling front end feeds it (CNN-LSTM).

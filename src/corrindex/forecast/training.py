@@ -12,10 +12,10 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..config import TrainConfig
+from ..config import MODEL_KINDS, TrainConfig
 from .conv import ConvParams
 from .lstm import LstmParams
-from .models import MODEL_KINDS, Model
+from .models import Model
 
 if TYPE_CHECKING:
     from ..dataset import WindowedDataset

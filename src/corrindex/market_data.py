@@ -1,8 +1,13 @@
-"""Daily price ingestion, calendar alignment, returns, and synthetic panels."""
+"""Daily price ingestion, calendar alignment, returns, and synthetic panels.
+
+The numpy readers and writers of price files and dated CSVs live here; they
+build on the text helpers of `csvio`, which holds the `csv` module. The names a
+config is checked against (`RETURN_MODES`, `ALIGN_POLICIES`, `PRICE_FIELDS`)
+live in `config`, so loading a config loads neither this module nor numpy.
+"""
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass, fields
 from functools import reduce
@@ -11,6 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import ALIGN_POLICIES, PRICE_FIELDS, RETURN_MODES
+from .csvio import read_csv, read_utf8_text, write_csv
+
 # The Yahoo-style header names `load_price_csv` reads.
 YAHOO_COLUMNS = {
     "date": "Date",
@@ -18,11 +26,6 @@ YAHOO_COLUMNS = {
     "adjusted_close": "Adj Close",
     "dividend": "Dividends",
 }
-
-RETURN_MODES = ("simple_with_dividends", "simple_price_only")
-ALIGN_POLICIES = ("intersect", "forward_fill")
-PRICE_FIELDS = ("adjusted_close", "close")
-
 
 # One row per trading day; `PriceSeries.bars` is a read-only structured array of these.
 BAR_DTYPE = np.dtype(
@@ -459,49 +462,6 @@ def generate_synthetic_panel(
     tickers = tuple(f"A{i:03d}" for i in range(n_assets))
     weekdays = np.busday_offset(np.datetime64("2008-01-02"), np.arange(n_days), roll="forward")
     return AlignedPanel(tickers=tickers, dates=weekdays, values=values)
-
-
-def read_utf8_text(path: str | Path) -> str:
-    """The text of a UTF-8 file, less a leading BOM. A byte that is not UTF-8
-    raises ValueError naming the path and the byte's 1-based line."""
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line = raw.count(b"\n", 0, err.start) + 1
-        raise ValueError(f"{path}: line {line}: not UTF-8 ({err.reason})") from None
-    return text.removeprefix("\ufeff")
-
-
-def csv_rows(text: str) -> list[tuple[int, list[str]]]:
-    """Each row of CSV text (LF or CRLF) with the 1-based line it ends on;
-    lines of nothing but whitespace are skipped."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    return [(reader.line_num, row) for row in reader if len(row) > 1 or "".join(row).strip()]
-
-
-def read_csv(path: str | Path) -> list[tuple[int, list[str]]]:
-    """`csv_rows` of a UTF-8 file (BOM optional). A byte that is not UTF-8
-    raises ValueError naming the path and its line."""
-    return csv_rows(read_utf8_text(path))
-
-
-def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
-    """`header`, then `rows`, as CSV text with CRLF row ends.
-
-    A cell is written as its `str`, which for a Python float (`ndarray.tolist()`)
-    is its repr, so the value reads back bit-exactly.
-    """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
-    """Write `csv_text(header, rows)` to `path` as UTF-8."""
-    Path(path).write_text(csv_text(header, rows), encoding="utf-8", newline="")
 
 
 def write_dated_csv(path: str | Path, header: Sequence[str], dates: np.ndarray, values) -> None:

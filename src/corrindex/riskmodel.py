@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .config import DISTANCE_CONVENTIONS, LINKAGE_METHODS
-from .market_data import AlignedPanel, _readonly, write_csv
+from .csvio import write_csv
+from .market_data import AlignedPanel, _readonly
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10

@@ -8,7 +8,8 @@ from typing import Sequence
 import numpy as np
 
 from .config import METRICS
-from .market_data import AlignedPanel, read_csv
+from .csvio import read_csv
+from .market_data import AlignedPanel
 
 _BETA = METRICS.index("beta")
 

@@ -19,7 +19,8 @@ from corrindex.dataset import (
     make_windows,
     save_windows_csv,
 )
-from corrindex.market_data import ReturnSeries, write_csv
+from corrindex.csvio import write_csv
+from corrindex.market_data import ReturnSeries
 from conftest import weekdays
 
 

@@ -126,6 +126,40 @@ def test_run_stats_divergence_flag():
     assert flagged.divergence_flagged
 
 
+# Finite floats that steer a sum's rounding: both zeros, the smallest
+# subnormal, the smallest normal, and magnitudes whose squares overflow.
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300)
+
+
+@given(
+    values=st.integers(1, 300).flatmap(
+        lambda n: st.lists(
+            st.one_of(
+                st.sampled_from(_EDGE_FLOATS),
+                st.floats(-1e300, 1e300),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    diverged=st.lists(st.integers(0, 300), max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_run_stats_mean_and_std_equal_numpys_bit_for_bit(values, diverged):
+    """1-300 completed runs cover every branch of numpy's pairwise sum (below
+    8 values, 8 to 128, and halves above 128); diverged runs (None) anywhere
+    in the list are left out of both."""
+    runs = list(values)
+    for position in diverged:
+        runs.insert(position % (len(runs) + 1), None)
+    stats = RunStats("lstm", "dataset1", runs)
+    with np.errstate(over="ignore"):  # squares of 1e300 are inf to both
+        std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    assert stats.mean.hex() == float(np.mean(values)).hex()
+    assert stats.std.hex() == std.hex()
+
+
 def _splits(rng, length=60, lookback=6):
     ds = make_windows(rng.normal(size=(length, 1)), lookback=lookback)
     return chronological_split(ds, 0.8)
@@ -336,7 +370,7 @@ def test_multi_run_loads_every_module_before_the_fork():
         "import sys\n"
         "import numpy as np\n"
         "from corrindex import dataset, evaluation, parallel\n"
-        "from corrindex.forecast import MODEL_KINDS, TrainConfig\n"
+        "from corrindex.config import MODEL_KINDS, TrainConfig\n"
         "loaded = []\n"
         "def spy(fn, items, size, max_workers=None):\n"
         "    before = set(sys.modules)\n"
@@ -394,6 +428,62 @@ def test_ctrl_c_while_multi_run_loads_numpy_random_stops_it_before_training():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "interrupted 1 0\n"
+
+
+def test_evaluation_loads_the_models_when_train_is_first_read():
+    """In a fresh interpreter, `import corrindex.evaluation` loads neither the
+    models, the process pool nor numpy; the first read of `evaluation.train`
+    loads the models, and `train`, `predict` and `TrainingDiverged` are
+    `forecast`'s own."""
+    code = (
+        "import sys\n"
+        "from corrindex import evaluation\n"
+        "print(sorted(m for m in ('corrindex.forecast', 'corrindex.parallel', 'numpy') if m in sys.modules))\n"
+        "train = evaluation.train\n"
+        "from corrindex import forecast\n"
+        "print('corrindex.forecast' in sys.modules, train is forecast.train,\n"
+        "      evaluation.predict is forecast.predict,\n"
+        "      evaluation.TrainingDiverged is forecast.TrainingDiverged,\n"
+        "      hasattr(evaluation, 'no_such_name'))\n"
+    )
+    src = Path(evaluation.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\nTrue True True True False\n"
+
+
+def test_train_and_predict_set_on_evaluation_before_first_use_are_what_multi_run_calls():
+    """In a fresh interpreter, wrappers set on `evaluation` before it ever
+    read `train` or `predict` itself (as the benchmark's tracer and the tests'
+    monkeypatches set theirs) are the functions `multi_run` calls, with
+    stacks of one run and with a stack of several."""
+    code = (
+        "import numpy as np\n"
+        "from corrindex import dataset, evaluation, forecast\n"
+        "from corrindex.config import TrainConfig\n"
+        "calls = []\n"
+        "def train(model_spec, train_ds, cfg, seeds=None):\n"
+        "    calls.append([cfg.seed] if seeds is None else seeds)\n"
+        "    return forecast.train(model_spec, train_ds, cfg, seeds)\n"
+        "def predict(model, ds):\n"
+        "    calls.append('predict')\n"
+        "    return forecast.predict(model, ds)\n"
+        "evaluation.train, evaluation.predict = train, predict\n"
+        "ds = dataset.make_windows(np.sin(np.arange(40.0))[:, None], 5)\n"
+        "train_ds, test_ds = dataset.chronological_split(ds, 0.8)\n"
+        "cfg = TrainConfig(epochs=1, runs=2, batch_size=16, hidden_size=4, seed=3)\n"
+        "for elements in (1, 2 * 16 * 4):\n"
+        "    evaluation.STACK_ELEMENTS = elements\n"
+        "    evaluation.multi_run('lstm', train_ds, test_ds, cfg, max_workers=1)\n"
+        "    print(calls)\n"
+        "    calls.clear()\n"
+    )
+    src = Path(evaluation.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[[3], 'predict', [4], 'predict']\n[[3, 4], 'predict']\n"
 
 
 # =============================================================================

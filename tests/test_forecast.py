@@ -14,8 +14,8 @@ from conftest import diverge_seeds
 from corrindex.dataset import make_windows
 from corrindex.forecast import training
 from corrindex.forecast.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from corrindex.config import MODEL_KINDS
 from corrindex.forecast import (
-    MODEL_KINDS,
     AdamState,
     ConvParams,
     LstmParams,

@@ -16,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from corrindex import market_data
+from corrindex import csvio, market_data
+from corrindex.config import ALIGN_POLICIES
+from corrindex.csvio import read_csv, write_csv
 from corrindex.market_data import (
-    ALIGN_POLICIES,
     AlignedPanel,
     PriceSeries,
     ReturnSeries,
@@ -26,9 +27,7 @@ from corrindex.market_data import (
     compute_returns,
     generate_synthetic_panel,
     load_price_csv,
-    read_csv,
     read_dated_csv,
-    write_csv,
     write_dated_csv,
 )
 from corrindex.riskmodel import matrix_to_csv
@@ -903,10 +902,10 @@ def test_read_csv_names_the_true_line_of_rows_after_blank_lines(tmp_path):
     ]
 
 
-def test_only_market_data_uses_the_csv_module():
-    """`market_data.py` holds the one CSV codec (`csv_rows` / `csv_text`); no
+def test_only_csvio_uses_the_csv_module():
+    """`csvio.py` holds the one CSV codec (`csv_rows` / `csv_text`); no
     other module may parse or format CSV on its own."""
-    src = Path(market_data.__file__).parent
+    src = Path(csvio.__file__).parent
     importers, users = set(), set()
     for path in src.rglob("*.py"):
         name = path.relative_to(src).as_posix()
@@ -922,7 +921,7 @@ def test_only_market_data_uses_the_csv_module():
                 and node.attr in ("reader", "writer", "DictReader", "DictWriter")
             ):
                 users.add(name)
-    assert importers == users == {"market_data.py"}
+    assert importers == users == {"csvio.py"}
 
 
 def test_only_iso_days_decodes_dates():
