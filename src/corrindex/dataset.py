@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, cycle, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -105,7 +106,7 @@ def make_windows(
     feature_names: Sequence[str] | None = None,
 ) -> WindowedDataset:
     """Sliding windows: X[s] = rows s..s+lookback-1, y[s] = column 0 at row s+lookback."""
-    m = np.asarray(matrix, dtype=float)
+    m = np.ascontiguousarray(matrix, dtype=float)
     if m.ndim == 1:
         m = m[:, None]
     if lookback < 1:
@@ -116,8 +117,9 @@ def make_windows(
     if feature_names is None:
         feature_names = tuple(f"f{i}" for i in range(m.shape[1]))
     samples = length - lookback
-    x = sliding_window_view(m, lookback, axis=0).transpose(0, 2, 1)[:samples].copy()
-    y = m[lookback:, 0].copy()
+    # `WindowedDataset` copies both into read-only arrays, C-ordered as `m` is.
+    x = sliding_window_view(m, lookback, axis=0).transpose(0, 2, 1)[:samples]
+    y = m[lookback:, 0]
     return WindowedDataset(X=x, y=y, feature_names=tuple(feature_names), scaler=None)
 
 
@@ -180,22 +182,19 @@ def feature_matrix(
 
 
 # Rows per block of `save_windows_csv`. A window file repeats each row of its
-# feature matrix once per lag, so a block of this size formats about 7% of its
-# rows; the block's text stays near 0.3 MB, where a whole-file join would hold
-# it all.
+# feature matrix once per lag, along the windows' slide, so a block of this
+# size formats about one row per sample; the block's text stays near 0.3 MB,
+# where a whole-file join would hold it all.
 _BLOCK_ROWS = 1000
 
 
-def _row_texts(block: np.ndarray) -> list[str]:
-    """Each row of a float matrix as its comma-joined reprs. Rows are keyed by
-    bit pattern (so -0.0 and 0.0 stay apart), and each distinct row is
-    formatted once."""
-    block = np.ascontiguousarray(block)
-    keys = block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel().tolist()
-    distinct = dict.fromkeys(keys)
-    rows = np.frombuffer(b"".join(distinct), dtype=np.float64).reshape(-1, block.shape[1])
-    text = dict(zip(distinct, [",".join(map(repr, row)) for row in rows.tolist()]))
-    return list(map(text.__getitem__, keys))
+def _slides(X: np.ndarray) -> np.ndarray:
+    """samples x lookback: whether window row (s, l) equals row (s - 1, l + 1)
+    bit for bit (so -0.0 and 0.0 stay apart). False at s = 0 and at the last lag."""
+    bits = X.view(np.int64)
+    slides = np.zeros(X.shape[:2], dtype=bool)
+    slides[1:, :-1] = (bits[1:, :-1] == bits[:-1, 1:]).all(axis=2)
+    return slides
 
 
 def save_windows_csv(ds: WindowedDataset, path: str | Path) -> None:
@@ -204,33 +203,43 @@ def save_windows_csv(ds: WindowedDataset, path: str | Path) -> None:
     Values are written with repr so the loader reproduces them bit-exactly,
     and the bytes are those `csv.writer` would write. Scaler state is not
     persisted; exports are of the samples themselves. Samples are written in
-    blocks of about `_BLOCK_ROWS` rows, and each block formats each distinct
-    window row once.
+    blocks of about `_BLOCK_ROWS` rows. Window row (s, l) reuses the text of
+    row (s - 1, l + 1) when the two are equal bit for bit, so windows that
+    slide by one row format each row of their matrix once.
     """
     reserved = {"sample", "lag", "target"}
     if reserved & set(ds.feature_names):
         raise ValueError(f"feature names collide with reserved columns {sorted(reserved)}")
     samples, lookback, features = ds.X.shape
+    slides = _slides(ds.X)
     # A lag label holds the commas on both sides of the lag; a row of no cells
     # (a file of no features) takes none after it.
     lags = [f",{lag}," if features else f",{lag}" for lag in range(lookback)]
     step = max(1, _BLOCK_ROWS // max(lookback, 1))
+    # The row texts of the sample before the block, by lag.
+    before = np.empty(lookback, dtype=object)
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         handle.write(csv_text(["sample", "lag", *ds.feature_names, "target"], ()))
         for start in range(0, samples, step):
             stop = min(start + step, samples)
-            block = ds.X[start:stop].reshape((stop - start) * lookback, features)
-            rows = iter(_row_texts(block) if features else [""] * len(block))
-            targets = map(repr, ds.y[start:stop].tolist())
-            # `zip(lags, rows)` stops on the last lag before it takes a row,
-            # so each sample takes its own `lookback` rows.
-            handle.write(
-                "".join(
-                    f"{sample}{lag}{row},{target}\r\n"
-                    for sample, target in zip(range(start, stop), targets)
-                    for lag, row in zip(lags, rows)
-                )
+            slid = slides[start:stop]
+            texts = np.empty((stop - start + 1, lookback), dtype=object)
+            texts[0] = before
+            texts[1:][~slid] = [",".join(map(repr, row)) for row in ds.X[start:stop][~slid].tolist()]
+            # From the last lag down, each lag takes the next lag's texts one
+            # sample back where its rows slid, so a text travels as far as its row.
+            for lag in reversed(range(lookback - 1)):
+                np.copyto(texts[1:, lag], texts[:-1, lag + 1], where=slid[:, lag])
+            before = texts[-1]
+            labels = map(repeat, map(str, range(start, stop)), repeat(lookback))
+            tails = map(repeat, map(",{!r}\r\n".format, ds.y[start:stop].tolist()), repeat(lookback))
+            rows = zip(
+                chain.from_iterable(labels),
+                cycle(lags),
+                texts[1:].ravel().tolist(),
+                chain.from_iterable(tails),
             )
+            handle.write("".join(chain.from_iterable(rows)))
 
 
 def load_windows_csv(path: str | Path) -> WindowedDataset:

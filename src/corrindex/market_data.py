@@ -390,7 +390,7 @@ def align_calendars(
         raise ValueError(f"no dates to align for {empty}")
     calendars = [item.dates for item in series]
     if policy == "intersect":
-        dates = reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), calendars)
+        dates = reduce(lambda days, calendar: days[on_calendar(days, calendar)], calendars)
         if not dates.size:
             raise ValueError("calendar intersection is empty")
         rows = [np.searchsorted(days, dates) for days in calendars]

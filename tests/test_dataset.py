@@ -105,6 +105,17 @@ def test_window_targets_reconstruct_series_tail(rng):
     np.testing.assert_array_equal(ds.y, matrix[7:, 0])
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_windows_are_c_ordered_read_only_copies(rng, order):
+    matrix = np.array(rng.normal(size=(30, 4)), order=order)
+    ds = make_windows(matrix, lookback=5)
+    assert ds.X.flags.c_contiguous and not ds.X.flags.writeable
+    assert ds.y.flags.c_contiguous and not ds.y.flags.writeable
+    assert not np.shares_memory(ds.X, matrix) and not np.shares_memory(ds.y, matrix)
+    expected = make_windows(np.ascontiguousarray(matrix), lookback=5)
+    assert (ds.X.tobytes(), ds.y.tobytes()) == (expected.X.tobytes(), expected.y.tobytes())
+
+
 # =============================================================================
 # chronological_split
 # =============================================================================
@@ -284,17 +295,32 @@ def _save_windows_reference(ds, path) -> None:
 
 
 def _windows_cases(rng):
-    """A scaled train split of real windows, and windows with no shifted-row
-    structure; both span several blocks of the writer."""
+    """Scaled train and test splits of real windows, windows of one lag (no
+    row slides), scaled windows of a matrix with a constant column (rows that
+    match in it but not in the others), and windows with no shifted-row
+    structure; all span several blocks of the writer."""
     walk = np.cumsum(rng.normal(size=(260, 3)), axis=0)
     train, _ = chronological_split(make_windows(walk, lookback=10), 0.8)
     unshifted = WindowedDataset(
         X=rng.normal(size=(150, 9, 2)), y=rng.normal(size=150), feature_names=("u", "v")
     )
-    return {"make_windows": train, "random": unshifted}
+    long_walk = np.cumsum(rng.normal(size=(1200, 3)), axis=0)
+    _, test = chronological_split(make_windows(long_walk, lookback=10), 0.8)
+    constant = long_walk.copy()
+    constant[:, 1] = 0.25
+    constant_train, _ = chronological_split(make_windows(constant, lookback=10), 0.8)
+    return {
+        "make_windows": train,
+        "random": unshifted,
+        "test_split": test,
+        "lookback_1": make_windows(long_walk, lookback=1),
+        "constant_column": constant_train,
+    }
 
 
-@pytest.mark.parametrize("case", ["make_windows", "random"])
+@pytest.mark.parametrize(
+    "case", ["make_windows", "random", "test_split", "lookback_1", "constant_column"]
+)
 def test_save_windows_csv_bytes_equal_row_at_a_time_writer(tmp_path, rng, case):
     ds = _windows_cases(rng)[case]
     assert ds.sample_count * ds.lookback > 1000
@@ -374,16 +400,22 @@ def test_save_windows_csv_spans_blocks_of_mixed_zeros_and_extremes(tmp_path, rng
 
 
 def test_save_windows_csv_keeps_rows_equal_as_floats_but_not_in_bits_apart(tmp_path):
-    """0.0 == -0.0, but window rows are cached by bit pattern, so each keeps its sign."""
+    """0.0 == -0.0, but a window row shares the text of the row it slid from
+    only when the two are equal bit for bit, so each keeps its sign: row
+    (1, 0) slides from row (0, 1), and row (2, 0), which differs from row
+    (1, 1) only in the sign of a zero, does not."""
     ds = WindowedDataset(
-        X=np.array([[[0.0, 1.0], [-0.0, 1.0]], [[-0.0, 1.0], [0.0, 1.0]]]),
-        y=np.array([-0.0, 0.0]),
+        X=np.array(
+            [[[0.0, 1.0], [-0.0, 1.0]], [[-0.0, 1.0], [0.0, 1.0]], [[-0.0, 1.0], [0.0, -0.0]]]
+        ),
+        y=np.array([-0.0, 0.0, -0.0]),
         feature_names=("x", "y"),
     )
     save_windows_csv(ds, tmp_path / "zeros.csv")
     assert (tmp_path / "zeros.csv").read_bytes() == (
         b"sample,lag,x,y,target\r\n"
         b"0,0,0.0,1.0,-0.0\r\n0,1,-0.0,1.0,-0.0\r\n1,0,-0.0,1.0,0.0\r\n1,1,0.0,1.0,0.0\r\n"
+        b"2,0,-0.0,1.0,-0.0\r\n2,1,0.0,-0.0,-0.0\r\n"
     )
 
 
