@@ -21,12 +21,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .config import WEIGHT_SUM_TOL
 from .market_data import _readonly
 
 if TYPE_CHECKING:
     from .riskmodel import CovarianceMatrix, Linkage
 
-WEIGHT_SUM_TOL = 1e-12
 NODE_VALUE_FLOOR = 1e-12
 KKT_TOL = 1e-12
 

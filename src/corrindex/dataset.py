@@ -173,8 +173,6 @@ def feature_matrix(
     dates, from the first date every series has observed, so column 0 is
     the index's own returns and a factor date the index lacks adds no row.
     """
-    if not factors:
-        return index_returns.returns[:, None].copy(), (index_returns.ticker,)
     panel = align_calendars(
         [index_returns, *factors], policy="forward_fill", price_field=price_field
     )

@@ -43,10 +43,10 @@ def fork_chunks(
 
     If chunks fail, the exception of the failing chunk with the lowest first
     item index is raised (with chunks of one, the exception the plain loop
-    would raise); a child's comes back pickled, without its traceback. A child that dies before it has sent its
-    stripe raises `BrokenProcessPool`. If this process is interrupted
-    (Ctrl-C), its children are killed; they are always reaped before this
-    returns.
+    would raise); a child's comes back pickled, without its traceback. A
+    child that dies before it has sent its stripe raises `BrokenProcessPool`.
+    If this process is interrupted (Ctrl-C), its children are killed; they
+    are always reaped before this returns.
     """
     items = list(items)
     allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()

@@ -22,78 +22,76 @@ SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
 
 
-def _check_square(values: np.ndarray, tickers: tuple[str, ...], what: str) -> None:
-    n = len(tickers)
-    if values.shape != (n, n):
-        raise ValueError(f"{what} shape {values.shape} does not match {n} tickers")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} contains non-finite values")
-    if np.abs(values - values.T).max() > SYMMETRY_TOL:
-        raise ValueError(f"{what} is not symmetric within {SYMMETRY_TOL}")
-
-
 @dataclass(frozen=True)
-class CovarianceMatrix:
+class _TickerMatrix:
+    """A square matrix labelled by `tickers` on both axes.
+
+    Construction copies `values` into a read-only array and checks that its
+    shape matches the tickers, that it is finite and that it is symmetric
+    within `SYMMETRY_TOL`; `_check` then tests the subclass's own invariants.
+    Error texts name the matrix as `_what`.
+    """
+
+    tickers: tuple[str, ...]
+    values: np.ndarray
+
+    _what = "matrix"
+
+    def __post_init__(self):
+        object.__setattr__(self, "tickers", tuple(self.tickers))
+        object.__setattr__(self, "values", _readonly(self.values))
+        n, values, what = len(self.tickers), self.values, self._what
+        if values.shape != (n, n):
+            raise ValueError(f"{what} shape {values.shape} does not match {n} tickers")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{what} contains non-finite values")
+        if np.abs(values - values.T).max() > SYMMETRY_TOL:
+            raise ValueError(f"{what} is not symmetric within {SYMMETRY_TOL}")
+        self._check()
+
+    def _check(self) -> None:
+        """Raise `ValueError` unless the subclass's own invariants hold."""
+
+    @property
+    def n(self) -> int:
+        return len(self.tickers)
+
+
+class CovarianceMatrix(_TickerMatrix):
     """Symmetric positive-semidefinite covariance of daily returns.
 
     Eigenvalues down to -1e-10 are tolerated as rounding noise; anything
     more negative is rejected as an indefinite input.
     """
 
-    tickers: tuple[str, ...]
-    values: np.ndarray
+    _what = "covariance matrix"
 
-    def __post_init__(self):
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "values", _readonly(self.values))
-        _check_square(self.values, self.tickers, "covariance matrix")
+    def _check(self) -> None:
         if np.any(np.diag(self.values) < 0):
             raise ValueError("covariance diagonal must be nonnegative")
         min_eig = float(np.linalg.eigvalsh(self.values).min())
         if min_eig < PSD_TOL:
             raise ValueError(f"covariance matrix is not PSD (min eigenvalue {min_eig})")
 
-    @property
-    def n(self) -> int:
-        return len(self.tickers)
 
+class CorrelationMatrix(_TickerMatrix):
+    _what = "correlation matrix"
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    tickers: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "values", _readonly(self.values))
-        _check_square(self.values, self.tickers, "correlation matrix")
+    def _check(self) -> None:
         if np.any(np.diag(self.values) != 1.0):
             raise ValueError("correlation diagonal must be exactly 1")
         if self.values.min() < -1.0 or self.values.max() > 1.0:
             raise ValueError("correlation entries must lie in [-1, 1]")
 
-    @property
-    def n(self) -> int:
-        return len(self.tickers)
 
+class DistanceMatrix(_TickerMatrix):
+    _what = "distance matrix"
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    tickers: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "values", _readonly(self.values))
-        _check_square(self.values, self.tickers, "distance matrix")
+    def _check(self) -> None:
         if np.any(np.diag(self.values) != 0.0):
             raise ValueError("distance diagonal must be zero")
         if self.values.min() < 0:
             raise ValueError("distances must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return len(self.tickers)
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,18 +315,15 @@ def cluster_aggregates(
 ) -> ClusterRisk:
     """Cluster covariance / correlation and within / cross mean correlations.
 
-    The cluster covariance is the unscaled double sum of member covariances;
-    the cluster correlation normalizes it by the cluster self-sums.
+    The cluster covariance is the unscaled double sum of member covariances,
+    `M.T @ cov @ M` for the leaf-by-cluster membership matrix `M`; the cluster
+    correlation normalizes it by the cluster self-sums.
     """
     if cov.tickers != corr.tickers or cov.tickers != link.tickers:
         raise ValueError("covariance, correlation, and linkage tickers differ")
     assignment = cut_clusters(link, m)
-    members = [np.nonzero(np.array(assignment) == cid)[0] for cid in range(m)]
-
-    cluster_cov = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            cluster_cov[i, j] = cov.values[np.ix_(members[i], members[j])].sum()
+    members = np.eye(m)[np.array(assignment)]  # leaf x cluster membership
+    cluster_cov = members.T @ cov.values @ members
 
     self_sums = np.diag(cluster_cov)
     if np.any(self_sums <= 0):
@@ -338,27 +333,22 @@ def cluster_aggregates(
     cluster_corr = cluster_cov / np.outer(scale, scale)
     np.fill_diagonal(cluster_corr, 1.0)
 
-    within = np.empty(m)
-    for i in range(m):
-        idx = members[i]
-        if idx.size == 1:
-            within[i] = 1.0
-        else:
-            block = corr.values[np.ix_(idx, idx)]
-            within[i] = (block.sum() - np.trace(block)) / (idx.size * (idx.size - 1))
-
-    cross = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                cross[i, j] = corr.values[np.ix_(members[i], members[j])].mean()
+    # Mean correlation over the distinct asset pairs of each cluster pair: the
+    # block sums less the unit diagonal, over k_i * k_j pairs (k_i * (k_i - 1)
+    # within cluster i). A singleton has no pair and reads 1.0.
+    sizes = members.sum(axis=0)
+    pair_sums = members.T @ corr.values @ members - np.diag(sizes)
+    pairs = np.outer(sizes, sizes) - np.diag(sizes)
+    mean_corr = np.divide(pair_sums, pairs, out=np.ones((m, m)), where=pairs > 0)
+    within = np.diag(mean_corr).copy()
+    np.fill_diagonal(mean_corr, 0.0)
 
     return ClusterRisk(
         assignments=assignment,
         cluster_cov=cluster_cov,
         cluster_corr=cluster_corr,
         avg_corr_within=within,
-        avg_corr_cross=cross,
+        avg_corr_cross=mean_corr,
     )
 
 

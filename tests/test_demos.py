@@ -1,5 +1,7 @@
 """Smoke tests: each fast demo runs to completion and prints something.
 
+Each demo runs with every `RuntimeWarning` as an error, as the suite itself
+does (`pyproject.toml`), so a 0/0 or an overflow in a demo fails its test.
 `demos/02_forecast_comparison.py` is left out: it trains both models and
 takes about 13 s, against about 2 s for each demo here.
 """
@@ -21,7 +23,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(REPO / "demos" / demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(REPO / "demos" / demo)],
         capture_output=True,
         text=True,
         timeout=120,

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from corrindex.allocation import quasi_diagonal_order
 from corrindex.riskmodel import (
     LINKAGE_METHODS,
+    SYMMETRY_TOL,
+    ClusterRisk,
     CorrelationMatrix,
     CovarianceMatrix,
     DistanceMatrix,
@@ -519,6 +521,64 @@ def test_aggregates_single_cluster_is_grand_sum(rng):
     assert risk.cluster_cov[0, 0] == pytest.approx(cov.values.sum(), abs=1e-12)
 
 
+def _reference_cluster_aggregates(
+    cov: CovarianceMatrix, corr: CorrelationMatrix, link: Linkage, m: int
+) -> ClusterRisk:
+    """The aggregates summed block by block, one `np.ix_` block per cluster pair."""
+    assignment = cut_clusters(link, m)
+    members = [np.nonzero(np.array(assignment) == cid)[0] for cid in range(m)]
+
+    cluster_cov = np.empty((m, m))
+    for i in range(m):
+        for j in range(m):
+            cluster_cov[i, j] = cov.values[np.ix_(members[i], members[j])].sum()
+    scale = np.sqrt(np.diag(cluster_cov))
+    cluster_corr = cluster_cov / np.outer(scale, scale)
+    np.fill_diagonal(cluster_corr, 1.0)
+
+    within = np.empty(m)
+    for i in range(m):
+        idx = members[i]
+        if idx.size == 1:
+            within[i] = 1.0
+        else:
+            block = corr.values[np.ix_(idx, idx)]
+            within[i] = (block.sum() - np.trace(block)) / (idx.size * (idx.size - 1))
+
+    cross = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                cross[i, j] = corr.values[np.ix_(members[i], members[j])].mean()
+
+    return ClusterRisk(
+        assignments=assignment,
+        cluster_cov=cluster_cov,
+        cluster_corr=cluster_corr,
+        avg_corr_within=within,
+        avg_corr_cross=cross,
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_aggregates_match_block_reference(n):
+    for seed in range(4):
+        cov = random_covariance(n, np.random.default_rng(seed))
+        corr = correlation_matrix(cov)
+        link = linkage(correlation_distance(corr), method=LINKAGE_METHODS[seed % 3])
+        for m in range(1, n + 1):
+            got = cluster_aggregates(cov, corr, link, m)
+            want = _reference_cluster_aggregates(cov, corr, link, m)
+            assert got.assignments == want.assignments
+            for name in ("cluster_cov", "cluster_corr", "avg_corr_within", "avg_corr_cross"):
+                np.testing.assert_allclose(
+                    getattr(got, name), getattr(want, name), rtol=1e-12, err_msg=name
+                )
+            sizes = np.bincount(got.assignments, minlength=m)
+            assert np.all(got.avg_corr_within[sizes == 1] == 1.0)
+            assert np.all(np.diag(got.avg_corr_cross) == 0.0)
+
+
 # =============================================================================
 # type invariants and exports
 # =============================================================================
@@ -537,6 +597,59 @@ def test_covariance_rejects_asymmetric():
 def test_correlation_rejects_bad_diagonal():
     with pytest.raises(ValueError, match="diagonal"):
         CorrelationMatrix(tickers=tickers(2), values=np.array([[0.9, 0.1], [0.1, 1.0]]))
+
+
+# Each matrix type, the name its error texts use, and a diagonal it accepts.
+_MATRIX_TYPES = (
+    (CovarianceMatrix, "covariance matrix", 1.0),
+    (CorrelationMatrix, "correlation matrix", 1.0),
+    (DistanceMatrix, "distance matrix", 0.0),
+)
+
+
+def _shared_invariant_cases():
+    for cls, what, d in _MATRIX_TYPES:
+        yield cls, np.eye(3) * d, f"{what} shape (3, 3) does not match 2 tickers"
+        yield cls, [[d, np.nan], [np.nan, d]], f"{what} contains non-finite values"
+        yield cls, [[d, np.inf], [np.inf, d]], f"{what} contains non-finite values"
+        off = 0.5 + 2 * SYMMETRY_TOL
+        yield cls, [[d, 0.5], [off, d]], f"{what} is not symmetric within {SYMMETRY_TOL}"
+
+
+@pytest.mark.parametrize(
+    "cls, values, message",
+    [
+        *_shared_invariant_cases(),
+        (CovarianceMatrix, [[-1.0, 0.0], [0.0, 1.0]], "covariance diagonal must be nonnegative"),
+        (
+            CovarianceMatrix,
+            [[1.0, 2.0], [2.0, 1.0]],
+            "covariance matrix is not PSD (min eigenvalue -1.0)",
+        ),
+        (CorrelationMatrix, [[0.9, 0.1], [0.1, 1.0]], "correlation diagonal must be exactly 1"),
+        (CorrelationMatrix, [[1.0, 1.5], [1.5, 1.0]], "correlation entries must lie in [-1, 1]"),
+        (CorrelationMatrix, [[1.0, -1.5], [-1.5, 1.0]], "correlation entries must lie in [-1, 1]"),
+        (DistanceMatrix, [[0.1, 0.5], [0.5, 0.0]], "distance diagonal must be zero"),
+        (DistanceMatrix, [[0.0, -0.5], [-0.5, 0.0]], "distances must be nonnegative"),
+    ],
+)
+def test_matrix_invariant_error_texts(cls, values, message):
+    with pytest.raises(ValueError) as excinfo:
+        cls(tickers=tickers(2), values=np.array(values, dtype=float))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("cls, d", [(cls, d) for cls, _, d in _MATRIX_TYPES])
+def test_matrix_types_hold_tuple_tickers_and_readonly_copy(cls, d):
+    values = np.where(np.eye(3, dtype=bool), d, 0.5)
+    mat = cls(tickers=list(tickers(3)), values=values)
+    assert mat.n == 3
+    assert mat.tickers == tickers(3) and isinstance(mat.tickers, tuple)
+    assert not mat.values.flags.writeable
+    assert not np.shares_memory(mat.values, values)
+    np.testing.assert_array_equal(mat.values, values)
+    with pytest.raises(ValueError, match="read-only"):
+        mat.values[0, 0] = 2.0
 
 
 def test_exports_write_csv(tmp_path, rng):
