@@ -87,7 +87,7 @@ dir = out
         assert code == 0, f"{command} exited {code}"
 
     print("\nartifacts:")
-    for artifact in sorted((root / "out").iterdir()):
+    for artifact in sorted(p for p in (root / "out").iterdir() if p.is_file()):
         print(f"  {artifact.name:<22} {artifact.stat().st_size:>8} bytes")
 
     print("\n$ corrindex --config pipeline.ini report")

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .config import WEIGHT_SUM_TOL
-from .market_data import _readonly
+from .market_data import _readonly, _reduce_through_init
 
 if TYPE_CHECKING:
     from .riskmodel import CovarianceMatrix, Linkage
@@ -31,12 +31,13 @@ NODE_VALUE_FLOOR = 1e-12
 KKT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weights:
     """Allocation vector on the simplex: each entry >= 0, total 1 within 1e-12."""
 
     tickers: tuple[str, ...]
     values: np.ndarray
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self):
         object.__setattr__(self, "tickers", tuple(self.tickers))

@@ -15,6 +15,12 @@ error, 2 runtime error. Each command imports only the stage modules it runs,
 and calls them as `module.function`; numpy and `market_data` come in with the
 helpers that read prices or weights, so `report` loads neither.
 
+Each price or factor file is parsed once per content: `<output dir>/.cache/prices/`
+holds one `.npy` entry per parse, named by the sha256 of the reader's identity
+and the file's bytes; the directory is not an artifact (no `commit` writes it,
+a failing command may leave entries there but never artifacts, and no entry is
+ever pruned), so it may be deleted at any time.
+
 `run` is the entry point of the CLI process (`python -m corrindex.cli` and the
 `corrindex` script): it calls `main`, then `gc.freeze()`, so that interpreter
 shutdown skips the collector's last walk over every object the command left.
@@ -106,13 +112,15 @@ def _price_path(cfg: PipelineConfig, ticker: str, factors: bool = False) -> Path
 
 def _load_prices(cfg: PipelineConfig, tickers: tuple[str, ...], factors: bool = False):
     """Check every price file exists before reading any, then read them: on
-    every CPU once they total `PARALLEL_READ_BYTES`, else in this process."""
+    every CPU once they total `PARALLEL_READ_BYTES`, else in this process.
+    Each process reads, and caches the parses of, its own share of the files."""
     from . import market_data, parallel
 
     paths = [_price_path(cfg, ticker, factors) for ticker in tickers]
     small = sum(path.stat().st_size for path in paths) < PARALLEL_READ_BYTES
+    cache_dir = cfg.output_dir / ".cache" / "prices"
     return parallel.fork_map(
-        lambda pair: market_data.load_price_csv(pair[1], ticker=pair[0]),
+        lambda pair: market_data.load_price_csv(pair[1], ticker=pair[0], cache_dir=cache_dir),
         list(zip(tickers, paths)),
         max_workers=1 if small else None,
     )

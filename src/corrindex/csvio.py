@@ -19,7 +19,11 @@ from typing import Iterable, Sequence
 def read_utf8_text(path: str | Path) -> str:
     """The text of a UTF-8 file, less a leading BOM. A byte that is not UTF-8
     raises ValueError naming the path and the byte's 1-based line."""
-    raw = Path(path).read_bytes()
+    return utf8_text(Path(path).read_bytes(), path)
+
+
+def utf8_text(raw: bytes, path: str | Path) -> str:
+    """`read_utf8_text` of `raw`, the bytes already read from `path`."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as err:

@@ -19,7 +19,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .csvio import csv_text, read_csv
-from .market_data import PriceSeries, ReturnSeries, _readonly, align_calendars, on_calendar
+from .market_data import (
+    PriceSeries,
+    ReturnSeries,
+    _readonly,
+    _reduce_through_init,
+    align_calendars,
+    on_calendar,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,6 +35,7 @@ class Scaler:
 
     feature_min: np.ndarray
     feature_max: np.ndarray
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self):
         object.__setattr__(self, "feature_min", _readonly(self.feature_min))
@@ -63,7 +71,7 @@ def fit_scaler(train_matrix: np.ndarray) -> Scaler:
     return Scaler(feature_min=x.min(axis=0), feature_max=x.max(axis=0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowedDataset:
     """Supervised samples: X is samples x lookback x features, y the next step of feature 0."""
 
@@ -71,6 +79,7 @@ class WindowedDataset:
     y: np.ndarray
     feature_names: tuple[str, ...]
     scaler: Scaler | None = None
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self):
         object.__setattr__(self, "X", _readonly(self.X))

@@ -8,16 +8,19 @@ live in `config`, so loading a config loads neither this module nor numpy.
 
 from __future__ import annotations
 
+import hashlib
 import io
+import os
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import ALIGN_POLICIES, PRICE_FIELDS, RETURN_MODES
-from .csvio import read_csv, read_utf8_text, write_csv
+from . import csvio
+from .csvio import csv_rows, read_csv, read_utf8_text, utf8_text, write_csv
 
 # The Yahoo-style header names `load_price_csv` reads.
 YAHOO_COLUMNS = {
@@ -41,8 +44,9 @@ def _readonly(values, dtype=float) -> np.ndarray:
 
 
 def _reduce_through_init(self):
-    """`__reduce__` of the series classes: unpickling (and `copy`) goes through
-    the constructor, so arrays come back read-only and checked."""
+    """`__reduce__` of the value classes that hold read-only arrays: unpickling
+    (and `copy`) goes through the constructor, so arrays come back read-only
+    and checked."""
     return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
@@ -69,7 +73,7 @@ def _check_dates(name: str, days: np.ndarray) -> None:
         raise _RowError(name, row, problem)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Daily bars for one ticker: at least two, strictly increasing dates.
 
@@ -118,7 +122,7 @@ class PriceSeries:
         return np.array(self.bars["dividend"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnSeries:
     """Daily simple returns; each value is labelled by the end date of its period.
 
@@ -143,7 +147,7 @@ class ReturnSeries:
         return self.returns.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignedPanel:
     """Dense date-by-ticker matrix of values sharing one calendar.
 
@@ -184,7 +188,9 @@ class AlignedPanel:
         return self.values[:, idx]
 
 
-def load_price_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:
+def load_price_csv(
+    path: str | Path, ticker: str | None = None, cache_dir: str | Path | None = None
+) -> PriceSeries:
     """Load one ticker's daily bars from a CSV file.
 
     Columns are found by their Yahoo-style header names (Date, Close, Adj
@@ -196,17 +202,84 @@ def load_price_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:
     A file of plain cells is parsed by numpy's C tokenizer; any other file,
     and any file that fails a check there, is read by the row parser
     `_load_price_rows`, which defines what loads and words every error.
+
+    The file is read once. With a `cache_dir`, its bars are taken from the
+    entry `<cache_dir>/<key>.npy`, where `key` is the sha256 of the reader's
+    identity and those bytes (`_cache_key`), when that entry loads as a 1-D
+    `BAR_DTYPE` array that `PriceSeries` accepts; otherwise the bytes are
+    parsed, and a file that parses gets that entry. A bad entry counts as
+    none, and a failed write of one is dropped: the next call parses again.
     """
     path = Path(path)
     name = ticker if ticker is not None else path.stem
-    series = _load_price_columns(path, name)
-    return series if series is not None else _load_price_rows(path, name)
+    raw = path.read_bytes()
+    entry = None
+    if cache_dir is not None:
+        entry = Path(cache_dir) / f"{_cache_key(raw)}.npy"
+        series = _cached_series(entry, name)
+        if series is not None:
+            return series
+    text = utf8_text(raw, path)
+    series = _load_price_columns(path, name, text)
+    if series is None:
+        series = _load_price_rows(path, name, text)
+    if entry is not None:
+        _save_entry(entry, series.bars)
+    return series
 
 
-def _load_price_columns(path: Path, name: str) -> PriceSeries | None:
-    """`_load_price_rows(path, name)` for a plain file (`_plain_csv`) whose
-    date cells are all `YYYY-MM-DD`, or None."""
-    plain = _plain_csv(path)
+@cache
+def _reader_identity() -> bytes:
+    """sha256 of numpy's version and the source of this module and `csvio`:
+    what decides how a file's bytes parse. Computed once per process."""
+    digest = hashlib.sha256(np.__version__.encode())
+    for module in (csvio.__file__, __file__):
+        digest.update(Path(module).read_bytes())
+    return digest.digest()
+
+
+def _cache_key(raw: bytes) -> str:
+    """The name of the cache entry of a price file whose bytes are `raw`:
+    the sha256 of the reader's identity, then `raw`."""
+    digest = hashlib.sha256(_reader_identity())
+    digest.update(raw)
+    return digest.hexdigest()
+
+
+def _cached_series(entry: Path, name: str) -> PriceSeries | None:
+    """`PriceSeries(name, bars)` of the bars in `entry`, or None if it is
+    missing, not a `.npy` file of a 1-D `BAR_DTYPE` array, or breaks an invariant."""
+    try:
+        with open(entry, "rb") as handle:
+            bars = np.lib.format.read_array(handle, allow_pickle=False)
+    except Exception:  # a damaged header can raise ValueError, SyntaxError or tokenize's TokenError
+        return None
+    if bars.ndim != 1 or bars.dtype != BAR_DTYPE:
+        return None
+    try:
+        return PriceSeries(ticker=name, bars=bars)
+    except ValueError:
+        return None
+
+
+def _save_entry(entry: Path, bars: np.ndarray) -> None:
+    """Write `bars` to `entry` through a temp file of a unique name and a
+    rename, so a reader never sees part of an entry. An `OSError` removes the
+    temp file and is dropped."""
+    tmp = entry.with_name(f".{entry.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "wb") as handle:
+            np.save(handle, bars, allow_pickle=False)
+        os.replace(tmp, entry)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+
+
+def _load_price_columns(path: Path, name: str, text: str) -> PriceSeries | None:
+    """`_load_price_rows(path, name, text)` for a plain file (`_plain_csv`)
+    whose date cells are all `YYYY-MM-DD`, or None."""
+    plain = _plain_csv(path, text)
     if plain is None:
         return None
     header, body = plain
@@ -228,16 +301,17 @@ def _load_price_columns(path: Path, name: str) -> PriceSeries | None:
         return None
 
 
-def _plain_csv(path: str | Path) -> tuple[list[str], str] | None:
+def _plain_csv(path: str | Path, text: str | None = None) -> tuple[list[str], str] | None:
     """(header cells, body) of a CSV file that numpy's tokenizer reads as
-    `read_csv` does, or None.
+    `read_csv` does, or None. `text` is the file's text, if already read.
 
     Plain means: no quote, no NUL (numpy drops a cell's trailing NULs), no CR
     but in CRLF, the header on line 1 and a row after it. An empty or
     whitespace-only body is declined here, before `loadtxt`, which warns when
     it finds no data.
     """
-    text = read_utf8_text(path)
+    if text is None:
+        text = read_utf8_text(path)
     if '"' in text or "\0" in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
         return None
     header, _, body = text.partition("\n")
@@ -294,9 +368,10 @@ def _iso_days(cells: np.ndarray) -> np.ndarray | None:
     return days if (days < (months + 1).astype("datetime64[D]")).all() else None
 
 
-def _load_price_rows(path: Path, name: str) -> PriceSeries:
-    """`load_price_csv` one row at a time over `read_csv`."""
-    rows = read_csv(path)
+def _load_price_rows(path: Path, name: str, text: str | None = None) -> PriceSeries:
+    """`load_price_csv` one row at a time over `csv_rows`. `text` is the
+    file's text, if already read."""
+    rows = csv_rows(read_utf8_text(path) if text is None else text)
     if not rows:
         raise ValueError(f"{path}: missing header row")
     (_, header), body = rows[0], rows[1:]

@@ -16,13 +16,13 @@ import numpy as np
 
 from .config import DISTANCE_CONVENTIONS, LINKAGE_METHODS
 from .csvio import write_csv
-from .market_data import AlignedPanel, _readonly
+from .market_data import AlignedPanel, _readonly, _reduce_through_init
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _TickerMatrix:
     """A square matrix labelled by `tickers` on both axes.
 
@@ -34,6 +34,7 @@ class _TickerMatrix:
 
     tickers: tuple[str, ...]
     values: np.ndarray
+    __reduce__ = _reduce_through_init
 
     _what = "matrix"
 
@@ -155,7 +156,7 @@ class Linkage:
         return tuple(sorted(self.members[node]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterRisk:
     """Cluster-level risk aggregates from cutting the dendrogram at m clusters.
 
@@ -171,6 +172,7 @@ class ClusterRisk:
     cluster_corr: np.ndarray
     avg_corr_within: np.ndarray
     avg_corr_cross: np.ndarray
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self):
         object.__setattr__(self, "assignments", tuple(self.assignments))

@@ -5,6 +5,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from corrindex import market_data
 from corrindex.market_data import AlignedPanel, PriceSeries
 from corrindex.riskmodel import (
     CovarianceMatrix,
@@ -31,6 +32,17 @@ def price_series(ticker: str, closes, dividends=None) -> PriceSeries:
     bars = [(d, c, c, v) for d, c, v in zip(weekdays(len(closes)), closes, dividends)]
     return PriceSeries(ticker=ticker, bars=tuple(bars))
 
+
+
+def forbid_parsing(monkeypatch) -> None:
+    """Make both price-file parsers raise, so a load that returns took its
+    bars from the parse cache."""
+
+    def parse(*args):
+        raise AssertionError("parsed")
+
+    monkeypatch.setattr(market_data, "_load_price_columns", parse)
+    monkeypatch.setattr(market_data, "_load_price_rows", parse)
 
 def tickers(n: int) -> tuple[str, ...]:
     return tuple(f"T{i:02d}" for i in range(n))

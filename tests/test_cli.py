@@ -24,7 +24,7 @@ from corrindex.cli import commit, main
 from corrindex.config import SECTION_KEYS, ConfigError
 from corrindex.market_data import generate_synthetic_panel
 
-from conftest import diverge_seeds, weekdays
+from conftest import diverge_seeds, forbid_parsing, weekdays
 
 UNIVERSE = tuple(f"C{i:02d}" for i in range(10))
 FACTORS = tuple(f"F{i:02d}" for i in range(11))
@@ -1059,7 +1059,7 @@ def test_wrote_lines_name_exactly_the_files_each_command_replaced(workspace, cap
     out = workspace / "out_wrote"
 
     def identities() -> dict[Path, tuple[int, int]]:
-        return {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in out.glob("*")}
+        return {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in out.glob("*") if p.is_file()}
 
     for command in ("select", "allocate", "build-index", "make-dataset", "run-experiment", "report"):
         before = identities()
@@ -1203,7 +1203,9 @@ def clean_inputs(tmp_path_factory):
 
 
 def _files(directory: Path) -> dict[str, bytes]:
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+    """The top-level files of `directory` by name; like the benchmark's rerun
+    check, it leaves out the parse cache under `.cache/`."""
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
 
 
 # A rerun with a different config, whose output number `call` of `module.function` fails
@@ -1355,6 +1357,69 @@ def test_inputs_under_the_size_floor_are_read_without_forking(tmp_path, monkeypa
     monkeypatch.setattr(os, "fork", no_fork)
     for command in ("select", "allocate", "build-index", "make-dataset"):
         assert run(config, command) == 0
+
+
+_MALFORMED_SERIES = [
+    (name, variant)
+    for name, variant in _FORKED_FAULTS
+    if variant in _MALFORMED and variant != "extra-field"
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, variant", _MALFORMED_SERIES, ids=[f"{n}-{v}" for n, v in _MALFORMED_SERIES])
+def test_faulted_input_file_gets_no_cache_entry(clean_inputs, tmp_path, capsys, name, variant):
+    root = tmp_path / "ws"
+    _check_fault(clean_inputs, root, capsys, name, variant)
+    key = market_data._cache_key((root / _INPUTS[name][0]).read_bytes())
+    assert not (root / "out" / ".cache" / "prices" / f"{key}.npy").exists()
+
+
+def test_commands_reuse_the_parses_of_earlier_commands(tmp_path, monkeypatch):
+    """`allocate` and `build-index` parse none of the price files `select`
+    parsed, nor `run-experiment` the factor files `make-dataset` parsed, and
+    a rerun of all six commands parses nothing and writes the same bytes."""
+    build_workspace(tmp_path)
+    config = write_config(tmp_path)
+    cache = tmp_path / "out" / ".cache" / "prices"
+    for parsing, commands in (
+        (True, ("select",)),
+        (False, ("allocate", "build-index")),
+        (True, ("make-dataset",)),
+        (False, ("run-experiment", "report")),
+    ):
+        monkeypatch.undo()
+        if not parsing:
+            forbid_parsing(monkeypatch)
+        for command in commands:
+            assert run(config, command) == 0, command
+    cold = _files(tmp_path / "out")
+    entries = sorted(cache.iterdir())
+    assert len(entries) == len(UNIVERSE) + len(FACTORS)
+    for command in ("select", "allocate", "build-index", "make-dataset", "run-experiment", "report"):
+        assert run(config, command) == 0, command
+    assert _files(tmp_path / "out") == cold
+    assert sorted(cache.iterdir()) == entries
+
+
+def test_forked_workers_cache_the_files_they_read(tmp_path, monkeypatch, two_cpus):
+    """With two CPUs and no size floor, this process writes the entries of
+    its own stripe (files 0, 2, 4, ...) and the forked worker the others."""
+    build_workspace(tmp_path)
+    config = write_config(tmp_path)
+    monkeypatch.setattr(cli, "PARALLEL_READ_BYTES", 0)
+    written_here = []
+    save = market_data._save_entry
+    monkeypatch.setattr(
+        market_data, "_save_entry", lambda entry, bars: written_here.append(entry.name) or save(entry, bars)
+    )
+    assert run(config, "select") == 0
+    names = [
+        f"{market_data._cache_key((tmp_path / 'prices' / f'{ticker}.csv').read_bytes())}.npy"
+        for ticker in UNIVERSE
+    ]
+    assert sorted(p.name for p in (tmp_path / "out" / ".cache" / "prices").iterdir()) == sorted(names)
+    assert written_here == names[::2]
 
 
 def _process_group(pgid: int) -> list[int]:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import copy
 import csv
+import io
 import pickle
 import re
 import sys
@@ -30,8 +32,16 @@ from corrindex.market_data import (
     read_dated_csv,
     write_dated_csv,
 )
-from corrindex.riskmodel import matrix_to_csv
-from conftest import price_series, weekdays
+from corrindex.allocation import Weights
+from corrindex.dataset import Scaler, WindowedDataset
+from corrindex.riskmodel import (
+    ClusterRisk,
+    CorrelationMatrix,
+    CovarianceMatrix,
+    DistanceMatrix,
+    matrix_to_csv,
+)
+from conftest import forbid_parsing, price_series, weekdays
 
 
 # =============================================================================
@@ -286,6 +296,156 @@ def test_plain_price_files_are_read_without_the_row_parser(tmp_path, monkeypatch
 
     monkeypatch.setattr(market_data, "_load_price_rows", no_row_parser)
     assert load_price_csv(path).bars.tobytes() == expected
+
+
+# =============================================================================
+# load_price_csv's parse cache
+# =============================================================================
+
+
+_CACHE_VARIANTS = {
+    "lf": str,
+    "bom": lambda text: "\ufeff" + text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    # a quote sends the file to the row parser
+    "quoted": lambda text: text.replace("Date,", '"Date",', 1),
+    "reordered": lambda text: "\n".join(
+        ",".join(reversed(line.split(","))) for line in text.split("\n")
+    ),
+    "close-only": lambda text: "\n".join(",".join(line.split(",")[:2]) for line in text.split("\n")),
+}
+
+
+def _entries(cache: Path) -> list[Path]:
+    return sorted(cache.iterdir()) if cache.exists() else []
+
+
+@pytest.mark.parametrize("variant", _CACHE_VARIANTS)
+def test_cache_hit_gives_the_bars_of_a_fresh_parse(tmp_path, monkeypatch, variant):
+    path = tmp_path / "P.csv"
+    path.write_bytes(_CACHE_VARIANTS[variant](_generated_price_text()).encode("utf-8"))
+    cache = tmp_path / "cache"
+    fresh = load_price_csv(path).bars.tobytes()
+    assert load_price_csv(path, cache_dir=cache).bars.tobytes() == fresh
+    (entry,) = _entries(cache)
+    assert entry.name == f"{market_data._cache_key(path.read_bytes())}.npy"
+    forbid_parsing(monkeypatch)
+    hit = load_price_csv(path, ticker="Q", cache_dir=cache)
+    assert hit.ticker == "Q"
+    assert hit.bars.tobytes() == fresh
+    assert hit.bars.flags.writeable is False
+    assert _entries(cache) == [entry]
+
+
+def test_cache_misses_when_one_byte_of_the_file_changes(tmp_path):
+    path = tmp_path / "P.csv"
+    text = _generated_price_text()
+    path.write_text(text)
+    cache = tmp_path / "cache"
+    load_price_csv(path, cache_dir=cache)
+    edited = text.replace(",0.35\n", ",0.36\n", 1)
+    assert edited != text and len(edited) == len(text)
+    path.write_text(edited)
+    got = load_price_csv(path, cache_dir=cache)
+    assert got.bars.tobytes() == load_price_csv(path).bars.tobytes()
+    assert got.dividends().max() == 0.36
+    assert len(_entries(cache)) == 2
+
+
+def test_cache_misses_when_the_reader_changes(tmp_path, monkeypatch):
+    path = tmp_path / "P.csv"
+    path.write_text(_generated_price_text())
+    cache = tmp_path / "cache"
+    load_price_csv(path, cache_dir=cache)
+    monkeypatch.setattr(market_data, "_reader_identity", lambda: b"another reader")
+    load_price_csv(path, cache_dir=cache)
+    assert len(_entries(cache)) == 2
+
+
+_BAD_ENTRIES = {
+    "truncated": lambda good: good[: len(good) - 9],
+    "not-npy": lambda good: b"Date,Close\n2010-01-04,1\n2010-01-05,2\n",
+    # a header length cut short leaves a header that does not tokenize
+    "short-header": lambda good: good[:8] + bytes([16]) + good[9:],
+    "wrong-dtype": lambda good: _npy(np.zeros(3)),
+    "two-dimensional": lambda good: _npy(np.load(io.BytesIO(good)).reshape(-1, 2)),
+    "negative-close": lambda good: _npy(_with_field(np.load(io.BytesIO(good)), "close", -1.0)),
+}
+
+
+def _npy(values: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, values, allow_pickle=False)
+    return buffer.getvalue()
+
+
+def _with_field(bars: np.ndarray, field: str, value: float) -> np.ndarray:
+    bars = bars.copy()
+    bars[field][0] = value
+    return bars
+
+
+@pytest.mark.parametrize("bad", _BAD_ENTRIES)
+def test_bad_cache_entry_is_a_miss_and_is_rewritten(tmp_path, bad):
+    path = tmp_path / "P.csv"
+    path.write_text(_generated_price_text())
+    cache = tmp_path / "cache"
+    fresh = load_price_csv(path, cache_dir=cache).bars.tobytes()
+    (entry,) = _entries(cache)
+    good = entry.read_bytes()
+    entry.write_bytes(_BAD_ENTRIES[bad](good))
+    assert load_price_csv(path, cache_dir=cache).bars.tobytes() == fresh
+    assert _entries(cache) == [entry]
+    assert entry.read_bytes() == good
+
+
+def test_file_that_fails_to_parse_leaves_no_cache_entry(tmp_path):
+    path = tmp_path / "P.csv"
+    path.write_text(_generated_price_text().replace(",0.35\n", ",abc\n", 1))
+    cache = tmp_path / "cache"
+    with pytest.raises(ValueError, match=r"P\.csv: line \d+: unparseable dividend 'abc'"):
+        load_price_csv(path, cache_dir=cache)
+    assert _entries(cache) == []
+
+
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "P.csv"
+    path.write_text(_generated_price_text())
+    cache = tmp_path / "cache"
+    fresh = load_price_csv(path).bars.tobytes()
+    written = []
+
+    def disk_full(handle, values, allow_pickle):
+        handle.write(b"\x93NUMPY")
+        written.append(Path(handle.name))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "save", disk_full)
+    assert load_price_csv(path, cache_dir=cache).bars.tobytes() == fresh
+    assert len(written) == 1 and written[0].parent == cache
+    assert _entries(cache) == []
+
+
+@pytest.mark.parametrize("variant", ["lf", "quoted"])
+def test_each_call_reads_the_file_once(tmp_path, monkeypatch, variant):
+    """The bytes hashed are the bytes parsed: a second read could store one
+    content's parse under another content's key."""
+    path = tmp_path / "P.csv"
+    path.write_bytes(_CACHE_VARIANTS[variant](_generated_price_text()).encode("utf-8"))
+    cache = tmp_path / "cache"
+    market_data._reader_identity()
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counted(self):
+        reads.append(self)
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    for cache_dir in (None, cache, cache):  # no cache, a miss, a hit
+        reads.clear()
+        load_price_csv(path, cache_dir=cache_dir)
+        assert reads == [path]
 
 
 def _numpy_round_trip_days(cells: np.ndarray) -> np.ndarray | None:
@@ -547,6 +707,96 @@ def test_series_unpickle_through_their_constructors_read_only_and_bit_exact():
             assert got.flags.writeable is False
     assert pickle.loads(pickle.dumps(prices)).dates.flags.writeable is False
     assert pickle.loads(pickle.dumps(panel)).tickers == ("X", "Y")
+
+
+def _cluster_risk():
+    return ClusterRisk((0, 1), np.eye(2), np.eye(2), np.ones(2), np.zeros((2, 2)))
+
+
+def _windowed():
+    X = np.arange(24.0).reshape(4, 3, 2)
+    return WindowedDataset(X, X[:, -1, 0] + 1.0, ("a", "b"), Scaler(np.zeros(2), np.ones(2)))
+
+
+# Each value class that holds arrays: a factory of equal, distinct instances;
+# the array fields; the field a bad pickle breaks, with a value that breaks it.
+_VALUE_CLASSES = {
+    "PriceSeries": (
+        lambda: price_series("X", [1.0, 2.5, 3.0], dividends=[0.0, 0.25, 0.0]),
+        ("bars",),
+        ("bars", np.zeros(1, dtype=market_data.BAR_DTYPE)),
+    ),
+    "ReturnSeries": (
+        lambda: compute_returns(price_series("X", [1.0, 2.5, 3.0])),
+        ("dates", "returns"),
+        ("returns", np.array([np.nan, 1.0])),
+    ),
+    "AlignedPanel": (
+        lambda: AlignedPanel(("X", "Y"), weekdays(3), np.arange(6.0).reshape(3, 2)),
+        ("dates", "values"),
+        ("values", np.zeros((2, 2))),
+    ),
+    "Weights": (
+        lambda: Weights(("X", "Y"), np.array([0.25, 0.75])),
+        ("values",),
+        ("values", np.array([-0.25, 1.25])),
+    ),
+    "Scaler": (lambda: Scaler(np.zeros(2), np.array([1.0, 2.0])), ("feature_min", "feature_max"), None),
+    "WindowedDataset": (_windowed, ("X", "y"), ("y", np.zeros(3))),
+    "CovarianceMatrix": (
+        lambda: CovarianceMatrix(("X", "Y"), np.array([[2.0, 0.5], [0.5, 1.0]])),
+        ("values",),
+        ("values", np.array([[1.0, 2.0], [2.0, 1.0]])),
+    ),
+    "CorrelationMatrix": (
+        lambda: CorrelationMatrix(("X", "Y"), np.array([[1.0, 0.5], [0.5, 1.0]])),
+        ("values",),
+        ("values", np.array([[1.0, 0.5], [0.25, 1.0]])),
+    ),
+    "DistanceMatrix": (
+        lambda: DistanceMatrix(("X", "Y"), np.array([[0.0, 0.5], [0.5, 0.0]])),
+        ("values",),
+        ("values", np.array([[0.0, -0.5], [-0.5, 0.0]])),
+    ),
+    "ClusterRisk": (
+        _cluster_risk,
+        ("cluster_cov", "cluster_corr", "avg_corr_within", "avg_corr_cross"),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _VALUE_CLASSES)
+def test_value_classes_compare_by_identity(name):
+    """`==` on a class holding arrays is identity: comparing equal copies
+    would otherwise ask numpy for the truth value of an array."""
+    make = _VALUE_CLASSES[name][0]
+    value, twin = make(), make()
+    assert type(value).__name__ == name
+    assert value == value and not value != value
+    assert value != twin and not value == twin
+
+
+@pytest.mark.parametrize("name", _VALUE_CLASSES)
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda value: pickle.loads(pickle.dumps(value)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_value_classes_copy_and_unpickle_through_their_constructors(name, duplicate):
+    make, arrays, broken = _VALUE_CLASSES[name]
+    value = make()
+    twin = duplicate(value)
+    assert type(twin) is type(value)
+    for field in arrays:
+        got, want = getattr(twin, field), getattr(value, field)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert got.flags.writeable is False
+    if broken is not None:
+        field, bad = broken
+        object.__setattr__(value, field, bad)
+        with pytest.raises(ValueError):
+            duplicate(value)
 
 
 def test_return_series_validates_lengths():
