@@ -10,7 +10,7 @@ Pipeline stages, each usable on its own:
 * `dataset`: scaling, windowing, chronological splits
 * `forecast`: from-scratch LSTM and CNN-LSTM with exact BPTT, one model or a stack of runs
 * `evaluation`: RMSE, multi-run statistics, the 2x2 comparison report
-* `parallel`: `fork_map` / `fork_chunks`, independent work spread over forked processes
+* `parallel`: `fork_chunks`, independent work spread over forked processes
 * `csvio`: CSV text reading and writing, the one user of the `csv` module
 * `cli`: file-driven pipeline commands
 

@@ -51,11 +51,6 @@ WEIGHT_LOAD_TOL = 1e-3
 # weights.csv holds each weight to this many decimals, so a sum of n of them may
 # be off by n half-units of the last place.
 WEIGHT_DECIMALS = 4
-# Price files are read on every CPU only once they total this many bytes. On a
-# 2-vCPU VM, a fresh process and one forked worker read 131 KiB of them (10 files
-# of 260 rows) in 1.42x the one-process time, 361 KiB in 1.17x, 421 KiB in 1.01x,
-# 480-540 KiB in 0.89-0.92x and 1.1-6 MiB in 0.68-0.76x (medians of 21-31 pairs).
-PARALLEL_READ_BYTES = 512 * 1024
 
 # A command's artifacts in write order: name -> its text, or a `writer(path)`
 # that streams it to `path`.
@@ -111,19 +106,16 @@ def _price_path(cfg: PipelineConfig, ticker: str, factors: bool = False) -> Path
 
 
 def _load_prices(cfg: PipelineConfig, tickers: tuple[str, ...], factors: bool = False):
-    """Check every price file exists before reading any, then read them: on
-    every CPU once they total `PARALLEL_READ_BYTES`, else in this process.
-    Each process reads, and caches the parses of, its own share of the files."""
-    from . import market_data, parallel
+    """Check every price file exists before reading any, then read them in
+    this process, each through the parse cache under the output directory."""
+    from . import market_data
 
     paths = [_price_path(cfg, ticker, factors) for ticker in tickers]
-    small = sum(path.stat().st_size for path in paths) < PARALLEL_READ_BYTES
     cache_dir = cfg.output_dir / ".cache" / "prices"
-    return parallel.fork_map(
-        lambda pair: market_data.load_price_csv(pair[1], ticker=pair[0], cache_dir=cache_dir),
-        list(zip(tickers, paths)),
-        max_workers=1 if small else None,
-    )
+    return [
+        market_data.load_price_csv(path, ticker=ticker, cache_dir=cache_dir)
+        for ticker, path in zip(tickers, paths)
+    ]
 
 
 def _load_returns(cfg: PipelineConfig, tickers: tuple[str, ...], factors: bool = False):

@@ -1,5 +1,5 @@
-"""`fork_map` and `fork_chunks`: independent work spread over the CPUs this
-process may use.
+"""`fork_chunks`: independent work spread over the CPUs this process may use.
+Its one user is `evaluation.multi_run`, which trains a cell's runs through it.
 
 The calling process keeps a share of the work, so whatever it records about
 the calls it makes still sees one item in W. Forked children inherit the
@@ -15,12 +15,6 @@ from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def fork_map(fn: Callable[[T], R], items: Iterable[T], max_workers: int | None = None) -> list[R]:
-    """`[fn(item) for item in items]`, computed by W processes as `fork_chunks`
-    computes it with chunks of one item."""
-    return fork_chunks(lambda chunk: [fn(chunk[0])], items, 1, max_workers)
 
 
 def fork_chunks(

@@ -43,7 +43,7 @@ from corrindex.forecast import (
     save_model,
     train,
 )
-from corrindex.parallel import fork_map
+from corrindex.parallel import fork_chunks
 from corrindex.riskmodel import (
     DistanceMatrix,
     cluster_aggregates,
@@ -231,8 +231,10 @@ def test_training_sanity_on_sine_plus_noise():
         model, losses = train(model_spec, train_ds, cfg)
         return losses, rmse(predict(model, test_ds), test_ds.y)
 
-    # the two trainings are independent; fork_map gives the serial loop's bits
-    (losses, test_rmse), (lstm_losses, _) = fork_map(fit, ["cnn_lstm", "lstm"])
+    # the two trainings are independent; fork_chunks gives the serial loop's bits
+    (losses, test_rmse), (lstm_losses, _) = fork_chunks(
+        lambda chunk: [fit(chunk[0])], ["cnn_lstm", "lstm"], 1
+    )
     assert all(np.isfinite(losses))
     assert test_rmse < 0.08, test_rmse
     assert all(np.isfinite(lstm_losses))

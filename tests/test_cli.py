@@ -1311,13 +1311,10 @@ def test_input_file_fault(clean_inputs, tmp_path, capsys, name, variant):
     _check_fault(clean_inputs, tmp_path / "ws", capsys, name, variant)
 
 
-_FORKED_FAULTS = [(name, variant) for name, variant in _FAULTS if name in ("price", "factor")]
-
-
 @pytest.fixture
 def two_cpus(monkeypatch):
     """This process sees CPUs {0, 1}; the CPUs it may really use are restored
-    afterwards, since the fork map pins it and restores what it saw."""
+    afterwards, in case the code under test pinned it."""
     real = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     yield
@@ -1325,44 +1322,48 @@ def two_cpus(monkeypatch):
         os.sched_setaffinity(0, real)
 
 
+def _no_fork():
+    raise AssertionError("forked")
+
+
+def test_price_and_factor_files_are_read_without_forking(tmp_path, monkeypatch, two_cpus):
+    """Even with two CPUs, every command that reads price or factor files
+    reads them in its own process."""
+    build_workspace(tmp_path)
+    config = write_config(tmp_path)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    for command in ("select", "allocate", "build-index", "make-dataset"):
+        assert run(config, command) == 0
+
+
+_SERIES_FAULTS = [(name, variant) for name, variant in _FAULTS if name in ("price", "factor")]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("name, variant", _FORKED_FAULTS, ids=[f"{n}-{v}" for n, v in _FORKED_FAULTS])
-def test_input_file_fault_read_by_forked_worker(clean_inputs, tmp_path, capsys, monkeypatch, two_cpus, name, variant):
-    """With two CPUs and no size floor, the price and factor files are read
-    by `fork_map`, and the faulted file (index 3 of 10 or 11) by the forked
-    worker: exit code, stderr and artifacts are those of the serial read."""
-    serial = _check_fault(clean_inputs, tmp_path / "serial", capsys, name, variant)  # under the floor
-    monkeypatch.setattr(cli, "PARALLEL_READ_BYTES", 0)
+@pytest.mark.parametrize("name, variant", _SERIES_FAULTS, ids=[f"{n}-{v}" for n, v in _SERIES_FAULTS])
+def test_input_file_fault_read_cold_in_the_commands_process(
+    clean_inputs, tmp_path, capsys, monkeypatch, two_cpus, name, variant
+):
+    """With two CPUs and no parse cache, the price and factor files, the
+    faulted one (index 3 of 10 or 11) included, are parsed in this process:
+    exit code, stderr and artifacts are those of the read on a warm cache."""
+    warm = _check_fault(clean_inputs, tmp_path / "warm", capsys, name, variant)
+    cold_inputs = tmp_path / "cold_inputs"
+    shutil.copytree(clean_inputs, cold_inputs)
+    shutil.rmtree(cold_inputs / "out" / ".cache")
+    monkeypatch.setattr(os, "fork", _no_fork)
     read_here = []
     load = market_data.load_price_csv
     monkeypatch.setattr(
         market_data, "load_price_csv", lambda path, **kw: read_here.append(path.name) or load(path, **kw)
     )
-    assert _check_fault(clean_inputs, tmp_path / "forked", capsys, name, variant) == serial
-    faulted = Path(_INPUTS[name][0]).name
-    assert read_here and faulted not in read_here
-
-
-def test_inputs_under_the_size_floor_are_read_without_forking(tmp_path, monkeypatch, two_cpus):
-    """The test fixture's price and factor files total less than
-    `PARALLEL_READ_BYTES`, so even with two CPUs every command reads them in
-    its own process."""
-    build_workspace(tmp_path)
-    config = write_config(tmp_path)
-
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    for command in ("select", "allocate", "build-index", "make-dataset"):
-        assert run(config, command) == 0
+    assert _check_fault(cold_inputs, tmp_path / "cold", capsys, name, variant) == warm
+    assert Path(_INPUTS[name][0]).name in read_here
 
 
 _MALFORMED_SERIES = [
-    (name, variant)
-    for name, variant in _FORKED_FAULTS
-    if variant in _MALFORMED and variant != "extra-field"
+    (name, variant) for name, variant in _SERIES_FAULTS if variant in _MALFORMED and variant != "extra-field"
 ]
 
 
@@ -1402,12 +1403,11 @@ def test_commands_reuse_the_parses_of_earlier_commands(tmp_path, monkeypatch):
     assert sorted(cache.iterdir()) == entries
 
 
-def test_forked_workers_cache_the_files_they_read(tmp_path, monkeypatch, two_cpus):
-    """With two CPUs and no size floor, this process writes the entries of
-    its own stripe (files 0, 2, 4, ...) and the forked worker the others."""
+def test_the_command_process_caches_every_file_it_reads(tmp_path, monkeypatch, two_cpus):
+    """With two CPUs, this process writes the entry of every price file
+    `select` reads, in the universe's order."""
     build_workspace(tmp_path)
     config = write_config(tmp_path)
-    monkeypatch.setattr(cli, "PARALLEL_READ_BYTES", 0)
     written_here = []
     save = market_data._save_entry
     monkeypatch.setattr(
@@ -1419,7 +1419,7 @@ def test_forked_workers_cache_the_files_they_read(tmp_path, monkeypatch, two_cpu
         for ticker in UNIVERSE
     ]
     assert sorted(p.name for p in (tmp_path / "out" / ".cache" / "prices").iterdir()) == sorted(names)
-    assert written_here == names[::2]
+    assert written_here == names
 
 
 def _process_group(pgid: int) -> list[int]:
@@ -1542,10 +1542,10 @@ def test_console_script_runs_the_process_entry():
 
 # The stage modules each command must not load, in a fresh interpreter
 _NOT_LOADED = {
-    "select": {"riskmodel", "allocation", "index_builder", "dataset", "evaluation", "forecast"},
-    "allocate": {"selection", "index_builder", "dataset", "evaluation", "forecast"},
-    "build-index": {"riskmodel", "selection", "dataset", "evaluation", "forecast"},
-    "make-dataset": {"riskmodel", "allocation", "selection", "evaluation", "forecast"},
+    "select": {"riskmodel", "allocation", "index_builder", "dataset", "evaluation", "parallel", "forecast"},
+    "allocate": {"selection", "index_builder", "dataset", "evaluation", "parallel", "forecast"},
+    "build-index": {"riskmodel", "selection", "dataset", "evaluation", "parallel", "forecast"},
+    "make-dataset": {"riskmodel", "allocation", "selection", "evaluation", "parallel", "forecast"},
     "run-experiment": {"riskmodel", "allocation", "selection"},
     "report": {
         "riskmodel", "allocation", "selection", "index_builder", "dataset",
